@@ -144,17 +144,22 @@ def modified_wavenumber_free(p: FreeParticle, v_P: float) -> float:
     return p.k * (1.0 + p.speed / (2.0 * v_P))
 
 
-def modified_phase_velocity(v_ph: float, v_P: float) -> float:
-    """Harmonic composition 1/v_ph.l = 1/v_ph + 1/v_P."""
-    if not v_ph > 0.0:
-        raise ValueError(f"v_ph must be positive, got {v_ph}")
+def _harmonic_composition(v: float, v_P: float, name: str) -> float:
+    """1/v_l = 1/v + 1/v_P, exact in the limits v -> inf and v_P -> inf."""
+    if not v > 0.0:
+        raise ValueError(f"{name} must be positive, got {v}")
     if not v_P > 0.0:
         raise ValueError(f"v_P must be positive (inf allowed), got {v_P}")
     if math.isinf(v_P):
-        return v_ph
-    if math.isinf(v_ph):
+        return v
+    if math.isinf(v):
         return v_P
-    return v_ph * v_P / (v_ph + v_P)
+    return v * v_P / (v + v_P)
+
+
+def modified_phase_velocity(v_ph: float, v_P: float) -> float:
+    """Harmonic composition 1/v_ph.l = 1/v_ph + 1/v_P."""
+    return _harmonic_composition(v_ph, v_P, "v_ph")
 
 
 def modified_group_velocity(v_gr: float, v_P: float) -> float:
@@ -163,15 +168,7 @@ def modified_group_velocity(v_gr: float, v_P: float) -> float:
     The result is below both inputs, so a particle's modified group
     velocity never exceeds the front speed.
     """
-    if not v_gr > 0.0:
-        raise ValueError(f"v_gr must be positive, got {v_gr}")
-    if not v_P > 0.0:
-        raise ValueError(f"v_P must be positive (inf allowed), got {v_P}")
-    if math.isinf(v_P):
-        return v_gr
-    if math.isinf(v_gr):
-        return v_P
-    return v_gr * v_P / (v_gr + v_P)
+    return _harmonic_composition(v_gr, v_P, "v_gr")
 
 
 def wavelength_regime(d: WavePhaseDecomposition) -> WavelengthRegime:

@@ -149,26 +149,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_field_csv(f: ComplexField | ScalarField, out: TextIO | str) -> None:
-    """Write a field in the package CSV format (complex fields add value_im)."""
+def _write_cell_rows(out: TextIO | str, grid: Grid, value_cols: list,
+                     rows: Iterable) -> None:
+    """Header, then per cell in row-major order its indices and its row."""
     if isinstance(out, str):
         with open(out, "w", newline="") as handle:
-            write_field_csv(f, handle)
+            _write_cell_rows(handle, grid, value_cols, rows)
         return
-    grid = f.grid
-    is_complex = np.iscomplexobj(f.values)
     index_cols = [f"index_axis{a}" for a in range(grid.dims)]
-    value_cols = ["value_re", "value_im"] if is_complex else ["value_re"]
     out.write(",".join(index_cols + value_cols) + "\n")
-    flat = f.values.reshape(-1)
-    for flat_index, value in enumerate(flat):
-        multi = np.unravel_index(flat_index, grid.shape)
-        cols = [str(int(i)) for i in multi]
-        if is_complex:
-            cols += [_fmt(value.real), _fmt(value.imag)]
-        else:
-            cols += [_fmt(value)]
-        out.write(",".join(cols) + "\n")
+    for multi, row in zip(np.ndindex(*grid.shape), rows):
+        out.write(",".join([*map(str, multi), *row]) + "\n")
+
+
+def write_field_csv(f: ComplexField | ScalarField, out: TextIO | str) -> None:
+    """Write a field in the package CSV format (complex fields add value_im)."""
+    flat = f.values.reshape(-1).tolist()
+    if np.iscomplexobj(f.values):
+        rows = ((_fmt(v.real), _fmt(v.imag)) for v in flat)
+        _write_cell_rows(out, f.grid, ["value_re", "value_im"], rows)
+    else:
+        _write_cell_rows(out, f.grid, ["value_re"], ((_fmt(v),) for v in flat))
 
 
 def read_field_csv(src: TextIO | str,
@@ -199,6 +200,7 @@ def read_field_csv(src: TextIO | str,
         raise ValueError(f"unexpected field CSV header: {header!r}")
     indices: list = []
     values: list = []
+    line_nos: list = []
     for line_no, line in enumerate(src, start=2):
         line = line.strip()
         if not line:
@@ -207,22 +209,33 @@ def read_field_csv(src: TextIO | str,
         if len(parts) != len(columns):
             raise ValueError(f"line {line_no}: expected {len(columns)} columns")
         indices.append(tuple(int(p) for p in parts[:dims]))
+        line_nos.append(line_no)
         if is_complex:
             values.append(complex(float(parts[dims]), float(parts[dims + 1])))
         else:
             values.append(float(parts[dims]))
     if not indices:
         raise ValueError("field CSV holds no cells")
+    n = len(indices)  # no axis of an n-cell field is longer than n cells
+    for idx, line_no in zip(indices, line_nos):
+        if any(not 0 <= i < n for i in idx):
+            raise ValueError(f"line {line_no}: index {idx} outside [0, {n}) of {n} cells")
     shape = tuple(max(idx[a] for idx in indices) + 1 for a in range(dims))
-    if len(indices) != int(np.prod(shape)):
-        raise ValueError(f"field CSV holds {len(indices)} cells, "
+    if n != int(np.prod(shape)):
+        raise ValueError(f"field CSV holds {n} cells, "
                          f"expected {int(np.prod(shape))} for shape {shape}")
     grid = Grid(shape,
                 spacing if spacing is not None else (1.0,) * dims,
                 origin)
     dtype = np.complex128 if is_complex else np.float64
     arr = np.empty(shape, dtype=dtype)
-    for idx, value in zip(indices, values):
+    # n distinct in-range rows cover all n cells, so no np.empty value survives.
+    first_line = np.zeros(shape, dtype=np.int64)  # 0: cell not yet written
+    for idx, value, line_no in zip(indices, values, line_nos):
+        if first_line[idx]:
+            raise ValueError(f"line {line_no}: duplicate index {idx} "
+                             f"(first on line {first_line[idx]})")
+        first_line[idx] = line_no
         arr[idx] = value
     if is_complex:
         return ComplexField(grid, arr, time_stamp=time_stamp)

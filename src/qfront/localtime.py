@@ -17,7 +17,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .eikonal import TraveltimeField
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, _fmt, _write_cell_rows
 
 __all__ = [
     "RegionClass",
@@ -108,18 +108,6 @@ def infinite_speed_limit(grid: Grid, t: float,
 
 def write_localtime_csv(f: LocalTimeField, out: TextIO | str) -> None:
     """Rows ``indices..., theta, class`` with class in {N, F, P}."""
-    if isinstance(out, str):
-        with open(out, "w", newline="") as handle:
-            write_localtime_csv(f, handle)
-        return
-    grid = f.grid
-    index_cols = [f"index_axis{a}" for a in range(grid.dims)]
-    out.write(",".join(index_cols + ["theta", "class"]) + "\n")
-    theta = f.theta.reshape(-1)
-    classes = f.classes.reshape(-1)
-    for flat_index in range(grid.n_cells):
-        multi = np.unravel_index(flat_index, grid.shape)
-        cols = [str(int(i)) for i in multi]
-        cols.append(format(float(theta[flat_index]), ".17g"))
-        cols.append(classes[flat_index].value)
-        out.write(",".join(cols) + "\n")
+    rows = ((_fmt(theta), region.value) for theta, region
+            in zip(f.theta.reshape(-1).tolist(), f.classes.reshape(-1)))
+    _write_cell_rows(out, f.grid, ["theta", "class"], rows)

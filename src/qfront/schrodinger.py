@@ -16,9 +16,8 @@ perturbations).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -52,8 +51,8 @@ __all__ = [
 _BICGSTAB_RTOL = 1e-13
 _BICGSTAB_MAXITER = 500
 
-# Relative slack when matching a requested time against stored snapshot
-# times (absorbs accumulation round-off in k*dt).
+# A time within _TIME_MATCH_RTOL * dt of a whole step is that step's
+# snapshot time (absorbs round-off in t, t_P and start_time + k*dt).
 _TIME_MATCH_RTOL = 1e-9
 
 
@@ -108,18 +107,17 @@ class StationaryState:
 
 
 def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for axis in range(len(shape)):
-        sl_lo = [slice(None)] * len(shape)
-        sl_hi = [slice(None)] * len(shape)
-        sl_lo[axis] = 0
-        sl_hi[axis] = -1
-        mask[tuple(sl_lo)] = True
-        mask[tuple(sl_hi)] = True
+    mask = np.ones(shape, dtype=bool)
+    mask[tuple(slice(1, -1) for _ in shape)] = False
     return mask
 
 
-def _require_zero_boundary(state: ComplexField) -> None:
+def _require_valid_state(state: ComplexField, problem: QuantumProblem) -> None:
+    if state.grid.shape != problem.grid.shape:
+        raise ValueError(
+            f"state grid shape {state.grid.shape} does not match problem "
+            f"grid shape {problem.grid.shape}"
+        )
     mask = _boundary_mask(state.grid.shape)
     if np.any(state.values[mask] != 0.0):
         raise ValueError(
@@ -150,14 +148,12 @@ class _Stepper1D:
         self._b_diag = 1.0 - c * diag_h
         self._b_off = -c * hop
 
-    def step(self, values: np.ndarray) -> np.ndarray:
+    def step(self, values: np.ndarray, out: np.ndarray) -> None:
         x = values[1:-1]
         rhs = self._b_diag * x
         rhs[:-1] += self._b_off * x[1:]
         rhs[1:] += self._b_off * x[:-1]
-        out = np.zeros_like(values)
         out[1:-1] = scipy.linalg.solve_banded((1, 1), self._ab, rhs)
-        return out
 
 
 class _StepperND:
@@ -189,7 +185,7 @@ class _StepperND:
         self._interior = interior
         self._shape_int = shape_int
 
-    def step(self, values: np.ndarray) -> np.ndarray:
+    def step(self, values: np.ndarray, out: np.ndarray) -> None:
         x = values[self._interior].ravel()
         rhs = self._b @ x
         sol, info = scipy.sparse.linalg.bicgstab(
@@ -206,16 +202,11 @@ class _StepperND:
                 f"within {_BICGSTAB_MAXITER} iterations (info={info}); "
                 "reduce dt or refine the grid"
             )
-        out = np.zeros_like(values)
         out[self._interior] = sol.reshape(self._shape_int)
-        return out
 
 
-@lru_cache(maxsize=16)
-def _stepper_for(problem: QuantumProblem):
-    if problem.grid.dims == 1:
-        return _Stepper1D(problem)
-    return _StepperND(problem)
+def _make_stepper(problem: QuantumProblem) -> _Stepper1D | _StepperND:
+    return _Stepper1D(problem) if problem.grid.dims == 1 else _StepperND(problem)
 
 
 def step_classical(state: ComplexField, problem: QuantumProblem) -> ComplexField:
@@ -224,49 +215,85 @@ def step_classical(state: ComplexField, problem: QuantumProblem) -> ComplexField
     The state must live on the problem grid and vanish on the boundary
     cell layer.  The returned field carries time_stamp advanced by dt.
     """
-    if state.grid.shape != problem.grid.shape:
-        raise ValueError(
-            f"state grid shape {state.grid.shape} does not match problem "
-            f"grid shape {problem.grid.shape}"
-        )
-    _require_zero_boundary(state)
-    new_values = _stepper_for(problem).step(state.values)
+    _require_valid_state(state, problem)
+    new_values = np.zeros_like(state.values)
+    _make_stepper(problem).step(state.values, new_values)
     return ComplexField(problem.grid, new_values, state.time_stamp + problem.dt)
 
 
 @dataclass(frozen=True, eq=False)
 class ClassicalSolution:
-    """A run of CN snapshots at uniform spacing problem.dt.
+    """A run of CN states at uniform spacing problem.dt, kept in a ring buffer.
 
-    Snapshots are the retained tail of the full history: snapshot j holds
-    the state at global step first_step + j.  initial_norm is the squared
-    L2 norm at step 0, kept so norm drift stays checkable after early
-    snapshots have been dropped from a windowed run.
+    history has shape (rows, *grid.shape) and holds the retained tail of
+    the run: the state at global step k, for first_step <= k <
+    first_step + rows, is row k % rows and belongs to time start_time +
+    k * problem.dt.  A read-only complex128 array is kept as it is; any
+    other array is copied and frozen.  initial_norm is the squared L2
+    norm at step 0, kept so norm drift stays checkable after early steps
+    have left the window.
     """
 
     problem: QuantumProblem
-    snapshots: tuple[ComplexField, ...]
+    history: np.ndarray = field(repr=False)
     initial_norm: float
     first_step: int = 0
-    history_window: int | None = None
+    start_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.snapshots:
-            raise ValueError("a solution needs at least one snapshot")
-        dt = self.problem.dt
-        for j in range(1, len(self.snapshots)):
-            gap = self.snapshots[j].time_stamp - self.snapshots[j - 1].time_stamp
-            if not math.isclose(gap, dt, rel_tol=1e-9):
-                raise ValueError(
-                    f"snapshots {j - 1} and {j} are spaced {gap} apart; "
-                    f"expected uniform spacing dt={dt}"
-                )
+        history = np.asarray(self.history, dtype=np.complex128)
+        shape = self.problem.grid.shape
+        if history.ndim != len(shape) + 1 or history.shape[1:] != shape or not len(history):
+            raise ValueError(f"history shape {history.shape} is not (rows >= 1, *{shape})")
+        if history.flags.writeable or not history.flags.c_contiguous:
+            history = np.array(history, order="C")
+            history.flags.writeable = False
+        object.__setattr__(self, "history", history)
         if not (self.initial_norm > 0.0 and math.isfinite(self.initial_norm)):
             raise ValueError("initial_norm must be positive and finite")
+        if self.first_step < 0 or not math.isfinite(self.start_time):
+            raise ValueError("first_step must be >= 0 and start_time finite")
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.time_stamp for s in self.snapshots])
+        steps = self.first_step + np.arange(len(self.history))
+        return self.start_time + steps * self.problem.dt
+
+    @property
+    def snapshots(self) -> "_Snapshots":
+        """The retained states oldest first; each read copies one row."""
+        return _Snapshots(self)
+
+    def _snapshot(self, step: int) -> ComplexField:
+        row = self.history[step % len(self.history)]
+        return ComplexField(self.problem.grid, row, self.start_time + step * self.problem.dt)
+
+    def _locate(self, t: float, local: np.ndarray | None = None, exact=False, margin=0):
+        """Global step at or below each time (t, or local if given) and the
+        weight of the next step.  A time within _TIME_MATCH_RTOL * dt of a
+        whole step snaps to it with weight 0, so snapshot hits read one row
+        bit for bit.  Every time must lie in the retained window less margin
+        steps at each end; exact also requires snapshot times.
+        """
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
+        times = np.asarray(t if local is None else local, dtype=np.float64)
+        pos = (times - self.start_time) / self.problem.dt
+        step = np.rint(pos)
+        hit = np.abs(pos - step) <= _TIME_MATCH_RTOL
+        step = np.where(hit, step, np.floor(pos))
+        weight = np.where(hit, 0.0, pos - step)
+        first = self.first_step + margin
+        last = self.first_step + len(self.history) - 1 - margin
+        if np.any(step < first) or np.any(step + (weight > 0.0) > last):
+            raise HistoryWindowError(
+                f"times span [{times.min()}, {times.max()}] but steps {first}..{last} "
+                f"of the retained window{' (less its endpoints)' if margin else ''} "
+                "are usable; enlarge history_window, extend the run, or reduce t"
+            )
+        if exact and np.any(weight != 0.0):
+            raise HistoryWindowError(f"t={t} is not a retained snapshot time")
+        return step.astype(np.int64), weight
 
     def norm_drift(self) -> float:
         """Largest relative deviation of any retained norm from step 0."""
@@ -275,14 +302,25 @@ class ClassicalSolution:
 
     def snapshot_at(self, t: float) -> ComplexField:
         """The retained snapshot whose time matches t to round-off."""
-        times = self.times
-        j = int(np.argmin(np.abs(times - t)))
-        tol = _TIME_MATCH_RTOL * max(self.problem.dt, abs(t))
-        if abs(times[j] - t) > tol:
-            raise HistoryWindowError(
-                f"no snapshot at t={t}; nearest retained time is {times[j]}"
-            )
-        return self.snapshots[j]
+        step, _ = self._locate(t, exact=True)
+        return self._snapshot(int(step))
+
+
+@dataclass(frozen=True)
+class _Snapshots(Sequence):
+    """Read-only view of a solution's retained states, oldest first."""
+
+    solution: ClassicalSolution
+
+    def __len__(self) -> int:
+        return len(self.solution.history)
+
+    def __getitem__(self, index):
+        first = self.solution.first_step
+        steps = range(first, first + len(self))[index]
+        if isinstance(steps, range):
+            return tuple(self.solution._snapshot(k) for k in steps)
+        return self.solution._snapshot(steps)
 
 
 def propagate_classical(
@@ -291,11 +329,11 @@ def propagate_classical(
     n_steps: int,
     history_window: int | None = None,
 ) -> ClassicalSolution:
-    """Run n_steps CN steps, retaining the last history_window snapshots.
+    """Run n_steps CN steps, retaining the last history_window states.
 
-    history_window=None keeps all n_steps + 1 snapshots.  A retarded
-    evaluation at global time t needs every snapshot back to t - max(t_P),
-    so the window must cover ceil(max(t_P)/dt) + 2 snapshots; too-small
+    history_window=None keeps all n_steps + 1 states.  A retarded
+    evaluation at global time t needs every state back to t - max(t_P),
+    so the window must cover ceil(max(t_P)/dt) + 2 steps; too-small
     windows surface later as HistoryWindowError from evaluate_modified.
     """
     if n_steps < 0:
@@ -305,29 +343,26 @@ def propagate_classical(
             f"history_window must be at least 2 to bracket any local time, "
             f"got {history_window}"
         )
+    _require_valid_state(initial, problem)
     initial_norm = l2_norm_squared(initial)
     if initial_norm == 0.0:
         raise ValueError("initial state has zero norm")
 
-    snapshots = [initial]
-    state = initial
-    for _ in range(n_steps):
-        state = step_classical(state, problem)
-        snapshots.append(state)
-        if history_window is not None and len(snapshots) > history_window:
-            del snapshots[0]
-    first_step = n_steps + 1 - len(snapshots)
+    rows = n_steps + 1 if history_window is None else min(history_window, n_steps + 1)
+    # Zero-filled: the steppers write interiors only, so boundaries stay 0.
+    history = np.zeros((rows, *problem.grid.shape), dtype=np.complex128)
+    history[0] = initial.values
+    stepper = _make_stepper(problem)
+    for k in range(1, n_steps + 1):
+        stepper.step(history[(k - 1) % rows], history[k % rows])
+    history.flags.writeable = False
     return ClassicalSolution(
         problem=problem,
-        snapshots=tuple(snapshots),
+        history=history,
         initial_norm=initial_norm,
-        first_step=first_step,
-        history_window=history_window,
+        first_step=n_steps + 1 - rows,
+        start_time=initial.time_stamp,
     )
-
-
-def _stacked_values(solution: ClassicalSolution) -> np.ndarray:
-    return np.stack([s.values.reshape(-1) for s in solution.snapshots])
 
 
 def evaluate_modified(
@@ -335,13 +370,14 @@ def evaluate_modified(
     traveltime: TraveltimeField,
     t: float,
 ) -> ComplexField:
-    """Evaluate the retarded state Psi(x, t - t_P(x)) from stored snapshots.
+    """Evaluate the retarded state Psi(x, t - t_P(x)) from the stored history.
 
     Where the front has not yet arrived (t < t_P) the value is exactly
     zero.  Local times that coincide with a snapshot time reproduce that
     snapshot's values bit for bit; in particular t_P = 0 everywhere gives
     back the classical state unchanged.  Local times strictly between
-    snapshots are interpolated linearly in time.
+    snapshots are interpolated linearly in time.  Memory use is a few
+    arrays of one state each, independent of the history length.
     """
     grid = solution.problem.grid
     if traveltime.grid.shape != grid.shape:
@@ -349,43 +385,21 @@ def evaluate_modified(
             f"traveltime grid shape {traveltime.grid.shape} does not match "
             f"solution grid shape {grid.shape}"
         )
-    times = solution.times
-    theta = t - traveltime.t_P
+    theta = (t - traveltime.t_P).reshape(-1)
     reached = theta >= 0.0
-
-    theta_flat = theta.reshape(-1)
-    reached_flat = reached.reshape(-1)
-    # Clamp unreached points to a valid lookup time; their values are
+    # Unreached points look up the oldest retained time; their values are
     # overwritten with zero below.
-    theta_q = np.where(reached_flat, theta_flat, times[0])
+    oldest = solution.start_time + solution.first_step * solution.problem.dt
+    step, w = solution._locate(t, np.where(reached, theta, oldest))
 
-    slack = _TIME_MATCH_RTOL * solution.problem.dt
-    if np.any(theta_q < times[0] - slack) or np.any(theta_q > times[-1] + slack):
-        raise HistoryWindowError(
-            f"local times span [{theta_q.min()}, {theta_q.max()}] but the "
-            f"retained snapshots cover [{times[0]}, {times[-1]}]; enlarge "
-            "history_window, extend the run, or reduce t"
-        )
-    theta_q = np.clip(theta_q, times[0], times[-1])
-
-    lo = np.clip(np.searchsorted(times, theta_q, side="right") - 1, 0, len(times) - 2)
-    gap = times[lo + 1] - times[lo]
-    w = (theta_q - times[lo]) / gap
-    # Snap near-exact hits (within the time-match tolerance) so local
-    # times that are whole multiples of dt survive accumulated rounding
-    # in the snapshot time stamps.
-    w = np.where(w * gap <= slack, 0.0, w)
-    w = np.where((1.0 - w) * gap <= slack, 1.0, w)
-
-    stacked = _stacked_values(solution)
-    cols = np.arange(theta_q.size)
-    lower = stacked[lo, cols]
-    upper = stacked[lo + 1, cols]
-    # Exact endpoints bypass the blend so snapshot hits are bit-identical.
-    mixed = np.where(
-        w == 0.0, lower, np.where(w == 1.0, upper, (1.0 - w) * lower + w * upper)
-    )
-    out = np.where(reached_flat, mixed, 0.0 + 0.0j).reshape(grid.shape)
+    rows = len(solution.history)
+    flat = solution.history.reshape(rows, -1)
+    cols = np.arange(grid.n_cells)
+    lower = flat[step % rows, cols]
+    upper = flat[(step + (w > 0.0)) % rows, cols]  # the last step has no successor
+    # Exact hits bypass the blend so snapshot hits are bit-identical.
+    mixed = np.where(w == 0.0, lower, (1.0 - w) * lower + w * upper)
+    out = np.where(reached, mixed, 0.0 + 0.0j).reshape(grid.shape)
     return ComplexField(grid, out, t)
 
 
@@ -402,25 +416,12 @@ def difference_estimate(
     window; the retarded lookup additionally needs history back to
     t - max(t_P).  Both fields vanish together as t_P goes to zero.
     """
-    times = solution.times
-    j = int(np.argmin(np.abs(times - t)))
-    tol = _TIME_MATCH_RTOL * max(solution.problem.dt, abs(t))
-    if abs(times[j] - t) > tol:
-        raise HistoryWindowError(
-            f"t={t} is not a retained snapshot time; nearest is {times[j]}"
-        )
-    if j == 0 or j == len(times) - 1:
-        raise HistoryWindowError(
-            f"t={t} is an endpoint of the retained window; the centered "
-            "time derivative needs a snapshot on each side"
-        )
-    dt = solution.problem.dt
-    dpsi_dt = (solution.snapshots[j + 1].values - solution.snapshots[j - 1].values) / (
-        2.0 * dt
-    )
+    k = int(solution._locate(t, exact=True, margin=1)[0])
+    history, rows, dt = solution.history, len(solution.history), solution.problem.dt
+    dpsi_dt = (history[(k + 1) % rows] - history[(k - 1) % rows]) / (2.0 * dt)
     predicted = np.abs(dpsi_dt) * traveltime.t_P
-    modified = evaluate_modified(solution, traveltime, times[j])
-    actual = np.abs(solution.snapshots[j].values - modified.values)
+    modified = evaluate_modified(solution, traveltime, solution.start_time + k * dt)
+    actual = np.abs(history[k % rows] - modified.values)
     grid = solution.problem.grid
     return ScalarField(grid, actual), ScalarField(grid, predicted)
 
@@ -457,8 +458,9 @@ def make_plane_wave(
 ) -> ComplexField:
     """exp(2 pi i (k x - nu t)) along one axis; k and nu are in cycles.
 
-    Useful as an analytic snapshot source: a tuple of these at uniform
-    times forms a ClassicalSolution without running the stepper.
+    Useful as an analytic snapshot source: the values of these at uniform
+    times, stacked with np.stack, form a ClassicalSolution history without
+    running the stepper.
     """
     if not 0 <= axis < grid.dims:
         raise ValueError(f"axis {axis} out of range for {grid.dims}-d grid")

@@ -120,7 +120,9 @@ def test_criterion_4_plane_wave_retardation():
     snaps = tuple(make_plane_wave(grid, nu, k, j * dt) for j in range(300))
     problem = QuantumProblem(grid, ScalarField(grid, np.zeros(401)), 1.0, dt, NAT)
     solution = ClassicalSolution(
-        problem, snaps, initial_norm=l2_norm_squared(snaps[0])
+        problem,
+        np.stack([s.values for s in snaps]),
+        initial_norm=l2_norm_squared(snaps[0]),
     )
     x = grid.axis_coordinates(0)
     tt = TraveltimeField(grid, x / v_p, v_p)

@@ -142,6 +142,21 @@ def test_csv_rejects_wrong_column_count():
         read_field_csv(io.StringIO(bad))
 
 
+ONE_AXIS = "index_axis0,value_re\n"
+TWO_AXES = "index_axis0,index_axis1,value_re\n"
+
+
+@pytest.mark.parametrize("text, line, what", [
+    (ONE_AXIS + "0,1.0\n0,2.0\n2,3.0\n", 3, "duplicate"),  # cell 1 never written
+    (ONE_AXIS + "1,1.0\n0,2.0\n-1,3.0\n", 4, "outside"),   # -1 would wrap to cell 2
+    (ONE_AXIS + "0,1.0\n1,2.0\n7,3.0\n", 4, "outside"),    # 3 rows hold at most 3 cells
+    (TWO_AXES + "0,0,1.0\n1,0,2.0\n0,0,3.0\n1,1,4.0\n", 4, "duplicate"),
+])
+def test_csv_rejects_bad_indices(text, line, what):
+    with pytest.raises(ValueError, match=f"line {line}: .*{what}"):
+        read_field_csv(io.StringIO(text))
+
+
 def test_csv_file_roundtrip(tmp_path):
     g = Grid((2, 2), (1.0, 1.0))
     f = ComplexField(g, np.array([[1, 2j], [3, 4 + 4j]]))

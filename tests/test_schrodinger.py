@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,12 +59,12 @@ def test_step_requires_matching_grid():
         step_classical(state, prob)
 
 
-def test_solution_rejects_uneven_snapshot_times():
+def test_solution_rejects_history_off_the_grid():
     prob = free_problem(16)
-    a = ComplexField(prob.grid, np.zeros(16), 0.0)
-    b = ComplexField(prob.grid, np.zeros(16), 3.0 * prob.dt)
-    with pytest.raises(ValueError, match="spacing"):
-        ClassicalSolution(prob, (a, b), initial_norm=1.0)
+    with pytest.raises(ValueError, match="history shape"):
+        ClassicalSolution(prob, np.zeros((2, 17), dtype=complex), initial_norm=1.0)
+    with pytest.raises(ValueError, match="history shape"):
+        ClassicalSolution(prob, np.zeros(16, dtype=complex), initial_norm=1.0)
 
 
 def test_propagate_rejects_zero_state():
@@ -173,7 +174,8 @@ def test_zero_steps_keeps_initial():
     psi0 = gaussian_packet(prob.grid, (0.5,), 0.1)
     sol = propagate_classical(psi0, prob, 0)
     assert len(sol.snapshots) == 1
-    assert sol.snapshots[0] is psi0
+    assert np.array_equal(sol.snapshots[0].values, psi0.values)
+    assert sol.snapshots[0].time_stamp == psi0.time_stamp
 
 
 def test_window_must_cover_retardation():
@@ -191,6 +193,99 @@ def test_snapshot_at_unknown_time():
     sol = propagate_classical(psi0, prob, 4)
     with pytest.raises(HistoryWindowError):
         sol.snapshot_at(2.5 * prob.dt)
+
+
+def test_snapshot_view_reads_the_ring_in_time_order():
+    prob = free_problem(32)
+    psi0 = gaussian_packet(prob.grid, (0.5,), 0.1)
+    full = propagate_classical(psi0, prob, 10)
+    sol = propagate_classical(psi0, prob, 10, history_window=4)  # wraps twice
+    assert not sol.history.flags.writeable
+    view = sol.snapshots
+    assert len(view) == 4
+    assert [s.time_stamp for s in view] == list(sol.times)
+    assert np.array_equal(view[-1].values, full.snapshots[10].values)
+    assert np.array_equal(view[-4].values, view[0].values)
+    assert [s.time_stamp for s in view[1:3]] == list(sol.times[1:3])
+    assert np.array_equal(sol.snapshot_at(8 * prob.dt).values, view[1].values)
+    with pytest.raises(IndexError):
+        view[4]
+
+
+def test_writeable_history_is_copied():
+    prob = free_problem(16)
+    values = np.ones((2, 16), dtype=complex)
+    sol = ClassicalSolution(prob, values, initial_norm=1.0)
+    values[:] = 0.0
+    assert np.all(sol.history == 1.0)
+    assert not sol.history.flags.writeable
+
+
+@given(
+    n_steps=st.integers(0, 14),
+    window=st.integers(2, 16),
+    two_d=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_windowed_run_is_the_tail_of_the_full_run_property(n_steps, window, two_d, seed):
+    if two_d:
+        g = Grid((7, 6), (1.0 / 6, 1.0 / 5))
+        center = (0.5, 0.45)
+    else:
+        g = Grid((40,), (1.0 / 39,))
+        center = (0.45,)
+    prob = QuantumProblem(g, ScalarField(g, np.zeros(g.shape)), 1.0, 1e-3, NAT)
+    psi0 = gaussian_packet(g, center, 0.15, wavenumber=2.0)
+    full = propagate_classical(psi0, prob, n_steps)
+    tail = propagate_classical(psi0, prob, n_steps, history_window=window)
+    rows = min(window, n_steps + 1)
+    assert len(tail.snapshots) == rows
+    assert tail.first_step == n_steps + 1 - rows
+    assert np.array_equal(tail.times, full.times[-rows:])
+    for a, b in zip(tail.snapshots, full.snapshots[-rows:]):
+        assert a.time_stamp == b.time_stamp
+        assert np.array_equal(a.values, b.values)
+    # Delays reach back to the oldest retained step: half of them whole
+    # steps (snapshot hits), the rest in between, a few never reached.
+    rng = np.random.default_rng(seed)
+    steps_back = rng.uniform(0.0, rows - 1, g.shape)
+    steps_back = np.where(rng.random(g.shape) < 0.5, np.round(steps_back), steps_back)
+    t_end = full.times[-1]
+    t_p = np.where(rng.random(g.shape) < 0.1, 2.0 * t_end + 1.0, steps_back * prob.dt)
+    tt = TraveltimeField(g, t_p, 1.0)
+    expected = evaluate_modified(full, tt, t_end)
+    assert np.array_equal(evaluate_modified(tail, tt, t_end).values, expected.values)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_retarded_lookups_reject_non_finite_time(t):
+    prob = free_problem(32)
+    psi0 = gaussian_packet(prob.grid, (0.5,), 0.1)
+    sol = propagate_classical(psi0, prob, 4)
+    tt = TraveltimeField(prob.grid, np.zeros(32), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        sol.snapshot_at(t)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_modified(sol, tt, t)
+    with pytest.raises(ValueError, match="finite"):
+        difference_estimate(sol, tt, t)
+
+
+def test_evaluate_modified_peak_memory_is_per_cell():
+    # 256 retained steps of 1024 cells: the lookup may allocate per-cell
+    # temporaries but nothing proportional to the history.
+    prob = free_problem(1024, dt=1e-6)
+    psi0 = gaussian_packet(prob.grid, (0.5,), 0.05)
+    sol = propagate_classical(psi0, prob, 255)
+    tt = TraveltimeField(prob.grid, np.linspace(0.0, 200.5 * prob.dt, 1024), 1.0)
+    t_end = sol.times[-1]
+    tracemalloc.start()
+    try:
+        evaluate_modified(sol, tt, t_end)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sol.history.nbytes / 4
 
 
 # --- retarded evaluation ---------------------------------------------------------
@@ -244,7 +339,9 @@ def test_retarded_plane_wave_matches_modified_wavenumber():
     g = Grid((401,), (1.0 / 400,))
     snaps = tuple(make_plane_wave(g, nu, k, j * dt) for j in range(300))
     prob = QuantumProblem(g, ScalarField(g, np.zeros(401)), 1.0, dt, NAT)
-    sol = ClassicalSolution(prob, snaps, initial_norm=l2_norm_squared(snaps[0]))
+    sol = ClassicalSolution(
+        prob, np.stack([s.values for s in snaps]), initial_norm=l2_norm_squared(snaps[0])
+    )
     x = g.axis_coordinates(0)
     tt = TraveltimeField(g, x / v_p, v_p)
     t_eval = snaps[-2].time_stamp
