@@ -6,6 +6,13 @@ makes the scheme causal: every finalized value depends only on smaller,
 already-finalized upwind neighbours.  Heap ties are broken by the lowest
 flattened cell index, so solves are bit-for-bit deterministic.
 
+The march runs on the grid padded by one cell per side, flattened in the
+same row-major order, so every interior cell has two neighbours per axis
+and the tie-break order is unchanged.  One ``known`` list holds the
+upwind-usable times (seeded and finalized cells, ``inf`` elsewhere,
+padding included), so the update reads the smaller neighbour per axis with
+no status or bounds test; a byte flag per cell marks the cells still FAR.
+
 Point sources need special care: the front leaving a single cell is so
 strongly curved that the upwind stencil picks up an O(1)-per-cell kick
 there, and the resulting relative error (about 0.37/R at distance ~2.7 R
@@ -22,6 +29,7 @@ outside the model.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -99,26 +107,20 @@ def _slowness_per_cell(grid: Grid, speed: Speed) -> np.ndarray:
 
 
 def _seed_cells(grid: Grid, source: SourceSpec, radius: float) -> dict:
-    """Map flat index -> distance to the source set, for cells within radius."""
+    """Map multi-index -> distance to the source set, for cells within radius."""
     shape, spacing = grid.shape, grid.spacing
     dims = grid.dims
-    strides = [1] * dims
-    for a in range(dims - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
     reach = [int(math.ceil(radius / spacing[a])) for a in range(dims)]
     seeds: dict = {}
     for cell in source.cells:
         ranges = [range(max(0, cell[a] - reach[a]),
                         min(shape[a], cell[a] + reach[a] + 1))
                   for a in range(dims)]
-        for multi in np.ndindex(*[len(r) for r in ranges]):
-            idx_nd = tuple(ranges[a][multi[a]] for a in range(dims))
+        for idx_nd in itertools.product(*ranges):
             d = math.sqrt(sum(((idx_nd[a] - cell[a]) * spacing[a]) ** 2
                               for a in range(dims)))
-            if d <= radius:
-                flat = sum(i * s for i, s in zip(idx_nd, strides))
-                if d < seeds.get(flat, math.inf):
-                    seeds[flat] = d
+            if d <= radius and d < seeds.get(idx_nd, math.inf):
+                seeds[idx_nd] = d
     return seeds
 
 
@@ -144,49 +146,39 @@ def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
     if source_ball_radius < 0.0:
         raise ValueError("source_ball_radius must be >= 0")
 
-    shape = grid.shape
-    dims = grid.dims
-    n = grid.n_cells
-    strides = [1] * dims
-    for a in range(dims - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
+    # March on the grid padded by one cell per side.  Padding cells are
+    # never FAR and never known, so no neighbour needs a bounds check.
+    interior = (slice(1, -1),) * grid.dims
+    padded = tuple(n + 2 for n in grid.shape)
+    strides = [math.prod(padded[a + 1:]) for a in range(grid.dims)]
+    slowness = np.pad(slowness.reshape(grid.shape), 1).reshape(-1)
+    axes = [(s, h, 1.0 / (h * h)) for s, h in zip(strides, grid.spacing)]
 
-    # Status: 0 far/tentative, 2 frozen (exact seed, not yet expanded), 3 done.
-    FAR, FROZEN, DONE = 0, 2, 3
-    t = [math.inf] * n
-    status = bytearray(n)
+    t = [math.inf] * len(slowness)       # tentative, then final, times
+    known = [math.inf] * len(slowness)   # upwind-usable: seed and DONE times
+    far = bytearray(np.pad(np.ones(grid.shape, dtype=np.uint8), 1))
     heap: list = []
 
-    for flat, dist in _seed_cells(grid, source, source_ball_radius).items():
-        t[flat] = dist * slowness[flat]
-        status[flat] = FROZEN
-        heapq.heappush(heap, (t[flat], flat))
-
-    axes = [(strides[a], shape[a], grid.spacing[a]) for a in range(dims)]
+    for idx_nd, dist in _seed_cells(grid, source, source_ball_radius).items():
+        flat = sum((i + 1) * s for i, s in zip(idx_nd, strides))
+        t[flat] = known[flat] = dist * slowness[flat]
+        far[flat] = 0
+        heap.append((t[flat], flat))
+    heapq.heapify(heap)
 
     def _update(idx: int) -> float:
-        """Godunov upwind quadratic update from frozen neighbours of idx."""
+        """Godunov upwind quadratic update from known neighbours of idx."""
         pairs = []
-        for stride, extent, h in axes:
-            coord = (idx // stride) % extent
-            best = math.inf
-            if coord > 0 and status[idx - stride] >= FROZEN:
-                best = t[idx - stride]
-            if coord + 1 < extent and status[idx + stride] >= FROZEN:
-                tn = t[idx + stride]
-                if tn < best:
-                    best = tn
+        for s, h, inv_h2 in axes:
+            best = min(known[idx - s], known[idx + s])
             if best < math.inf:
-                pairs.append((best, h))
-        if not pairs:
-            return math.inf
+                pairs.append((best, h, inv_h2))
         pairs.sort()
         s2 = slowness[idx] ** 2
         # Largest usable neighbour subset whose quadratic solution is causal.
         for m in range(len(pairs), 0, -1):
             alpha = beta = gamma = 0.0
-            for a_val, h in pairs[:m]:
-                inv_h2 = 1.0 / (h * h)
+            for a_val, _, inv_h2 in pairs[:m]:
                 alpha += inv_h2
                 beta += a_val * inv_h2
                 gamma += a_val * a_val * inv_h2
@@ -199,24 +191,20 @@ def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
 
     while heap:
         tv, idx = heapq.heappop(heap)
-        if status[idx] == DONE:
-            continue
-        if status[idx] == FAR and tv > t[idx]:
+        if tv > t[idx]:
             continue  # stale heap entry
-        status[idx] = DONE
-        for stride, extent, _ in axes:
-            coord = (idx // stride) % extent
-            for nb in ((idx - stride) if coord > 0 else -1,
-                       (idx + stride) if coord + 1 < extent else -1):
-                if nb >= 0 and status[nb] < FROZEN:
+        known[idx] = tv
+        far[idx] = 0
+        for s, _, _ in axes:
+            for nb in (idx - s, idx + s):
+                if far[nb]:
                     cand = _update(nb)
                     if cand < t[nb]:
                         t[nb] = cand
                         heapq.heappush(heap, (cand, nb))
 
-    return TraveltimeField(grid=grid,
-                           t_P=np.asarray(t, dtype=np.float64).reshape(shape),
-                           v_P=speed)
+    t_P = np.asarray(known, dtype=np.float64).reshape(padded)[interior]
+    return TraveltimeField(grid=grid, t_P=t_P, v_P=speed)
 
 
 def front_mask(tt: TraveltimeField, t: float) -> np.ndarray:
