@@ -16,29 +16,21 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
-from qfront.eikonal import SourceSpec, solve_traveltime
+from qfront.eikonal import SourceSpec, cone_error, solve_traveltime
 from qfront.fields import Grid
 
 
-def cone_error(n: int, extent: float, speed: float, ball_radius: float | None,
-               exclude_cells: float) -> tuple[float, float]:
+def solve_and_measure(n: int, extent: float, speed: float,
+                      ball_radius: float | None,
+                      exclude_cells: float) -> tuple[float, float]:
     """Max relative error beyond exclude_cells cells, and the solve time."""
     spacing = extent / (n - 1)
     grid = Grid((n, n), (spacing, spacing))
-    center = ((n - 1) // 2, (n - 1) // 2)
-    source = SourceSpec([center])
+    source = SourceSpec([((n - 1) // 2, (n - 1) // 2)])
     start = time.perf_counter()
     tt = solve_traveltime(grid, source, speed, source_ball_radius=ball_radius)
     elapsed = time.perf_counter() - start
-
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    cell_dist = np.hypot(ii - center[0], jj - center[1])
-    r = cell_dist * spacing
-    far = cell_dist > exclude_cells
-    rel = np.abs(tt.t_P[far] - r[far] / speed) / (r[far] / speed)
-    return float(rel.max()), elapsed
+    return cone_error(tt, source, exclude_cells), elapsed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -70,8 +62,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'n':>6s} {'spacing':>12s} {'max rel err':>12s} {'time (s)':>9s}")
     previous = None
     for n in sizes:
-        err, elapsed = cone_error(n, args.extent, args.speed, ball,
-                                  args.exclude_cells)
+        err, elapsed = solve_and_measure(n, args.extent, args.speed, ball,
+                                         args.exclude_cells)
         trend = "" if previous is None else f"  x{err / previous:.2f}"
         print(f"{n:>6d} {args.extent / (n - 1):>12.5g} {err:>12.4%} "
               f"{elapsed:>9.2f}{trend}")

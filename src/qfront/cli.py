@@ -28,7 +28,7 @@ from .dispersion import (
     modified_phase_velocity,
     modified_wavenumber_free,
 )
-from .eikonal import SourceSpec, TraveltimeField, solve_traveltime
+from .eikonal import SourceSpec, TraveltimeField, cone_error, solve_traveltime
 from .fields import (
     ComplexField,
     Grid,
@@ -38,6 +38,7 @@ from .fields import (
     write_field_csv,
 )
 from .fit import (
+    derive_kinematics,
     fit_result_to_dict,
     fit_vp,
     model_curves,
@@ -113,16 +114,16 @@ def _write_field(field, path: str) -> None:
         write_field_csv(field, fh)
 
 
-def _read_traveltime(path: str, grid: Grid, v_P: float) -> TraveltimeField:
+def _read_grid_field(path: str, flag: str, grid: Grid) -> np.ndarray:
+    """Values of the field CSV at path, read on the grid of --shape."""
+    _require_input_path(path, flag)
     raw = read_field_csv(path, spacing=grid.spacing, origin=grid.origin)
-    if np.iscomplexobj(raw.values):
-        raise UsageError(f"--traveltime: {path} holds complex values")
     if raw.grid.shape != grid.shape:
         raise UsageError(
-            f"--traveltime: file shape {raw.grid.shape} does not match "
+            f"{flag}: file shape {raw.grid.shape} does not match "
             f"--shape {grid.shape}"
         )
-    return TraveltimeField(grid, raw.values, v_P)
+    return raw.values
 
 
 # --- eikonal ----------------------------------------------------------------
@@ -137,15 +138,9 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
         raise UsageError(f"--source: {exc}")
 
     if args.speed_csv is not None:
-        _require_input_path(args.speed_csv, "--speed-csv")
-        raw = read_field_csv(args.speed_csv, spacing=grid.spacing, origin=grid.origin)
-        if raw.grid.shape != grid.shape:
-            raise UsageError(
-                f"--speed-csv: file shape {raw.grid.shape} does not match "
-                f"--shape {grid.shape}"
-            )
-        speed: float | ScalarField = ScalarField(grid, raw.values)
-        if np.any(raw.values <= 0.0):
+        values = _read_grid_field(args.speed_csv, "--speed-csv", grid)
+        speed: float | ScalarField = ScalarField(grid, values)
+        if np.any(values <= 0.0):
             raise UsageError("--speed-csv: speeds must be positive everywhere")
     else:
         if args.speed is None:
@@ -162,28 +157,11 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
     print(f"t_P range: [{tt.t_P.min():.6e}, {tt.max_traveltime():.6e}] s")
 
     if args.verify_analytic:
-        if isinstance(speed, ScalarField):
-            raise UsageError("--verify-analytic needs a uniform --speed")
-        if len(sources) != 1:
-            raise UsageError("--verify-analytic needs exactly one --source")
-        coords = grid.coordinate_arrays()
-        src_pos = [
-            grid.origin[a] + sources[0][a] * grid.spacing[a]
-            for a in range(grid.dims)
-        ]
-        r = np.sqrt(sum((c - p) ** 2 for c, p in zip(coords, src_pos)))
-        exact = r / speed
-        cell_dist = np.sqrt(
-            sum(
-                ((np.arange(n) - sources[0][a])[
-                    (slice(None),) + (None,) * (grid.dims - 1 - a)
-                ]) ** 2
-                for a, n in enumerate(grid.shape)
-            )
-        )
-        far = cell_dist > 5.0
-        rel = np.abs(tt.t_P[far] - exact[far]) / exact[far]
-        print(f"max relative error vs analytic cone (beyond 5 cells): {rel.max():.4%}")
+        try:
+            err = cone_error(tt, source, exclude_cells=5.0)
+        except ValueError as exc:
+            raise UsageError(f"--verify-analytic: {exc}")
+        print(f"max relative error vs analytic cone (beyond 5 cells): {err:.4%}")
     return 0
 
 
@@ -191,14 +169,8 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
 
 def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
     if args.initial is not None:
-        _require_input_path(args.initial, "--initial")
-        raw = read_field_csv(args.initial, spacing=grid.spacing, origin=grid.origin)
-        if raw.grid.shape != grid.shape:
-            raise UsageError(
-                f"--initial: file shape {raw.grid.shape} does not match "
-                f"--shape {grid.shape}"
-            )
-        return ComplexField(grid, np.asarray(raw.values, dtype=np.complex128))
+        values = _read_grid_field(args.initial, "--initial", grid)
+        return ComplexField(grid, np.asarray(values, dtype=np.complex128))
     if args.gaussian_center is None or args.gaussian_width is None:
         raise UsageError(
             "provide an initial state: --initial FILE, or --gaussian-center "
@@ -217,16 +189,13 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     grid = _build_grid(args)
     if args.mode in ("modified", "compare-a8") and args.traveltime is None:
         raise UsageError(f"--traveltime is required for mode {args.mode}")
+    if args.mode == "modified" and args.localtime_out is not None and args.vp is None:
+        raise UsageError("--localtime-out needs the front speed --vp METERS_PER_SECOND")
 
     if args.potential is not None:
-        _require_input_path(args.potential, "--potential")
-        raw = read_field_csv(args.potential, spacing=grid.spacing, origin=grid.origin)
-        if raw.grid.shape != grid.shape:
-            raise UsageError(
-                f"--potential: file shape {raw.grid.shape} does not match "
-                f"--shape {grid.shape}"
-            )
-        potential = ScalarField(grid, raw.values)
+        potential = ScalarField(
+            grid, _read_grid_field(args.potential, "--potential", grid)
+        )
     else:
         potential = ScalarField(grid, np.zeros(grid.shape))
 
@@ -238,8 +207,10 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
     tt = None
     if args.traveltime is not None:
-        _require_input_path(args.traveltime, "--traveltime")
-        tt = _read_traveltime(args.traveltime, grid, args.vp)
+        values = _read_grid_field(args.traveltime, "--traveltime", grid)
+        if np.iscomplexobj(values):
+            raise UsageError(f"--traveltime: {args.traveltime} holds complex values")
+        tt = TraveltimeField(grid, values, args.vp)
 
     solution = propagate_classical(
         initial, problem, args.n_steps, history_window=args.history_window
@@ -419,9 +390,9 @@ def _layered_rows(records, result, curve_points: int) -> list[str]:
     rows = ["layer,v_m_per_s,k_inv_m"]
     vs = []
     for rec in records:
-        v = math.sqrt(2.0 * CODATA2018.e_charge * rec.voltage / CODATA2018.m_e)
+        v, k_exp = derive_kinematics(rec)
         vs.append(v)
-        rows.append(f"points,{v:.17g},{1.0 / rec.wavelength_exp:.17g}")
+        rows.append(f"points,{v:.17g},{k_exp:.17g}")
     v_p = result.v_p_fitted
     grid_v = np.linspace(0.0, 1.05 * max(vs), curve_points)
     for v, k_cl, k_mod in model_curves(grid_v, math.inf):
@@ -533,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output traveltime CSV path")
     p.add_argument("--verify-analytic", action="store_true",
                    help="report max relative error against the analytic cone "
-                        "r/v_P (uniform speed, single source)")
+                        "r/v_P, r the distance to the nearest source "
+                        "(uniform speed)")
     p.set_defaults(func=cmd_eikonal)
 
     p = sub.add_parser(
@@ -563,8 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retain only this many trailing snapshots")
     p.add_argument("--traveltime", default=None,
                    help="traveltime CSV t_P (required for modified/compare-a8)")
-    p.add_argument("--vp", type=float, default=1.0,
-                   help="front speed in m/s recorded with the traveltime field")
+    p.add_argument("--vp", type=float, default=None,
+                   help="front speed in m/s recorded with the traveltime field "
+                        "(required with --localtime-out)")
     p.add_argument("--eval-time", type=float, default=None,
                    help="evaluation time in s (default: final time)")
     p.add_argument("--save-every", type=int, default=0,

@@ -23,7 +23,8 @@ length).  Keeping that radius fixed while refining the grid restores plain
 first-order convergence; setting it to 0 recovers the unseeded scheme.
 
 Only the first arrival is computed; later arrivals and reflections are
-outside the model.
+outside the model.  ``cone_error`` checks a uniform-speed solve against
+the exact answer, the distance to the nearest source cell over v_P.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ import numpy as np
 
 from .fields import Grid, ScalarField
 
-__all__ = ["SourceSpec", "TraveltimeField", "solve_traveltime", "front_mask"]
+__all__ = ["SourceSpec", "TraveltimeField", "solve_traveltime", "front_mask",
+           "cone_error"]
 
 Speed = Union[float, ScalarField]
 
@@ -216,3 +218,32 @@ def front_mask(tt: TraveltimeField, t: float) -> np.ndarray:
     if math.isnan(t):
         raise ValueError("front time must not be NaN")
     return tt.t_P <= t
+
+
+def cone_error(tt: TraveltimeField, source: SourceSpec,
+               exclude_cells: float = 5.0) -> float:
+    """Largest relative error of t_P against the analytic cone.
+
+    For a uniform speed the exact first arrival is the distance to the
+    nearest source cell divided by v_P.  Cells within ``exclude_cells``
+    cells (index distance) of any source are skipped, since the relative
+    error's denominator vanishes there.  A ScalarField speed has no
+    analytic cone and raises ValueError.
+    """
+    if isinstance(tt.v_P, ScalarField):
+        raise ValueError("the analytic cone needs a uniform speed")
+    grid = tt.grid
+    source.validate_against(grid)
+    index = np.ogrid[tuple(slice(0, n) for n in grid.shape)]
+    dist = np.full(grid.shape, math.inf)
+    cells = np.full(grid.shape, math.inf)
+    for cell in source.cells:
+        offsets = [i - c for i, c in zip(index, cell)]
+        np.minimum(dist, np.sqrt(sum((o * h) ** 2 for o, h
+                                     in zip(offsets, grid.spacing))), out=dist)
+        np.minimum(cells, np.sqrt(sum(o ** 2 for o in offsets)), out=cells)
+    beyond = cells > exclude_cells
+    if not beyond.any():
+        raise ValueError(f"no cell lies beyond {exclude_cells} cells of the source")
+    exact = dist[beyond] / tt.v_P
+    return float(np.max(np.abs(tt.t_P[beyond] - exact) / exact))

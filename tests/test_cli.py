@@ -67,6 +67,29 @@ def test_eikonal_verify_analytic_under_two_percent(tmp_path, capsys):
     assert err < 0.02
 
 
+def test_eikonal_verify_analytic_with_two_sources(tmp_path, capsys):
+    code = main(
+        ["eikonal", "--shape", "61,41", "--spacing", "1,1.5",
+         "--source", "10,10", "--source", "50,30", "--speed", "3.0",
+         "--out", str(tmp_path / "tt.csv"), "--verify-analytic"]
+    )
+    assert code == 0
+    assert ("max relative error vs analytic cone (beyond 5 cells): "
+            in capsys.readouterr().out)
+
+
+def test_eikonal_verify_analytic_rejects_speed_field(tmp_path, capsys):
+    speed = tmp_path / "v.csv"
+    write_field_csv(ScalarField(Grid((16,), (1.0,)), np.ones(16)), str(speed))
+    code = main(
+        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
+         "--speed-csv", str(speed), "--out", str(tmp_path / "tt.csv"),
+         "--verify-analytic"]
+    )
+    assert code == 2
+    assert "--verify-analytic" in capsys.readouterr().err
+
+
 def test_eikonal_requires_speed(tmp_path, capsys):
     code = main(
         ["eikonal", "--shape", "8", "--spacing", "1",
@@ -178,6 +201,54 @@ def test_propagate_compare_a8_outputs(tmp_path):
         )
         assert not np.iscomplexobj(field.values)
         assert np.all(field.values >= 0.0)
+
+
+def test_propagate_localtime_requires_vp(tmp_path, capsys):
+    tt = tmp_path / "tt.csv"
+    write_constant_traveltime(tt, 4e-4)
+    lt = tmp_path / "lt.csv"
+    code = main(
+        ["propagate", *GRID_1D, "--mode", "modified",
+         "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+         "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
+         "--traveltime", str(tt), "--localtime-out", str(lt),
+         "--out-prefix", str(tmp_path / "run")]
+    )
+    assert code == 2
+    assert "--vp" in capsys.readouterr().err
+    assert not lt.exists()
+
+
+@pytest.mark.parametrize("flag", ["--initial", "--potential", "--traveltime"])
+def test_propagate_field_inputs_check_shape_and_path(tmp_path, capsys, flag):
+    wrong = tmp_path / "wrong.csv"
+    write_zero_traveltime(wrong, n=32)
+    base = ["propagate", *GRID_1D, "--mode", "modified",
+            "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+            "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
+            "--out-prefix", str(tmp_path / "run")]
+    if flag != "--traveltime":
+        zero = tmp_path / "zero.csv"
+        write_zero_traveltime(zero)
+        base += ["--traveltime", str(zero)]
+    assert main(base + [flag, str(wrong)]) == 2
+    assert (f"{flag}: file shape (32,) does not match --shape (64,)"
+            in capsys.readouterr().err)
+    missing = tmp_path / "missing.csv"
+    assert main(base + [flag, str(missing)]) == 2
+    assert f"{flag}: no such file: {missing}" in capsys.readouterr().err
+
+
+def test_eikonal_speed_csv_checks_shape(tmp_path, capsys):
+    speed = tmp_path / "v.csv"
+    write_field_csv(ScalarField(Grid((8,), (1.0,)), np.ones(8)), str(speed))
+    code = main(
+        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
+         "--speed-csv", str(speed), "--out", str(tmp_path / "tt.csv")]
+    )
+    assert code == 2
+    assert ("--speed-csv: file shape (8,) does not match --shape (16,)"
+            in capsys.readouterr().err)
 
 
 def test_propagate_localtime_output(tmp_path):

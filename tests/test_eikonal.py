@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from qfront.eikonal import (
     SourceSpec,
     TraveltimeField,
+    cone_error as eikonal_cone_error,
     front_mask,
     solve_traveltime,
 )
@@ -235,6 +236,35 @@ def test_scalar_field_speed_defaults_to_no_ball():
     from_field = solve_traveltime(g, src, ScalarField(g, np.full((31, 31), 2.0)))
     from_scalar = solve_traveltime(g, src, 2.0, source_ball_radius=0.0)
     assert np.array_equal(from_field.t_P, from_scalar.t_P)
+
+
+@pytest.mark.parametrize("shape, spacing, cells", [
+    ((47, 35), (0.7, 1.3), [(3, 4), (40, 30), (20, 10)]),
+    ((16, 14, 12), (1.0, 0.8, 1.2), [(2, 2, 2), (13, 10, 9)]),
+])
+def test_cone_error_matches_distance_transform(shape, spacing, cells):
+    # Independent oracle: the exact multi-source first arrival is the
+    # Euclidean distance transform of the source set divided by v.
+    from scipy import ndimage
+
+    g = Grid(shape, spacing)
+    source = SourceSpec(cells)
+    tt = solve_traveltime(g, source, 1.7)
+    outside = np.ones(shape, dtype=bool)
+    for cell in cells:
+        outside[cell] = False
+    exact = ndimage.distance_transform_edt(outside, sampling=spacing) / 1.7
+    beyond = ndimage.distance_transform_edt(outside) > 5.0
+    expected = np.max(np.abs(tt.t_P[beyond] - exact[beyond]) / exact[beyond])
+    assert eikonal_cone_error(tt, source) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_cone_error_rejects_speed_field():
+    g = Grid((12, 12), (1.0, 1.0))
+    source = SourceSpec([(6, 6)])
+    tt = solve_traveltime(g, source, ScalarField(g, np.ones((12, 12))))
+    with pytest.raises(ValueError, match="uniform speed"):
+        eikonal_cone_error(tt, source)
 
 
 # --- causality and mask properties ------------------------------------------
