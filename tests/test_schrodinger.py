@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -156,6 +157,47 @@ def test_constant_potential_shifts_eigenvalue():
     interior = np.abs(mode.psi.values) > 1e-3
     ratio = stepped.values[interior] / mode.psi.values[interior]
     assert np.max(np.abs(ratio - lam)) < 1e-12
+
+
+@pytest.mark.parametrize("shape, spacing", [
+    ((40,), (0.03,)),
+    ((9, 12), (0.1, 0.07)),
+    ((6, 7, 8), (0.2, 0.15, 0.1)),
+])
+def test_cn_step_matches_dense_solve(shape, spacing):
+    # H = -hbar^2/(2m) Laplacian + U on the interior cells, written out
+    # entry by entry, then one CN step as a dense solve.
+    rng = np.random.default_rng(len(shape))
+    g = Grid(shape, spacing)
+    mass, dt = 0.7, 2e-3
+    u = rng.uniform(-5.0, 5.0, shape)
+    prob = QuantumProblem(g, ScalarField(g, u), mass, dt, NAT)
+    cells = list(itertools.product(*(range(1, n - 1) for n in shape)))
+    index = {cell: i for i, cell in enumerate(cells)}
+    h = np.zeros((len(cells), len(cells)))
+    for cell, i in index.items():
+        h[i, i] = u[cell]
+        for axis, dx in enumerate(spacing):
+            hop = NAT.hbar**2 / (2.0 * mass * dx * dx)
+            h[i, i] += 2.0 * hop
+            for side in (-1, 1):
+                nb = cell[:axis] + (cell[axis] + side,) + cell[axis + 1:]
+                if nb in index:
+                    h[i, index[nb]] = -hop
+    values = np.zeros(shape, dtype=complex)
+    interior = tuple(slice(1, -1) for _ in shape)
+    values[interior] = rng.normal(size=values[interior].shape) + 1j * rng.normal(
+        size=values[interior].shape)
+    c = 1j * dt / (2.0 * NAT.hbar)
+    eye = np.eye(len(cells))
+    x = np.array([values[cell] for cell in cells])
+    expected = np.linalg.solve(eye + c * h, (eye - c * h) @ x)
+
+    stepped = step_classical(ComplexField(g, values), prob).values.copy()
+    got = np.array([stepped[cell] for cell in cells])
+    assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
+    stepped[interior] = 0.0
+    assert not np.any(stepped)  # the boundary layer stays zero
 
 
 # --- history window management -------------------------------------------------
