@@ -15,12 +15,12 @@ perturbations).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -126,75 +126,47 @@ def _require_valid_state(state: ComplexField, problem: QuantumProblem) -> None:
         )
 
 
-class _Stepper1D:
-    """Tridiagonal CN stepper; direct banded solve on the interior."""
+class _Stepper:
+    """Crank-Nicolson stepper on the interior cells of a 1-, 2- or 3-D grid.
+
+    H = (hbar^2/2m) L + diag(U) is built once, L being the Kronecker sum of
+    the per-axis second differences (axis 0 slowest, as in C order), and
+    each step solves A x' = B x with A = I + cH, B = I - cH, c = i dt/2hbar.
+    In 1-D, A is tridiagonal, so its sparse LU has no fill-in: it is
+    factored once here and every step is two triangular solves.  In 2-D
+    and 3-D the LU fills in (a 40^3 factorisation takes about a minute),
+    so each step runs BiCGSTAB started from the current state instead.
+    """
 
     def __init__(self, problem: QuantumProblem) -> None:
         hbar = problem.constants.hbar
-        dx = problem.grid.spacing[0]
-        u = problem.potential.values[1:-1]
-        m = u.shape[0]
-        hop = -(hbar**2) / (2.0 * problem.mass * dx * dx)
-        diag_h = -2.0 * hop + u
-        c = 1j * problem.dt / (2.0 * hbar)
-
-        # A in banded storage for solve_banded((1, 1), ...): rows are the
-        # superdiagonal, diagonal, subdiagonal.
-        ab = np.zeros((3, m), dtype=np.complex128)
-        ab[0, 1:] = c * hop
-        ab[1, :] = 1.0 + c * diag_h
-        ab[2, :-1] = c * hop
-        self._ab = ab
-        self._b_diag = 1.0 - c * diag_h
-        self._b_off = -c * hop
-
-    def step(self, values: np.ndarray, out: np.ndarray) -> None:
-        x = values[1:-1]
-        rhs = self._b_diag * x
-        rhs[:-1] += self._b_off * x[1:]
-        rhs[1:] += self._b_off * x[:-1]
-        out[1:-1] = scipy.linalg.solve_banded((1, 1), self._ab, rhs)
-
-
-class _StepperND:
-    """Sparse CN stepper for 2-D and 3-D grids; BiCGSTAB on the interior."""
-
-    def __init__(self, problem: QuantumProblem) -> None:
-        hbar = problem.constants.hbar
-        shape_int = tuple(n - 2 for n in problem.grid.shape)
-        interior = tuple(slice(1, -1) for _ in shape_int)
-        u = problem.potential.values[interior].ravel()
-
-        lap = scipy.sparse.csr_matrix((u.size, u.size), dtype=np.float64)
-        for axis, (n_ax, dx) in enumerate(zip(shape_int, problem.grid.spacing)):
-            t_ax = scipy.sparse.diags(
-                [-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n_ax, n_ax)
-            ) / (dx * dx)
-            factor = [scipy.sparse.identity(n) for n in shape_int]
-            factor[axis] = t_ax
-            term = factor[0]
-            for f in factor[1:]:
-                term = scipy.sparse.kron(term, f)
-            lap = lap + scipy.sparse.csr_matrix(term)
-
-        h_mat = (hbar**2 / (2.0 * problem.mass)) * lap + scipy.sparse.diags(u)
+        self._interior = tuple(slice(1, -1) for _ in problem.grid.shape)
+        u = problem.potential.values[self._interior]
+        self._shape_int = u.shape
+        second_differences = [
+            scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n_ax, n_ax))
+            / (dx * dx)
+            for n_ax, dx in zip(u.shape, problem.grid.spacing)
+        ]
+        lap = functools.reduce(
+            lambda slow, fast: scipy.sparse.kronsum(fast, slow, format="csr"),
+            second_differences,
+        )
+        h_mat = (hbar**2 / (2.0 * problem.mass)) * lap + scipy.sparse.diags(u.ravel())
         c = 1j * problem.dt / (2.0 * hbar)
         eye = scipy.sparse.identity(u.size, dtype=np.complex128, format="csr")
         self._a = (eye + c * h_mat).tocsr()
         self._b = (eye - c * h_mat).tocsr()
-        self._interior = interior
-        self._shape_int = shape_int
+        self._lu = scipy.sparse.linalg.splu(self._a.tocsc()) if u.ndim == 1 else None
 
     def step(self, values: np.ndarray, out: np.ndarray) -> None:
         x = values[self._interior].ravel()
         rhs = self._b @ x
+        if self._lu is not None:
+            out[self._interior] = self._lu.solve(rhs)
+            return
         sol, info = scipy.sparse.linalg.bicgstab(
-            self._a,
-            rhs,
-            x0=x,
-            rtol=_BICGSTAB_RTOL,
-            atol=0.0,
-            maxiter=_BICGSTAB_MAXITER,
+            self._a, rhs, x0=x, rtol=_BICGSTAB_RTOL, atol=0.0, maxiter=_BICGSTAB_MAXITER
         )
         if info != 0:
             raise ConvergenceError(
@@ -205,10 +177,6 @@ class _StepperND:
         out[self._interior] = sol.reshape(self._shape_int)
 
 
-def _make_stepper(problem: QuantumProblem) -> _Stepper1D | _StepperND:
-    return _Stepper1D(problem) if problem.grid.dims == 1 else _StepperND(problem)
-
-
 def step_classical(state: ComplexField, problem: QuantumProblem) -> ComplexField:
     """Advance a state by one CN step of problem.dt.
 
@@ -217,7 +185,7 @@ def step_classical(state: ComplexField, problem: QuantumProblem) -> ComplexField
     """
     _require_valid_state(state, problem)
     new_values = np.zeros_like(state.values)
-    _make_stepper(problem).step(state.values, new_values)
+    _Stepper(problem).step(state.values, new_values)
     return ComplexField(problem.grid, new_values, state.time_stamp + problem.dt)
 
 
@@ -349,10 +317,10 @@ def propagate_classical(
         raise ValueError("initial state has zero norm")
 
     rows = n_steps + 1 if history_window is None else min(history_window, n_steps + 1)
-    # Zero-filled: the steppers write interiors only, so boundaries stay 0.
+    # Zero-filled: the stepper writes interiors only, so boundaries stay 0.
     history = np.zeros((rows, *problem.grid.shape), dtype=np.complex128)
     history[0] = initial.values
-    stepper = _make_stepper(problem)
+    stepper = _Stepper(problem)
     for k in range(1, n_steps + 1):
         stepper.step(history[(k - 1) % rows], history[k % rows])
     history.flags.writeable = False
