@@ -78,6 +78,17 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag}: expected comma-separated integers, got '{text}'")
 
 
+def _front_speed(text: str) -> float:
+    """--vp in m/s: a number > 0, so 0, negatives and NaN fail and inf passes."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got '{text}'")
+    return value
+
+
 def _build_grid(args: argparse.Namespace) -> Grid:
     shape = _parse_ints(args.shape, "--shape")
     spacing = _parse_floats(args.spacing, "--spacing")
@@ -187,10 +198,16 @@ def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
 
 def cmd_propagate(args: argparse.Namespace) -> int:
     grid = _build_grid(args)
-    if args.mode in ("modified", "compare-a8") and args.traveltime is None:
+    if args.mode == "classical":
+        if args.traveltime is not None:
+            raise UsageError("--traveltime is not used in mode classical")
+    elif args.traveltime is None:
         raise UsageError(f"--traveltime is required for mode {args.mode}")
-    if args.mode == "modified" and args.localtime_out is not None and args.vp is None:
-        raise UsageError("--localtime-out needs the front speed --vp METERS_PER_SECOND")
+    if args.localtime_out is not None:
+        if args.mode != "modified":
+            raise UsageError(f"--localtime-out needs mode modified, not {args.mode}")
+        if args.vp is None:
+            raise UsageError("--localtime-out needs the front speed --vp METERS_PER_SECOND")
 
     if args.potential is not None:
         potential = ScalarField(
@@ -295,8 +312,6 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     if args.classical:
         v_p = math.inf
     elif args.vp is not None:
-        if not args.vp > 0.0:
-            raise UsageError(f"--vp must be positive, got {args.vp}")
         v_p = args.vp
     else:
         raise UsageError("provide --vp METERS_PER_SECOND or --classical")
@@ -441,8 +456,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.vp is not None:
-        if not args.vp > 0.0:
-            raise UsageError(f"--vp must be positive, got {args.vp}")
         from dataclasses import replace
 
         result = replace(
@@ -535,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retain only this many trailing snapshots")
     p.add_argument("--traveltime", default=None,
                    help="traveltime CSV t_P (required for modified/compare-a8)")
-    p.add_argument("--vp", type=float, default=None,
+    p.add_argument("--vp", type=_front_speed, default=None,
                    help="front speed in m/s recorded with the traveltime field "
                         "(required with --localtime-out)")
     p.add_argument("--eval-time", type=float, default=None,
@@ -556,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accelerating voltage in volts (repeatable)")
     p.add_argument("--speed", type=float, action="append",
                    help="electron speed in m/s (repeatable)")
-    p.add_argument("--vp", type=float, default=None,
+    p.add_argument("--vp", type=_front_speed, default=None,
                    help="front speed v_P in m/s")
     p.add_argument("--classical", action="store_true",
                    help="classical limit 1/v_P = 0")
@@ -590,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the bundled synthetic Davisson-Germer dataset")
     p.add_argument("--generate", nargs="+", metavar="KEY=VALUE", default=None,
                    help="use synthetic records; same keys as fit --generate")
-    p.add_argument("--vp", type=float, default=None,
+    p.add_argument("--vp", type=_front_speed, default=None,
                    help="draw curve B at this v_P instead of the fitted one")
     p.add_argument("--curve-points", type=int, default=200,
                    help="samples per model curve")

@@ -272,6 +272,57 @@ def test_propagate_localtime_output(tmp_path):
     assert ",F" not in text
 
 
+MODIFIED_WITH_LOCALTIME = [
+    "propagate", *GRID_1D, "--mode", "modified",
+    "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+    "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
+    "--traveltime", "tt.csv", "--localtime-out", "lt.csv", "--out-prefix", "run",
+]
+
+
+@pytest.mark.parametrize("vp", ["0", "-100", "nan"])
+@pytest.mark.parametrize("argv", [
+    MODIFIED_WITH_LOCALTIME,
+    ["dispersion", "--voltage", "54"],
+    ["compare", "--use-bundled", "--out", "layers.csv"],
+], ids=["propagate", "dispersion", "compare"])
+def test_vp_must_be_positive(tmp_path, monkeypatch, capsys, argv, vp):
+    monkeypatch.chdir(tmp_path)
+    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
+    assert main(argv + ["--vp", vp]) == 2
+    assert "--vp" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
+
+
+def test_infinite_vp_is_the_classical_limit(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_constant_traveltime(tmp_path / "tt.csv", 0.0)
+    assert main(MODIFIED_WITH_LOCALTIME + ["--vp", "inf"]) == 0
+    # front_tol = spacing / (2 v_P) = 0 and theta = t > 0 everywhere.
+    rows = (tmp_path / "lt.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[-1] for row in rows} == {"P"}
+    assert main(["dispersion", "--voltage", "54", "--vp", "inf"]) == 0
+
+
+@pytest.mark.parametrize("mode, flag", [
+    ("classical", "--traveltime"),
+    ("classical", "--localtime-out"),
+    ("compare-a8", "--localtime-out"),
+])
+def test_propagate_rejects_flags_the_mode_ignores(tmp_path, monkeypatch, capsys, mode, flag):
+    monkeypatch.chdir(tmp_path)
+    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
+    argv = ["propagate", *GRID_1D, "--mode", mode,
+            "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+            "--mass", "1", "--dt", "1e-4", "--n-steps", "10", "--vp", "100",
+            "--out-prefix", "run", flag, "tt.csv" if flag == "--traveltime" else "lt.csv"]
+    if mode != "classical":
+        argv += ["--traveltime", "tt.csv"]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
+
+
 def test_propagate_modified_requires_traveltime(tmp_path, capsys):
     code = main(
         ["propagate", *GRID_1D, "--mode", "modified",
