@@ -94,16 +94,13 @@ def infinite_speed_limit(grid: Grid, t: float,
                          front_tol: float = 0.0) -> LocalTimeField:
     """Local time when the front moves infinitely fast: theta = t everywhere.
 
-    Every cell is perturbed for t > 0 (front exactly at t = 0).  Matches
+    Every cell is perturbed for t > 0 (front exactly at t = 0).  This is
     ``local_time`` applied to an all-zero traveltime field.
     """
-    t = float(t)
     if t < 0.0:
         raise ValueError("time must be >= 0 in the infinite-speed limit")
-    theta = np.full(grid.shape, t)
-    return LocalTimeField(grid=grid, theta=theta, global_time=t,
-                          classes=_classify(theta, front_tol),
-                          front_tol=front_tol)
+    zero = TraveltimeField(grid, np.zeros(grid.shape), math.inf)
+    return local_time(zero, t, front_tol)
 
 
 def write_localtime_csv(f: LocalTimeField, out: TextIO | str) -> None:

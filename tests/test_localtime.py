@@ -88,6 +88,12 @@ def test_infinite_speed_limit_rejects_negative_time():
         infinite_speed_limit(g, -1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_infinite_speed_limit_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        infinite_speed_limit(Grid((3,), (1.0,)), t)
+
+
 def test_local_time_rejects_bad_args():
     with pytest.raises(ValueError):
         local_time(ramp_tt(), math.inf)
