@@ -1,5 +1,6 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ def test_csv_file_roundtrip(tmp_path):
     write_field_csv(f, path)
     back = read_field_csv(path)
     assert np.array_equal(back.values, f.values)
-    assert open(path, "rb").read().count(b"\r") == 0  # LF only
+    assert Path(path).read_bytes().count(b"\r") == 0  # LF only
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)

@@ -1,5 +1,6 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_csv_file_write(tmp_path):
     lt = local_time(ramp_tt(), 2.0, front_tol=0.5)
     path = str(tmp_path / "lt.csv")
     write_localtime_csv(lt, path)
-    text = open(path, "rb").read()
+    text = Path(path).read_bytes()
     assert text.count(b"\r") == 0
     assert text.decode().splitlines()[0] == "index_axis0,theta,class"
 
