@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qfront.eikonal import (
+    DEFAULT_BALL_CELLS,
     SourceSpec,
     TraveltimeField,
     cone_error as eikonal_cone_error,
     front_mask,
+    _seed_cells,
+    _slowness_per_cell,
     solve_traveltime,
 )
 from qfront.fields import Grid, ScalarField
@@ -225,6 +229,103 @@ def test_traveltime_bits_are_pinned(name):
         speed = ScalarField(g, np.random.default_rng(seed).uniform(0.5, 2.0, shape))
     tt = solve_traveltime(g, SourceSpec(cells), speed, source_ball_radius=ball)
     assert hashlib.sha256(tt.t_P.tobytes()).hexdigest() == digest
+
+
+def reference_traveltime(grid, source, speed, ball):
+    """Fast marching with a per-update pair list sorted as (value, h, 1/h^2).
+
+    A frozen copy of the march as first written, kept as a bit-for-bit
+    oracle for faster rewrites of ``solve_traveltime``.
+    """
+    slowness = _slowness_per_cell(grid, speed)
+    if ball is None:
+        ball = (0.0 if isinstance(speed, ScalarField)
+                else DEFAULT_BALL_CELLS * max(grid.spacing))
+    padded = tuple(n + 2 for n in grid.shape)
+    strides = [math.prod(padded[a + 1:]) for a in range(grid.dims)]
+    slowness = np.pad(slowness.reshape(grid.shape), 1).reshape(-1)
+    axes = [(s, h, 1.0 / (h * h)) for s, h in zip(strides, grid.spacing)]
+    t = [math.inf] * len(slowness)
+    known = [math.inf] * len(slowness)
+    far = bytearray(np.pad(np.ones(grid.shape, dtype=np.uint8), 1))
+    heap = []
+    for idx_nd, dist in _seed_cells(grid, source, ball).items():
+        flat = sum((i + 1) * s for i, s in zip(idx_nd, strides))
+        t[flat] = known[flat] = dist * slowness[flat]
+        far[flat] = 0
+        heap.append((t[flat], flat))
+    heapq.heapify(heap)
+
+    def update(idx):
+        pairs = []
+        for s, h, inv_h2 in axes:
+            best = min(known[idx - s], known[idx + s])
+            if best < math.inf:
+                pairs.append((best, h, inv_h2))
+        pairs.sort()
+        s2 = slowness[idx] ** 2
+        for m in range(len(pairs), 0, -1):
+            alpha = beta = gamma = 0.0
+            for a_val, _, inv_h2 in pairs[:m]:
+                alpha += inv_h2
+                beta += a_val * inv_h2
+                gamma += a_val * a_val * inv_h2
+            disc = beta * beta - alpha * (gamma - s2)
+            if disc >= 0.0:
+                cand = (beta + math.sqrt(disc)) / alpha
+                if m == 1 or cand >= pairs[m - 1][0]:
+                    return cand
+        return math.inf
+
+    while heap:
+        tv, idx = heapq.heappop(heap)
+        if tv > t[idx]:
+            continue
+        known[idx] = tv
+        far[idx] = 0
+        for s, _, _ in axes:
+            for nb in (idx - s, idx + s):
+                if far[nb]:
+                    cand = update(nb)
+                    if cand < t[nb]:
+                        t[nb] = cand
+                        heapq.heappush(heap, (cand, nb))
+    interior = (slice(1, -1),) * grid.dims
+    return np.asarray(known).reshape(padded)[interior]
+
+
+@st.composite
+def march_configs(draw):
+    dims = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(2, (40, 16, 8)[dims - 1])) for _ in range(dims))
+    if draw(st.booleans()):
+        spacing = tuple(draw(st.floats(0.2, 3.0)) for _ in range(dims))
+    else:
+        # Two axes share a spacing, the third differs by a simple ratio, so
+        # neighbour values tie across unequal spacings and the order of the
+        # (value, spacing) keys decides the arithmetic.
+        h = draw(st.sampled_from([0.5, 1.0, 1.5]))
+        other = h * draw(st.sampled_from([0.5, 2.0, 3.0]))
+        spacing = [h] * dims
+        spacing[draw(st.integers(0, dims - 1))] = other
+        spacing = tuple(spacing)
+    cells = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in shape)),
+                          min_size=1, max_size=3))
+    grid = Grid(shape, spacing)
+    if draw(st.booleans()):
+        speed = draw(st.floats(0.5, 3.0))
+    else:
+        seed = draw(st.integers(0, 2**31 - 1))
+        speed = ScalarField(grid, np.random.default_rng(seed).uniform(0.5, 2.0, shape))
+    return grid, SourceSpec(cells), speed, draw(st.sampled_from([0.0, None]))
+
+
+@given(march_configs())
+def test_traveltime_matches_reference_march_bits(config):
+    grid, source, speed, ball = config
+    got = solve_traveltime(grid, source, speed, source_ball_radius=ball).t_P
+    expected = reference_traveltime(grid, source, speed, ball)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_scalar_field_speed_defaults_to_no_ball():
