@@ -13,6 +13,15 @@ upwind-usable times (seeded and finalized cells, ``inf`` elsewhere,
 padding included), so the update reads the smaller neighbour per axis with
 no status or bounds test; a byte flag per cell marks the cells still FAR.
 
+One update, written out for three axes, serves 1-, 2- and 3-D grids: a
+missing axis has stride 0, so its neighbour is the FAR cell itself, whose
+``known`` value is ``inf``.  The axis minima are ordered as (value,
+spacing) keys (axes listed by increasing spacing, values sorted by a stable
+compare-swap network); all three, then the smallest two, then one are
+tried, and the first causal root wins.  Sums run in key order and the
+slowness is squared by ``float ** 2`` (libm ``pow``, not ``x * x``), which
+fixes the output bit for bit.
+
 Point sources need special care: the front leaving a single cell is so
 strongly curved that the upwind stencil picks up an O(1)-per-cell kick
 there, and the resulting relative error (about 0.37/R at distance ~2.7 R
@@ -32,6 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -153,11 +163,17 @@ def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
     interior = (slice(1, -1),) * grid.dims
     padded = tuple(n + 2 for n in grid.shape)
     strides = [math.prod(padded[a + 1:]) for a in range(grid.dims)]
-    slowness = np.pad(slowness.reshape(grid.shape), 1).reshape(-1)
-    axes = [(s, h, 1.0 / (h * h)) for s, h in zip(strides, grid.spacing)]
+    offsets = [d for s in strides for d in (-s, s)]
+    slowness = array("d", np.pad(slowness.reshape(grid.shape), 1).tobytes())
+    # The update reads the axes in order of increasing spacing; a missing
+    # axis has stride 0, so its neighbour is the FAR cell itself (inf).
+    (h0, s0), (h1, s1), (h2, s2) = sorted(zip(grid.spacing, strides)) + [
+        (math.inf, 0)] * (3 - grid.dims)
+    w0, w1, w2 = 1.0 / (h0 * h0), 1.0 / (h1 * h1), 1.0 / (h2 * h2)
+    inf, sqrt, heappush, heappop = math.inf, math.sqrt, heapq.heappush, heapq.heappop
 
-    t = [math.inf] * len(slowness)       # tentative, then final, times
-    known = [math.inf] * len(slowness)   # upwind-usable: seed and DONE times
+    t = [inf] * len(slowness)       # tentative, then final, times
+    known = [inf] * len(slowness)   # upwind-usable: seed and DONE times
     far = bytearray(np.pad(np.ones(grid.shape, dtype=np.uint8), 1))
     heap: list = []
 
@@ -168,42 +184,51 @@ def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
         heap.append((t[flat], flat))
     heapq.heapify(heap)
 
-    def _update(idx: int) -> float:
-        """Godunov upwind quadratic update from known neighbours of idx."""
-        pairs = []
-        for s, h, inv_h2 in axes:
-            best = min(known[idx - s], known[idx + s])
-            if best < math.inf:
-                pairs.append((best, h, inv_h2))
-        pairs.sort()
-        s2 = slowness[idx] ** 2
-        # Largest usable neighbour subset whose quadratic solution is causal.
-        for m in range(len(pairs), 0, -1):
-            alpha = beta = gamma = 0.0
-            for a_val, _, inv_h2 in pairs[:m]:
-                alpha += inv_h2
-                beta += a_val * inv_h2
-                gamma += a_val * a_val * inv_h2
-            disc = beta * beta - alpha * (gamma - s2)
-            if disc >= 0.0:
-                cand = (beta + math.sqrt(disc)) / alpha
-                if m == 1 or cand >= pairs[m - 1][0]:
-                    return cand
-        return math.inf  # unreachable: m == 1 always solves
-
     while heap:
-        tv, idx = heapq.heappop(heap)
+        tv, idx = heappop(heap)
         if tv > t[idx]:
             continue  # stale heap entry
         known[idx] = tv
         far[idx] = 0
-        for s, _, _ in axes:
-            for nb in (idx - s, idx + s):
-                if far[nb]:
-                    cand = _update(nb)
-                    if cand < t[nb]:
-                        t[nb] = cand
-                        heapq.heappush(heap, (cand, nb))
+        for d in offsets:
+            nb = idx + d
+            if not far[nb]:
+                continue
+            # Godunov update: axis minima sorted as (value, spacing) keys.
+            a, b, c = known[nb - s0], known[nb - s1], known[nb - s2]
+            wa, wb, wc = w0, w1, w2
+            if (x := known[nb + s0]) < a:
+                a = x
+            if (x := known[nb + s1]) < b:
+                b = x
+            if (x := known[nb + s2]) < c:
+                c = x
+            if b < a:
+                a, wa, b, wb = b, wb, a, wa
+            if c < b:
+                b, wb, c, wc = c, wc, b, wb
+                if b < a:
+                    a, wa, b, wb = b, wb, a, wa
+            # Largest causal subset; one not tried or not solved leaves -1.
+            sq = slowness[nb] ** 2
+            cand = -1.0
+            if c < inf:
+                alpha, beta = wa + wb + wc, a * wa + b * wb + c * wc
+                disc = beta * beta - alpha * (a * a * wa + b * b * wb + c * c * wc - sq)
+                if disc >= 0.0:
+                    cand = (beta + sqrt(disc)) / alpha
+            if cand < c and b < inf:
+                cand, alpha, beta = -1.0, wa + wb, a * wa + b * wb
+                disc = beta * beta - alpha * (a * a * wa + b * b * wb - sq)
+                if disc >= 0.0:
+                    cand = (beta + sqrt(disc)) / alpha
+            if cand < b:
+                beta = a * wa
+                disc = beta * beta - wa * (a * a * wa - sq)
+                cand = (beta + sqrt(disc)) / wa if disc >= 0.0 else inf
+            if cand < t[nb]:
+                t[nb] = cand
+                heappush(heap, (cand, nb))
 
     t_P = np.asarray(known, dtype=np.float64).reshape(padded)[interior]
     return TraveltimeField(grid=grid, t_P=t_P, v_P=speed)
