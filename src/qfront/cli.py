@@ -233,7 +233,10 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         initial, problem, args.n_steps, history_window=args.history_window
     )
     times = solution.times
-    eval_time = args.n_steps * args.dt if args.eval_time is None else args.eval_time
+    # compare-a8 differentiates across the evaluation step, so by default it
+    # evaluates at the last step that has a successor.
+    last_step = args.n_steps - 1 if args.mode == "compare-a8" else args.n_steps
+    eval_time = last_step * args.dt if args.eval_time is None else args.eval_time
 
     outputs: list[str] = []
 
@@ -552,7 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="front speed in m/s recorded with the traveltime field "
                         "(required with --localtime-out)")
     p.add_argument("--eval-time", type=float, default=None,
-                   help="evaluation time in s (default: final time)")
+                   help="evaluation time in s (default: final time; in mode "
+                        "compare-a8, one step earlier, the last step with a "
+                        "successor)")
     p.add_argument("--save-every", type=int, default=0,
                    help="also dump every k-th retained snapshot (0 = none)")
     p.add_argument("--localtime-out", default=None,

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfront
 from qfront.cli import main
 from qfront.fields import Grid, ScalarField, read_field_csv, write_field_csv
 from qfront.fit import RECORDS_CSV_HEADER, synthesize_records
@@ -201,6 +206,25 @@ def test_propagate_compare_a8_outputs(tmp_path):
         )
         assert not np.iscomplexobj(field.values)
         assert np.all(field.values >= 0.0)
+
+
+def test_propagate_compare_a8_defaults_to_last_step_with_successor(tmp_path):
+    # The centred time derivative needs a step after the evaluation time,
+    # so the default is (n_steps - 1) * dt, not the final time.
+    tt = tmp_path / "tt.csv"
+    write_constant_traveltime(tt, 4e-4)
+    prefix = tmp_path / "a8"
+    code = main(
+        ["propagate", *GRID_1D, "--mode", "compare-a8",
+         "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+         "--mass", "1", "--dt", "1e-4", "--n-steps", "20",
+         "--traveltime", str(tt), "--out-prefix", str(prefix)]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "a8_manifest.json").read_text())
+    assert manifest["eval_time"] == 19 * 1e-4
+    assert (tmp_path / "a8_actual.csv").exists()
+    assert (tmp_path / "a8_predicted.csv").exists()
 
 
 def test_propagate_localtime_requires_vp(tmp_path, capsys):
@@ -508,3 +532,23 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["dispersion", "--nope"]) == 2
+
+
+# --- imports -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("statement", [
+    "import qfront",
+    "from qfront.cli import main; assert main(['fit', '--use-bundled']) == 0",
+])
+def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, statement):
+    # Only the Crank-Nicolson stepper needs scipy; importing qfront or
+    # fitting the bundled data must not pay for scipy.sparse.
+    src = str(Path(qfront.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; {statement}; print('scipy.sparse' in sys.modules)"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "False"
