@@ -318,7 +318,7 @@ def march_configs(draw):
         seed = draw(st.integers(0, 2**31 - 1))
         speed = ScalarField(grid, np.random.default_rng(seed).uniform(0.5, 2.0, shape))
     # Besides none and the default, a small ball leaves seeded values ahead
-    # of the front, where the three-axis root is often not causal.
+    # of the front, where more three-axis roots fail the causality test.
     ball = draw(st.sampled_from([0.0, None]) | st.floats(0.5, 4.0))
     return grid, SourceSpec(cells), speed, ball
 
