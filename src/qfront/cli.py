@@ -44,6 +44,7 @@ from .fit import (
     model_curves,
     read_records_csv,
     synthesize_records,
+    write_fit_json,
     RECORDS_CSV_HEADER,
 )
 from .localtime import local_time, write_localtime_csv
@@ -411,12 +412,10 @@ def _layered_rows(records, result, curve_points: int) -> list[str]:
         v, k_exp = derive_kinematics(rec)
         vs.append(v)
         rows.append(f"points,{v:.17g},{k_exp:.17g}")
-    v_p = result.v_p_fitted
-    grid_v = np.linspace(0.0, 1.05 * max(vs), curve_points)
-    for v, k_cl, k_mod in model_curves(grid_v, math.inf):
-        rows.append(f"curveA,{v:.17g},{k_cl:.17g}")
-    for v, k_cl, k_mod in model_curves(grid_v, v_p):
-        rows.append(f"curveB,{v:.17g},{k_mod:.17g}")
+    curves = model_curves(np.linspace(0.0, 1.05 * max(vs), curve_points),
+                          result.v_p_fitted)
+    rows.extend(f"curveA,{v:.17g},{k_cl:.17g}" for v, k_cl, _ in curves)
+    rows.extend(f"curveB,{v:.17g},{k_mod:.17g}" for v, _, k_mod in curves)
     return rows
 
 
@@ -432,12 +431,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         result = fit_vp(records)
     except ValueError as exc:
         raise UsageError(str(exc))
-    doc = fit_result_to_dict(result)
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(fit_result_to_dict(result), indent=2))
     if args.out:
         with _atomic_write(args.out) as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            write_fit_json(result, fh)
         print(f"wrote {args.out}", file=sys.stderr)
     if args.curves:
         if result.clamped_to_classical:

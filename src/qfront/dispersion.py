@@ -87,7 +87,9 @@ class FreeParticle:
                 f"speed must be non-negative and finite, got {self.speed}"
             )
         h = self.constants.h
-        object.__setattr__(self, "nu", self.mass * self.speed**2 / (2.0 * h))
+        # v * v, not v ** 2: libm pow is off by one ulp for some speeds.
+        v = self.speed
+        object.__setattr__(self, "nu", self.mass * (v * v) / (2.0 * h))
         object.__setattr__(self, "k", self.mass * self.speed / h)
 
     @classmethod

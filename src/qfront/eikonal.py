@@ -155,8 +155,9 @@ def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
             source_ball_radius = 0.0
         else:
             source_ball_radius = DEFAULT_BALL_CELLS * max(grid.spacing)
-    if source_ball_radius < 0.0:
-        raise ValueError("source_ball_radius must be >= 0")
+    if not 0.0 <= source_ball_radius < math.inf:
+        raise ValueError(
+            f"source_ball_radius must be finite and >= 0, got {source_ball_radius}")
 
     # March on the grid padded by one cell per side.  Padding cells are
     # never FAR and never known, so no neighbour needs a bounds check.

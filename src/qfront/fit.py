@@ -10,7 +10,8 @@ So the least-squares minimizer over beta >= 0 is closed-form:
 beta* = sum(a_i r_i) / sum(a_i^2) with a_i = m v_i^2 / (2 h) and
 r_i = k_exp,i - m v_i / h, clamped at zero.  beta = 0 is the classical
 model, which the modified one therefore nests: its variance can never
-exceed the classical variance.
+exceed the classical variance.  The electron is dispersion.FreeParticle,
+so a_i is its frequency nu and m v_i / h its wavenumber k.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .constants import CODATA2018, PhysicalConstants
+from .dispersion import FreeParticle, modified_wavenumber_free
 
 __all__ = [
     "DiffractionRecord",
@@ -95,20 +97,17 @@ def derive_kinematics(
     record: DiffractionRecord, constants: PhysicalConstants = CODATA2018
 ) -> tuple[float, float]:
     """Electron speed v = sqrt(2 e V / m) and measured wavenumber 1/lambda."""
-    v = math.sqrt(2.0 * constants.e_charge * record.voltage / constants.m_e)
-    return v, 1.0 / record.wavelength_exp
+    electron = FreeParticle.electron_from_voltage(record.voltage, constants)
+    return electron.speed, 1.0 / record.wavelength_exp
 
 
 def _design_arrays(
     records: Sequence[DiffractionRecord], constants: PhysicalConstants
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record slope a_i = m v_i^2/(2h) and residual r_i = k_exp,i - m v_i/h."""
-    h = constants.h
-    m = constants.m_e
-    v = np.array([derive_kinematics(r, constants)[0] for r in records])
-    k_exp = np.array([1.0 / r.wavelength_exp for r in records])
-    a = m * v**2 / (2.0 * h)
-    r = k_exp - m * v / h
+    """Per-record slope a_i = nu_i = m v_i^2/(2h) and residual r_i = k_exp,i - k_i."""
+    electrons = [FreeParticle.electron_from_voltage(r.voltage, constants) for r in records]
+    a = np.array([e.nu for e in electrons])
+    r = np.array([1.0 / rec.wavelength_exp - e.k for rec, e in zip(records, electrons)])
     return a, r
 
 
@@ -147,16 +146,10 @@ def model_curves(
     """Rows (v, k_classical, k_modified) for plotting both model curves."""
     if len(v_range) == 0:
         raise ValueError("v_range must be non-empty")
-    if not v_P > 0.0:
-        raise ValueError(f"v_P must be positive (inf allowed), got {v_P}")
-    h = constants.h
-    m = constants.m_e
     rows = []
     for v in v_range:
-        if v < 0.0:
-            raise ValueError(f"speeds must be non-negative, got {v}")
-        k_cl = m * v / h
-        rows.append((float(v), k_cl, k_cl * (1.0 + v / (2.0 * v_P))))
+        p = FreeParticle(constants.m_e, v, constants)
+        rows.append((float(v), p.k, modified_wavenumber_free(p, v_P)))
     return rows
 
 
@@ -264,12 +257,10 @@ def synthesize_records(
     if noise_relative < 0.0:
         raise ValueError(f"noise_relative must be non-negative, got {noise_relative}")
     rng = np.random.default_rng(seed)
-    h = constants.h
-    m = constants.m_e
     records = []
     for voltage in voltages:
-        v = math.sqrt(2.0 * constants.e_charge * voltage / m)
-        k = (m * v / h) * (1.0 + v / (2.0 * v_p_true))
+        electron = FreeParticle.electron_from_voltage(voltage, constants)
+        k = modified_wavenumber_free(electron, v_p_true)
         if noise_relative > 0.0:
             k *= 1.0 + noise_relative * rng.standard_normal()
         if k <= 0.0:

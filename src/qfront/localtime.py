@@ -29,10 +29,12 @@ __all__ = [
 ]
 
 
-class RegionClass(enum.Enum):
-    NON_PERTURBED = "N"
-    FRONT = "F"
-    PERTURBED = "P"
+class RegionClass(enum.IntEnum):
+    """Region codes as stored in ``LocalTimeField.classes``; CSV letter "NFP"[code]."""
+
+    NON_PERTURBED = 0
+    FRONT = 1
+    PERTURBED = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +44,13 @@ class LocalTimeField:
     grid: Grid
     theta: np.ndarray = field(repr=False)
     global_time: float
-    classes: np.ndarray = field(repr=False)  # RegionClass values, dtype=object
+    classes: np.ndarray = field(repr=False)  # RegionClass codes, dtype=uint8
     front_tol: float
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=np.float64).reshape(self.grid.shape).copy()
         theta.flags.writeable = False
-        classes = np.asarray(self.classes, dtype=object).reshape(self.grid.shape).copy()
+        classes = np.asarray(self.classes, dtype=np.uint8).reshape(self.grid.shape).copy()
         classes.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "classes", classes)
@@ -60,14 +62,6 @@ class LocalTimeField:
 def default_front_tol(tt: TraveltimeField) -> float:
     """Half the minimum cell-crossing time, min(spacing) / (2 v_P)."""
     return min(tt.grid.spacing) / (2.0 * tt.min_speed())
-
-
-def _classify(theta: np.ndarray, front_tol: float) -> np.ndarray:
-    classes = np.empty(theta.shape, dtype=object)
-    classes[...] = RegionClass.PERTURBED
-    classes[theta < -front_tol] = RegionClass.NON_PERTURBED
-    classes[np.abs(theta) <= front_tol] = RegionClass.FRONT
-    return classes
 
 
 def local_time(tt: TraveltimeField, t: float,
@@ -82,12 +76,13 @@ def local_time(tt: TraveltimeField, t: float,
         raise ValueError("global time must be finite")
     if front_tol is None:
         front_tol = default_front_tol(tt)
-    if front_tol < 0.0:
-        raise ValueError("front_tol must be >= 0")
+    if not front_tol >= 0.0:
+        raise ValueError(f"front_tol must be >= 0, got {front_tol}")
     theta = t - tt.t_P
+    # N = 0 below the band, F = 1 inside it, P = 2 above it.
+    classes = np.add(theta >= -front_tol, theta > front_tol, dtype=np.uint8)
     return LocalTimeField(grid=tt.grid, theta=theta, global_time=t,
-                          classes=_classify(theta, front_tol),
-                          front_tol=front_tol)
+                          classes=classes, front_tol=front_tol)
 
 
 def infinite_speed_limit(grid: Grid, t: float,
@@ -105,6 +100,6 @@ def infinite_speed_limit(grid: Grid, t: float,
 
 def write_localtime_csv(f: LocalTimeField, out: TextIO | str) -> None:
     """Rows ``indices..., theta, class`` with class in {N, F, P}."""
-    rows = ((_fmt(theta), region.value) for theta, region
-            in zip(f.theta.reshape(-1).tolist(), f.classes.reshape(-1)))
+    rows = ((_fmt(theta), "NFP"[code]) for theta, code
+            in zip(f.theta.reshape(-1).tolist(), f.classes.reshape(-1).tolist()))
     _write_cell_rows(out, f.grid, ["theta", "class"], rows)

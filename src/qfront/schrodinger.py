@@ -4,13 +4,15 @@ Classical (instantaneous) evolution uses the Crank-Nicolson scheme
 
     (I + i*dt/(2*hbar) H) psi_{n+1} = (I - i*dt/(2*hbar) H) psi_n,
 
-with H = -hbar^2/(2m) Laplacian + U and fixed-zero boundary values.  The
-scheme is unconditionally stable and, for real U, preserves the L2 norm to
-round-off.  The modified evolution is obtained from the classical one by
-evaluating each point at its own local time theta = t - t_P, where t_P is
-the arrival time of the perturbation front; points the front has not yet
-reached hold the unperturbed value (zero for states that start as pure
-perturbations).
+with H = -hbar^2/(2m) Laplacian + U and fixed-zero boundary values.  With
+A = I + i*dt/(2*hbar) H the right-hand operator is 2I - A, so a step is the
+Cayley form psi_{n+1} = 2 A^-1 psi_n - psi_n: one solve with A and no
+second operator.  The scheme is unconditionally stable and, for real U,
+preserves the L2 norm to round-off.  The modified evolution is obtained
+from the classical one by evaluating each point at its own local time
+theta = t - t_P, where t_P is the arrival time of the perturbation front;
+points the front has not yet reached hold the unperturbed value (zero for
+states that start as pure perturbations).
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ def _require_valid_state(state: ComplexField, problem: QuantumProblem) -> None:
             f"state grid shape {state.grid.shape} does not match problem "
             f"grid shape {problem.grid.shape}"
         )
+    if not np.all(np.isfinite(state.values)):
+        raise ValueError("state contains non-finite values")
     mask = _boundary_mask(state.grid.shape)
     if np.any(state.values[mask] != 0.0):
         raise ValueError(
@@ -129,13 +133,16 @@ class _Stepper:
 
     H = (hbar^2/2m) L + diag(U) is built once, L being the Kronecker sum of
     the per-axis second differences (axis 0 slowest, as in C order), and
-    each step solves A x' = B x with A = I + cH, B = I - cH, c = i dt/2hbar.
-    In 1-D, A is tridiagonal, so its sparse LU has no fill-in: it is
-    factored once here and every step is two triangular solves.  In 2-D
-    and 3-D the LU fills in (a 40^3 factorisation takes about a minute),
-    so each step runs BiCGSTAB started from the current state instead.
-    scipy is imported here, not with the module, so that importing qfront
-    for traveltimes, dispersion or fits does not pay for it.
+    only A = I + cH, c = i dt/2hbar, is kept.  Since I - cH = 2I - A, the
+    CN update A^-1 (I - cH) x equals 2y - x with A y = x, so each step is
+    one solve with A.  In 1-D, A is tridiagonal, so its sparse LU has no
+    fill-in: it is factored once here and every step is two triangular
+    solves.  In 2-D and 3-D the LU fills in (a 40^3 factorisation takes
+    about a minute), so each step runs BiCGSTAB started from x instead;
+    its rtol bounds the relative error of y, and x' = 2y - x carries at
+    most twice that error.  scipy is imported here, not with the module,
+    so that importing qfront for traveltimes, dispersion or fits does not
+    pay for it.
     """
 
     def __init__(self, problem: QuantumProblem) -> None:
@@ -161,26 +168,24 @@ class _Stepper:
         c = 1j * problem.dt / (2.0 * hbar)
         eye = scipy.sparse.identity(u.size, dtype=np.complex128, format="csr")
         self._a = (eye + c * h_mat).tocsr()
-        self._b = (eye - c * h_mat).tocsr()
         self._lu = scipy.sparse.linalg.splu(self._a.tocsc()) if u.ndim == 1 else None
         self._bicgstab = scipy.sparse.linalg.bicgstab
 
     def step(self, values: np.ndarray, out: np.ndarray) -> None:
         x = values[self._interior].ravel()
-        rhs = self._b @ x
         if self._lu is not None:
-            out[self._interior] = self._lu.solve(rhs)
-            return
-        sol, info = self._bicgstab(
-            self._a, rhs, x0=x, rtol=_BICGSTAB_RTOL, atol=0.0, maxiter=_BICGSTAB_MAXITER
-        )
-        if info != 0:
-            raise ConvergenceError(
-                f"BiCGSTAB failed to converge to rtol={_BICGSTAB_RTOL} "
-                f"within {_BICGSTAB_MAXITER} iterations (info={info}); "
-                "reduce dt or refine the grid"
+            y = self._lu.solve(x)
+        else:
+            y, info = self._bicgstab(
+                self._a, x, x0=x, rtol=_BICGSTAB_RTOL, atol=0.0, maxiter=_BICGSTAB_MAXITER
             )
-        out[self._interior] = sol.reshape(self._shape_int)
+            if info != 0:
+                raise ConvergenceError(
+                    f"BiCGSTAB failed to converge to rtol={_BICGSTAB_RTOL} "
+                    f"within {_BICGSTAB_MAXITER} iterations (info={info}); "
+                    "reduce dt or refine the grid"
+                )
+        out[self._interior] = (2.0 * y - x).reshape(self._shape_int)
 
 
 def step_classical(state: ComplexField, problem: QuantumProblem) -> ComplexField:

@@ -10,7 +10,7 @@ import pytest
 
 import qfront
 from qfront.cli import main
-from qfront.fields import Grid, ScalarField, read_field_csv, write_field_csv
+from qfront.fields import ComplexField, Grid, ScalarField, read_field_csv, write_field_csv
 from qfront.fit import RECORDS_CSV_HEADER, synthesize_records
 from qfront.schrodinger import gaussian_packet
 
@@ -273,6 +273,37 @@ def test_eikonal_speed_csv_checks_shape(tmp_path, capsys):
     assert code == 2
     assert ("--speed-csv: file shape (8,) does not match --shape (16,)"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_eikonal_rejects_non_finite_ball_radius(tmp_path, capsys, radius):
+    out = tmp_path / "tt.csv"
+    code = main(
+        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
+         "--speed", "1", "--source-ball-radius", radius, "--out", str(out)]
+    )
+    assert code == 2
+    assert "source_ball_radius must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("shape", [(64,), (12, 10)])
+def test_propagate_rejects_non_finite_initial_state(tmp_path, capsys, shape, bad):
+    g = Grid(shape, tuple(1.0 / (n - 1) for n in shape))
+    values = gaussian_packet(g, tuple(0.5 for _ in shape), 0.2).values.copy()
+    values[(3,) * len(shape)] = float(bad)
+    initial = tmp_path / "initial.csv"
+    write_field_csv(ComplexField(g, values), str(initial))
+    code = main(
+        ["propagate", "--shape", ",".join(map(str, shape)),
+         "--spacing", ",".join(str(s) for s in g.spacing),
+         "--initial", str(initial), "--mass", "1", "--dt", "1e-4",
+         "--n-steps", "5", "--out-prefix", str(tmp_path / "run")]
+    )
+    assert code == 2
+    assert "state contains non-finite values" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["initial.csv"]
 
 
 def test_propagate_localtime_output(tmp_path):

@@ -70,6 +70,13 @@ def test_rejects_negative_ball_radius():
         solve_traveltime(g, SourceSpec([(0,)]), 1.0, source_ball_radius=-1.0)
 
 
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+def test_rejects_non_finite_ball_radius(radius):
+    g = Grid((8,), (1.0,))
+    with pytest.raises(ValueError, match="source_ball_radius must be finite"):
+        solve_traveltime(g, SourceSpec([(0,)]), 1.0, source_ball_radius=radius)
+
+
 def test_traveltime_field_rejects_negative():
     g = Grid((4,), (1.0,))
     with pytest.raises(ValueError):

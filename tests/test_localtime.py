@@ -35,6 +35,14 @@ def test_three_way_classification():
     assert lt.global_time == 2.0 and lt.front_tol == 0.5
 
 
+def test_classes_are_read_only_codes():
+    lt = local_time(ramp_tt(), t=2.0, front_tol=0.5)
+    assert lt.classes.dtype == np.uint8 and not lt.classes.flags.writeable
+    assert lt.classes.tolist() == [2, 2, 1, 0]
+    assert [RegionClass(c).name for c in lt.classes] == [
+        "PERTURBED", "PERTURBED", "FRONT", "NON_PERTURBED"]
+
+
 def test_front_band_is_inclusive():
     # |theta| exactly equal to the tolerance still counts as front.
     lt = local_time(ramp_tt(), t=1.5, front_tol=0.5)
@@ -100,6 +108,11 @@ def test_local_time_rejects_bad_args():
         local_time(ramp_tt(), math.inf)
     with pytest.raises(ValueError):
         local_time(ramp_tt(), 1.0, front_tol=-0.1)
+
+
+def test_local_time_rejects_nan_front_tol():
+    with pytest.raises(ValueError, match="front_tol"):
+        local_time(ramp_tt(), 1.0, front_tol=math.nan)
 
 
 def test_csv_format_golden():

@@ -75,6 +75,20 @@ def test_propagate_rejects_zero_state():
         propagate_classical(zero, prob, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("shape", [(16,), (9, 8)])
+def test_step_and_propagate_reject_non_finite_state(shape, bad):
+    g = Grid(shape, tuple(1.0 / (n - 1) for n in shape))
+    prob = QuantumProblem(g, ScalarField(g, np.zeros(shape)), 1.0, 1e-4, NAT)
+    values = gaussian_packet(g, tuple(0.5 for _ in shape), 0.2).values.copy()
+    values[(3,) * len(shape)] = bad
+    state = ComplexField(g, values)
+    with pytest.raises(ValueError, match="non-finite"):
+        step_classical(state, prob)
+    with pytest.raises(ValueError, match="non-finite"):
+        propagate_classical(state, prob, 3)
+
+
 # --- classical propagation oracles --------------------------------------------
 
 def test_unitarity_drifting_gaussian():
