@@ -90,6 +90,13 @@ def _front_speed(text: str) -> float:
     return value
 
 
+def _curve_points(text: str) -> int:
+    """--curve-points: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got '{text}'")
+    return int(text)
+
+
 def _build_grid(args: argparse.Namespace) -> Grid:
     shape = _parse_ints(args.shape, "--shape")
     spacing = _parse_floats(args.spacing, "--spacing")
@@ -126,16 +133,19 @@ def _write_field(field, path: str) -> None:
         write_field_csv(field, fh)
 
 
-def _read_grid_field(path: str, flag: str, grid: Grid) -> np.ndarray:
-    """Values of the field CSV at path, read on the grid of --shape."""
+def _read_grid_field(path: str, flag: str, grid: Grid, build: Callable):
+    """build(grid, values), e.g. ScalarField, on the field CSV at path read on
+    the grid of --shape; a ValueError from reading or building names flag."""
     _require_input_path(path, flag)
-    raw = read_field_csv(path, spacing=grid.spacing, origin=grid.origin)
-    if raw.grid.shape != grid.shape:
-        raise UsageError(
-            f"{flag}: file shape {raw.grid.shape} does not match "
-            f"--shape {grid.shape}"
-        )
-    return raw.values
+    try:
+        raw = read_field_csv(path, spacing=grid.spacing, origin=grid.origin)
+        if raw.grid.shape != grid.shape:
+            raise ValueError(
+                f"file shape {raw.grid.shape} does not match --shape {grid.shape}"
+            )
+        return build(grid, raw.values)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}")
 
 
 # --- eikonal ----------------------------------------------------------------
@@ -150,9 +160,8 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
         raise UsageError(f"--source: {exc}")
 
     if args.speed_csv is not None:
-        values = _read_grid_field(args.speed_csv, "--speed-csv", grid)
-        speed: float | ScalarField = ScalarField(grid, values)
-        if np.any(values <= 0.0):
+        speed = _read_grid_field(args.speed_csv, "--speed-csv", grid, ScalarField)
+        if np.any(speed.values <= 0.0):
             raise UsageError("--speed-csv: speeds must be positive everywhere")
     else:
         if args.speed is None:
@@ -181,8 +190,7 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
 
 def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
     if args.initial is not None:
-        values = _read_grid_field(args.initial, "--initial", grid)
-        return ComplexField(grid, np.asarray(values, dtype=np.complex128))
+        return _read_grid_field(args.initial, "--initial", grid, ComplexField)
     if args.gaussian_center is None or args.gaussian_width is None:
         raise UsageError(
             "provide an initial state: --initial FILE, or --gaussian-center "
@@ -194,7 +202,9 @@ def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
             grid, center, args.gaussian_width, args.gaussian_carrier
         )
     except ValueError as exc:
-        raise UsageError(f"--gaussian-*: {exc}")
+        raise UsageError(
+            f"--gaussian-center/--gaussian-width/--gaussian-carrier: {exc}"
+        )
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
@@ -211,9 +221,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
             raise UsageError("--localtime-out needs the front speed --vp METERS_PER_SECOND")
 
     if args.potential is not None:
-        potential = ScalarField(
-            grid, _read_grid_field(args.potential, "--potential", grid)
-        )
+        potential = _read_grid_field(args.potential, "--potential", grid, ScalarField)
     else:
         potential = ScalarField(grid, np.zeros(grid.shape))
 
@@ -225,10 +233,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
     tt = None
     if args.traveltime is not None:
-        values = _read_grid_field(args.traveltime, "--traveltime", grid)
-        if np.iscomplexobj(values):
-            raise UsageError(f"--traveltime: {args.traveltime} holds complex values")
-        tt = TraveltimeField(grid, values, args.vp)
+        tt = _read_grid_field(args.traveltime, "--traveltime", grid,
+                              lambda g, t_P: TraveltimeField(g, t_P, args.vp))
 
     solution = propagate_classical(
         initial, problem, args.n_steps, history_window=args.history_window
@@ -324,14 +330,14 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
 
     particles: list[tuple[str, FreeParticle]] = []
     for voltage in args.voltage or ():
-        if voltage <= 0.0:
-            raise UsageError(f"--voltage must be positive, got {voltage}")
-        particles.append(
-            (f"{voltage:g}", FreeParticle.electron_from_voltage(voltage))
-        )
+        try:
+            electron = FreeParticle.electron_from_voltage(voltage)
+        except ValueError as exc:
+            raise UsageError(f"--voltage: {exc}")
+        particles.append((f"{voltage:g}", electron))
     for speed in args.speed or ():
-        if speed <= 0.0:
-            raise UsageError(f"--speed must be positive, got {speed}")
+        if not 0.0 < speed < math.inf:
+            raise UsageError(f"--speed must be positive and finite, got {speed}")
         particles.append(("-", FreeParticle(CODATA2018.m_e, speed)))
 
     print(" ".join(f"{c:>14s}" for c in _DISPERSION_COLUMNS))
@@ -490,6 +496,18 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated axis origins in meters (default zeros)")
 
 
+def _add_records_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", default=None,
+                   help="records CSV: voltage_volts,wavelength_meters")
+    p.add_argument("--use-bundled", action="store_true",
+                   help="use the bundled synthetic Davisson-Germer dataset")
+    p.add_argument("--generate", nargs="+", metavar="KEY=VALUE", default=None,
+                   help="use synthetic records; keys: vP (m/s), n, seed, "
+                        "noise (relative, in k), vmin/vmax (volts)")
+    p.add_argument("--curve-points", type=_curve_points, default=200,
+                   help="samples per model curve")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfront",
@@ -580,35 +598,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fit", help="least-squares fit of v_P to diffraction records"
     )
-    p.add_argument("--data", default=None,
-                   help="records CSV: voltage_volts,wavelength_meters")
-    p.add_argument("--use-bundled", action="store_true",
-                   help="fit the bundled synthetic Davisson-Germer dataset")
-    p.add_argument("--generate", nargs="+", metavar="KEY=VALUE", default=None,
-                   help="fit synthetic records instead; keys: vP (m/s), n, "
-                        "seed, noise (relative, in k), vmin/vmax (volts)")
+    _add_records_flags(p)
     p.add_argument("--data-out", default=None,
                    help="with --generate: also write the records CSV here")
     p.add_argument("--out", default=None, help="write the result JSON here")
     p.add_argument("--curves", default=None,
                    help="write layered points/curveA/curveB CSV here")
-    p.add_argument("--curve-points", type=int, default=200,
-                   help="samples per model curve")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser(
         "compare", help="one CSV with data points and both model curves"
     )
-    p.add_argument("--data", default=None,
-                   help="records CSV: voltage_volts,wavelength_meters")
-    p.add_argument("--use-bundled", action="store_true",
-                   help="use the bundled synthetic Davisson-Germer dataset")
-    p.add_argument("--generate", nargs="+", metavar="KEY=VALUE", default=None,
-                   help="use synthetic records; same keys as fit --generate")
+    _add_records_flags(p)
     p.add_argument("--vp", type=_front_speed, default=None,
                    help="draw curve B at this v_P instead of the fitted one")
-    p.add_argument("--curve-points", type=int, default=200,
-                   help="samples per model curve")
     p.add_argument("--out", required=True, help="output layered CSV path")
     p.set_defaults(func=cmd_compare)
 

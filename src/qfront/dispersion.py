@@ -100,8 +100,8 @@ class FreeParticle:
 
         Non-relativistic: v = sqrt(2 e V / m_e).
         """
-        if voltage <= 0.0:
-            raise ValueError(f"accelerating voltage must be positive, got {voltage}")
+        if not 0.0 < voltage < math.inf:
+            raise ValueError(f"voltage must be positive and finite, got {voltage}")
         v = math.sqrt(2.0 * constants.e_charge * voltage / constants.m_e)
         return cls(mass=constants.m_e, speed=v, constants=constants)
 

@@ -47,7 +47,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, _as_grid_array, _require_grid_shape
 
 __all__ = ["SourceSpec", "TraveltimeField", "solve_traveltime", "front_mask",
            "cone_error"]
@@ -88,14 +88,10 @@ class TraveltimeField:
     v_P: Speed = 1.0
 
     def __post_init__(self):
-        arr = np.asarray(self.t_P, dtype=np.float64)
-        if arr.size != self.grid.n_cells:
-            raise ValueError("t_P size does not match grid")
-        arr = arr.reshape(self.grid.shape).copy()
-        if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+        t_P = _as_grid_array(self.grid, self.t_P, np.float64)
+        if np.any(t_P < 0.0) or np.any(np.isnan(t_P)):
             raise ValueError("t_P must be non-negative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "t_P", arr)
+        object.__setattr__(self, "t_P", t_P)
 
     def max_traveltime(self) -> float:
         return float(np.max(self.t_P))
@@ -108,8 +104,7 @@ class TraveltimeField:
 def _slowness_per_cell(grid: Grid, speed: Speed) -> np.ndarray:
     """1/v flattened per cell; rejects non-positive or non-finite speeds."""
     if isinstance(speed, ScalarField):
-        if speed.grid.shape != grid.shape:
-            raise ValueError("speed field grid does not match solve grid")
+        _require_grid_shape("speed field", speed.grid.shape, grid.shape)
         v = speed.values.reshape(-1)
     else:
         v = np.full(grid.n_cells, float(speed))

@@ -58,6 +58,8 @@ class Grid:
             raise ValueError(f"need >= 2 cells per axis, got shape {shape}")
         if any(not (s > 0.0 and math.isfinite(s)) for s in spacing):
             raise ValueError(f"spacing must be positive, got {spacing}")
+        if not all(math.isfinite(o) for o in origin):
+            raise ValueError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -85,14 +87,25 @@ class Grid:
 
 
 def _as_grid_array(grid: Grid, values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+    """Read-only C-ordered copy of values as dtype, shaped like grid; every
+    grid-valued type builds its arrays here.  Complex values for a real
+    dtype are rejected, since a cast would drop their imaginary parts."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating):
+        raise ValueError("complex values for a real-valued field")
     if arr.size != grid.n_cells:
         raise ValueError(
             f"values size {arr.size} does not match grid cells {grid.n_cells}"
         )
-    arr = arr.reshape(grid.shape).copy()
+    arr = np.array(arr.reshape(grid.shape), dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
+
+
+def _require_grid_shape(name: str, shape: tuple, expected: tuple) -> None:
+    """Raise ValueError naming the argument when its shape is not expected."""
+    if shape != expected:
+        raise ValueError(f"{name} shape {shape} does not match grid shape {expected}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +143,7 @@ def l2_norm_squared(f: ComplexField | ScalarField,
     values = f.values
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != values.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match field shape {values.shape}"
-            )
+        _require_grid_shape("mask", mask.shape, values.shape)
         values = values[mask]
     total = float(np.sum(np.abs(values) ** 2))
     return total * f.grid.cell_volume

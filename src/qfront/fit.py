@@ -254,8 +254,10 @@ def synthesize_records(
         raise ValueError(f"need at least 2 voltages, got {len(voltages)}")
     if not v_p_true > 0.0:
         raise ValueError(f"v_p_true must be positive (inf allowed), got {v_p_true}")
-    if noise_relative < 0.0:
-        raise ValueError(f"noise_relative must be non-negative, got {noise_relative}")
+    if not 0.0 <= noise_relative < math.inf:
+        raise ValueError(
+            f"noise_relative must be non-negative and finite, got {noise_relative}"
+        )
     rng = np.random.default_rng(seed)
     records = []
     for voltage in voltages:

@@ -17,7 +17,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .eikonal import TraveltimeField
-from .fields import Grid, ScalarField, _fmt, _write_cell_rows
+from .fields import Grid, _as_grid_array, _fmt, _write_cell_rows
 
 __all__ = [
     "RegionClass",
@@ -48,12 +48,10 @@ class LocalTimeField:
     front_tol: float
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64).reshape(self.grid.shape).copy()
-        theta.flags.writeable = False
-        classes = np.asarray(self.classes, dtype=np.uint8).reshape(self.grid.shape).copy()
-        classes.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "theta",
+                           _as_grid_array(self.grid, self.theta, np.float64))
+        object.__setattr__(self, "classes",
+                           _as_grid_array(self.grid, self.classes, np.uint8))
 
     def mask(self, region: RegionClass) -> np.ndarray:
         return self.classes == region

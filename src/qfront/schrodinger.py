@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import CODATA2018, PhysicalConstants
 from .eikonal import TraveltimeField
-from .fields import ComplexField, Grid, ScalarField, l2_norm_squared
+from .fields import ComplexField, Grid, ScalarField, _require_grid_shape, l2_norm_squared
 
 __all__ = [
     "QuantumProblem",
@@ -80,11 +80,7 @@ class QuantumProblem:
     constants: PhysicalConstants = CODATA2018
 
     def __post_init__(self) -> None:
-        if self.potential.grid.shape != self.grid.shape:
-            raise ValueError(
-                f"potential grid shape {self.potential.grid.shape} does not "
-                f"match problem grid shape {self.grid.shape}"
-            )
+        _require_grid_shape("potential", self.potential.grid.shape, self.grid.shape)
         if not np.all(np.isfinite(self.potential.values)):
             raise ValueError("potential contains non-finite values")
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
@@ -112,12 +108,17 @@ def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
+def _hard_wall_normalized(grid: Grid, values: np.ndarray) -> ComplexField:
+    """values, zeroed in place on the boundary cell layer, at unit L2 norm."""
+    values[_boundary_mask(grid.shape)] = 0.0
+    norm = math.sqrt(l2_norm_squared(ComplexField(grid, values)))
+    if norm == 0.0:
+        raise ValueError("state vanishes on the grid interior")
+    return ComplexField(grid, values / norm)
+
+
 def _require_valid_state(state: ComplexField, problem: QuantumProblem) -> None:
-    if state.grid.shape != problem.grid.shape:
-        raise ValueError(
-            f"state grid shape {state.grid.shape} does not match problem "
-            f"grid shape {problem.grid.shape}"
-        )
+    _require_grid_shape("state", state.grid.shape, problem.grid.shape)
     if not np.all(np.isfinite(state.values)):
         raise ValueError("state contains non-finite values")
     mask = _boundary_mask(state.grid.shape)
@@ -359,11 +360,7 @@ def evaluate_modified(
     arrays of one state each, independent of the history length.
     """
     grid = solution.problem.grid
-    if traveltime.grid.shape != grid.shape:
-        raise ValueError(
-            f"traveltime grid shape {traveltime.grid.shape} does not match "
-            f"solution grid shape {grid.shape}"
-        )
+    _require_grid_shape("traveltime", traveltime.grid.shape, grid.shape)
     theta = (t - traveltime.t_P).reshape(-1)
     reached = theta >= 0.0
     # Unreached points look up the oldest retained time; their values are
@@ -417,11 +414,7 @@ def stationary_modified_wavefunction(
     snapshots, so it is exact for any t.
     """
     grid = state.psi.grid
-    if traveltime.grid.shape != grid.shape:
-        raise ValueError(
-            f"traveltime grid shape {traveltime.grid.shape} does not match "
-            f"state grid shape {grid.shape}"
-        )
+    _require_grid_shape("traveltime", traveltime.grid.shape, grid.shape)
     theta = t - traveltime.t_P
     phase = np.exp(-2.0j * np.pi * state.nu * theta)
     values = np.where(theta >= 0.0, state.psi.values * phase, 0.0 + 0.0j)
@@ -445,7 +438,7 @@ def make_plane_wave(
         raise ValueError(f"axis {axis} out of range for {grid.dims}-d grid")
     x = grid.coordinate_arrays()[axis]
     values = np.exp(2.0j * np.pi * (wavenumber * x - nu * t))
-    return ComplexField(grid, np.broadcast_to(values, grid.shape).copy(), t)
+    return ComplexField(grid, values, t)
 
 
 def gaussian_packet(
@@ -468,17 +461,17 @@ def gaussian_packet(
         raise ValueError(
             f"center has {len(center)} components for a {grid.dims}-d grid"
         )
-    if width <= 0.0:
-        raise ValueError(f"width must be positive, got {width}")
+    if not all(math.isfinite(c) for c in center):
+        raise ValueError(f"center must be finite, got {center}")
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width}")
+    if not math.isfinite(wavenumber):
+        raise ValueError(f"wavenumber must be finite, got {wavenumber}")
     coords = grid.coordinate_arrays()
     r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, center))
     values = np.exp(-r2 / (4.0 * width**2)).astype(np.complex128)
     values = values * np.exp(2.0j * np.pi * wavenumber * coords[axis])
-    values[_boundary_mask(grid.shape)] = 0.0
-    norm = math.sqrt(l2_norm_squared(ComplexField(grid, values)))
-    if norm == 0.0:
-        raise ValueError("packet vanishes on this grid; widen it or move it")
-    return ComplexField(grid, values / norm)
+    return _hard_wall_normalized(grid, values)
 
 
 def box_eigenmode(
@@ -513,10 +506,7 @@ def box_eigenmode(
         rel = coords[axis] - grid.origin[axis]
         values = values * np.sin(n_mode * np.pi * rel / length)
         energy += (n_mode * np.pi * constants.hbar / length) ** 2 / (2.0 * mass)
-    # sin(n*pi) evaluates to ~1e-16, not 0; clamp so the hard-wall
-    # precondition holds exactly.
-    values[_boundary_mask(grid.shape)] = 0.0
-    psi = ComplexField(grid, values)
-    norm = math.sqrt(l2_norm_squared(psi))
-    psi = ComplexField(grid, values / norm)
+    # sin(n*pi) evaluates to ~1e-16, not 0; the clamp makes the hard-wall
+    # precondition hold exactly.
+    psi = _hard_wall_normalized(grid, values)
     return StationaryState(psi=psi, energy=energy, constants=constants)

@@ -275,6 +275,46 @@ def test_eikonal_speed_csv_checks_shape(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("flag", ["--potential", "--traveltime", "--speed-csv"])
+def test_real_field_inputs_reject_complex_csv(tmp_path, capsys, flag):
+    g = Grid((64,), (1.0 / 63,))
+    complex_csv = tmp_path / "complex.csv"
+    write_field_csv(ComplexField(g, np.full(64, 1.0 + 0.5j)), str(complex_csv))
+    if flag == "--speed-csv":
+        argv = ["eikonal", *GRID_1D, "--source", "3", "--out", str(tmp_path / "tt.csv")]
+    else:
+        zero = tmp_path / "zero.csv"
+        write_zero_traveltime(zero)
+        argv = ["propagate", *GRID_1D, "--mode", "modified",
+                "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+                "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
+                "--out-prefix", str(tmp_path / "run")]
+        if flag == "--potential":
+            argv += ["--traveltime", str(zero)]
+    assert main(argv + [flag, str(complex_csv)]) == 2
+    assert f"{flag}: complex values for a real-valued field" in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} <= {"complex.csv", "zero.csv"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--origin", "nan"),
+    ("--origin", "inf"),
+    ("--gaussian-width", "nan"),
+    ("--gaussian-width", "inf"),
+    ("--gaussian-center", "nan"),
+    ("--gaussian-carrier", "nan"),
+])
+def test_propagate_rejects_non_finite_geometry_and_packet(tmp_path, capsys, flag, value):
+    args = {"--gaussian-center": "0.5", "--gaussian-width": "0.08", flag: value}
+    argv = ["propagate", *GRID_1D, "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
+            "--out-prefix", str(tmp_path / "run")]
+    for name, text in args.items():
+        argv += [name, text]
+    assert main(argv) == 2  # warnings are errors here, so none may come first
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("radius", ["inf", "nan"])
 def test_eikonal_rejects_non_finite_ball_radius(tmp_path, capsys, radius):
     out = tmp_path / "tt.csv"
@@ -439,6 +479,15 @@ def test_dispersion_requires_particles(capsys):
     assert "--voltage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--voltage", "--speed"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_dispersion_rejects_non_positive_or_non_finite_particles(capsys, flag, value):
+    assert main(["dispersion", "--vp", "1.3e8", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag}" in captured.err and "positive and finite" in captured.err
+    assert captured.out == ""
+
+
 # --- fit ---------------------------------------------------------------------------
 
 def test_fit_generate_noiseless_recovers_speed(tmp_path, capsys):
@@ -490,6 +539,24 @@ def test_fit_clamped_reports_null(tmp_path, capsys):
     assert main(
         ["fit", "--data", str(data), "--curves", str(tmp_path / "c.csv")]
     ) == 2
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+def test_fit_generate_rejects_bad_noise(capsys, noise):
+    assert main(["fit", "--generate", "n=5", f"noise={noise}"]) == 2
+    captured = capsys.readouterr()
+    assert "--generate: noise_relative must be non-negative" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "compare"])
+@pytest.mark.parametrize("points", ["0", "-3", "2.5"])
+def test_curve_points_must_be_a_positive_integer(tmp_path, capsys, subcommand, points):
+    out = tmp_path / "layers.csv"
+    flag = "--curves" if subcommand == "fit" else "--out"
+    assert main([subcommand, "--use-bundled", "--curve-points", points, flag, str(out)]) == 2
+    assert "--curve-points: must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_requires_exactly_one_source(tmp_path, capsys):

@@ -55,6 +55,12 @@ def test_free_particle_validation():
         FreeParticle.electron_from_voltage(-5.0)
 
 
+@pytest.mark.parametrize("voltage", [math.nan, math.inf, 0.0, -1.0])
+def test_electron_voltage_must_be_positive_and_finite(voltage):
+    with pytest.raises(ValueError, match="voltage must be positive and finite"):
+        FreeParticle.electron_from_voltage(voltage)
+
+
 # --- modified wavenumber ---------------------------------------------------------
 
 def test_modified_wavenumber_54v_oracle():

@@ -83,6 +83,20 @@ def test_traveltime_field_rejects_negative():
         TraveltimeField(g, np.array([0.0, 1.0, -0.5, 2.0]), 1.0)
 
 
+def test_traveltime_field_rejects_complex():
+    g = Grid((4,), (1.0,))
+    with pytest.raises(ValueError, match="complex values for a real-valued field"):
+        TraveltimeField(g, np.array([0.0, 1.0 + 1.0j, 0.5, 2.0]), 1.0)
+
+
+def test_speed_field_shape_mismatch_names_both_shapes():
+    g = Grid((4, 4), (1.0, 1.0))
+    speed = ScalarField(Grid((4, 5), (1.0, 1.0)), np.ones((4, 5)))
+    with pytest.raises(ValueError,
+                       match=r"speed field shape \(4, 5\) does not match grid shape \(4, 4\)"):
+        solve_traveltime(g, SourceSpec([(0, 0)]), speed)
+
+
 # --- exactness oracles ------------------------------------------------------
 
 def test_1d_uniform_exact():

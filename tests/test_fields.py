@@ -54,6 +54,12 @@ def test_grid_rejects_bad_geometry(shape, spacing):
         Grid(shape, spacing)
 
 
+@pytest.mark.parametrize("origin", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_grid_rejects_non_finite_origin(origin):
+    with pytest.raises(ValueError, match="origin must be finite"):
+        Grid((4, 4), (1.0, 1.0), origin)
+
+
 # --- fields -----------------------------------------------------------------
 
 def test_fields_copy_and_freeze():
@@ -70,6 +76,31 @@ def test_field_shape_mismatch():
     g = Grid((3,), (1.0,))
     with pytest.raises(ValueError):
         ScalarField(g, np.zeros(4))
+
+
+@pytest.mark.parametrize("values", [
+    np.array([1.0 + 2.0j, 0.0, 3.0]),
+    np.zeros(3, dtype=np.complex128),  # a complex dtype, even with zero imaginary parts
+    [1.0, 2.0j, 3.0],
+])
+def test_scalar_field_rejects_complex_values(values):
+    with pytest.raises(ValueError, match="complex values for a real-valued field"):
+        ScalarField(Grid((3,), (1.0,)), values)
+
+
+def test_fields_are_c_ordered_copies_of_any_layout():
+    g = Grid((3, 2), (1.0, 1.0))
+    src = np.arange(6.0).reshape(2, 3).T  # Fortran-ordered view
+    for f in (ScalarField(g, src), ComplexField(g, src)):
+        assert f.values.flags.c_contiguous and not f.values.flags.writeable
+        assert f.values.base is None
+        np.testing.assert_array_equal(f.values, src)
+
+
+def test_mask_shape_mismatch_names_both_shapes():
+    f = ScalarField(Grid((3,), (1.0,)), np.ones(3))
+    with pytest.raises(ValueError, match=r"mask shape \(4,\) does not match grid shape \(3,\)"):
+        l2_norm_squared(f, np.ones(4, dtype=bool))
 
 
 def test_complex_field_time_stamp():

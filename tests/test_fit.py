@@ -200,6 +200,12 @@ def test_synthesize_validation():
         synthesize_records(5, V_P_TRUE, noise_relative=-0.1)
 
 
+@pytest.mark.parametrize("noise", [math.nan, math.inf])
+def test_synthesize_rejects_non_finite_noise(noise):
+    with pytest.raises(ValueError, match="noise_relative must be non-negative"):
+        synthesize_records(5, V_P_TRUE, noise_relative=noise)
+
+
 def test_synthesize_seed_reproducibility():
     a = synthesize_records(8, V_P_TRUE, noise_relative=0.02, seed=42)
     b = synthesize_records(8, V_P_TRUE, noise_relative=0.02, seed=42)

@@ -60,6 +60,45 @@ def test_step_requires_matching_grid():
         step_classical(state, prob)
 
 
+def test_grid_shape_checks_name_the_argument_and_both_shapes():
+    prob = free_problem(16)
+    other = Grid((17,), (1.0 / 16,))
+    sol = propagate_classical(gaussian_packet(prob.grid, (0.5,), 0.1), prob, 2)
+    tt = TraveltimeField(other, np.zeros(17))
+    mode = box_eigenmode(prob.grid, (1,), mass=1.0, constants=NAT)
+    calls = [
+        ("potential", lambda: QuantumProblem(prob.grid, ScalarField(other, np.zeros(17)), 1.0, 1.0)),
+        ("state", lambda: step_classical(ComplexField(other, np.zeros(17)), prob)),
+        ("traveltime", lambda: evaluate_modified(sol, tt, 0.0)),
+        ("traveltime", lambda: stationary_modified_wavefunction(mode, tt, 0.0)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=rf"^{name} shape \(17,\) does not "
+                                             r"match grid shape \(16,\)$"):
+            call()
+
+
+@pytest.mark.parametrize("center, width, wavenumber", [
+    ((0.5,), math.nan, 0.0),
+    ((0.5,), math.inf, 0.0),
+    ((0.5,), 0.0, 0.0),
+    ((0.5,), -0.1, 0.0),
+    ((math.nan,), 0.1, 0.0),
+    ((math.inf,), 0.1, 0.0),
+    ((0.5,), 0.1, math.nan),
+])
+def test_gaussian_packet_rejects_non_finite_or_bad_parameters(center, width, wavenumber):
+    g = Grid((32,), (1.0 / 31,))
+    with pytest.raises(ValueError, match="center|width|wavenumber"):
+        gaussian_packet(g, center, width, wavenumber)
+
+
+def test_states_vanishing_on_the_interior_are_rejected():
+    g = Grid((16,), (1.0,))
+    with pytest.raises(ValueError, match="vanishes"):
+        gaussian_packet(g, (-1e3,), 1.0)
+
+
 def test_solution_rejects_history_off_the_grid():
     prob = free_problem(16)
     with pytest.raises(ValueError, match="history shape"):
