@@ -49,6 +49,7 @@ from .fit import (
 )
 from .localtime import local_time, write_localtime_csv
 from .schrodinger import (
+    _TIME_MATCH_RTOL,
     ConvergenceError,
     HistoryWindowError,
     QuantumProblem,
@@ -161,13 +162,13 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
 
     if args.speed_csv is not None:
         speed = _read_grid_field(args.speed_csv, "--speed-csv", grid, ScalarField)
-        if np.any(speed.values <= 0.0):
-            raise UsageError("--speed-csv: speeds must be positive everywhere")
+        if not np.all((0.0 < speed.values) & (speed.values < math.inf)):
+            raise UsageError("--speed-csv: speeds must be positive and finite everywhere")
     else:
         if args.speed is None:
             raise UsageError("provide --speed METERS_PER_SECOND or --speed-csv FILE")
-        if not args.speed > 0.0:
-            raise UsageError(f"--speed must be positive, got {args.speed}")
+        if not 0.0 < args.speed < math.inf:
+            raise UsageError(f"--speed must be positive and finite, got {args.speed}")
         speed = args.speed
 
     tt = solve_traveltime(
@@ -228,7 +229,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     try:
         problem = QuantumProblem(grid, potential, args.mass, args.dt)
     except ValueError as exc:
-        raise UsageError(f"--mass/--dt: {exc}")
+        raise UsageError(f"--shape/--mass/--dt: {exc}")
     initial = _initial_state(args, grid)
 
     tt = None
@@ -236,14 +237,24 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         tt = _read_grid_field(args.traveltime, "--traveltime", grid,
                               lambda g, t_P: TraveltimeField(g, t_P, args.vp))
 
+    # compare-a8 differentiates across the evaluation step, so by default it
+    # evaluates at the last step that has a successor.
+    last_step = args.n_steps - 1 if args.mode == "compare-a8" else args.n_steps
+    if args.eval_time is None:
+        eval_time = last_step * args.dt
+    elif -_TIME_MATCH_RTOL <= args.eval_time / args.dt <= args.n_steps + _TIME_MATCH_RTOL:
+        # The snapshot lookup's round-off allowance: 0.9 s is step 3 of 0.3 s.
+        eval_time = args.eval_time
+    else:
+        raise UsageError(
+            f"--eval-time must lie in the run [0, {args.n_steps * args.dt}] s, "
+            f"got {args.eval_time}"
+        )
+
     solution = propagate_classical(
         initial, problem, args.n_steps, history_window=args.history_window
     )
     times = solution.times
-    # compare-a8 differentiates across the evaluation step, so by default it
-    # evaluates at the last step that has a successor.
-    last_step = args.n_steps - 1 if args.mode == "compare-a8" else args.n_steps
-    eval_time = last_step * args.dt if args.eval_time is None else args.eval_time
 
     outputs: list[str] = []
 

@@ -7,12 +7,14 @@ Classical (instantaneous) evolution uses the Crank-Nicolson scheme
 with H = -hbar^2/(2m) Laplacian + U and fixed-zero boundary values.  With
 A = I + i*dt/(2*hbar) H the right-hand operator is 2I - A, so a step is the
 Cayley form psi_{n+1} = 2 A^-1 psi_n - psi_n: one solve with A and no
-second operator.  The scheme is unconditionally stable and, for real U,
-preserves the L2 norm to round-off.  The modified evolution is obtained
-from the classical one by evaluating each point at its own local time
-theta = t - t_P, where t_P is the arrival time of the perturbation front;
-points the front has not yet reached hold the unperturbed value (zero for
-states that start as pure perturbations).
+second operator.  In 1-D A is tridiagonal, factored once by LAPACK zgttrf
+and solved by zgttrs each step (padded to 3 unknowns when smaller); in
+2-D and 3-D each step runs BiCGSTAB.  The scheme is unconditionally
+stable and, for real U, preserves the L2 norm to round-off.  The modified
+evolution is obtained from the classical one by evaluating each point at
+its own local time theta = t - t_P, where t_P is the arrival time of the
+perturbation front; points the front has not yet reached hold the
+unperturbed value (zero for states that start as pure perturbations).
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class QuantumProblem:
 
     The potential is in joules on the same grid as the states; boundary
     values are clamped to zero (hard-wall box), so any state fed to the
-    stepper must vanish on the outermost cell layer.
+    stepper must vanish on the outermost cell layer.  Every axis needs at
+    least 3 cells, so that it has an interior cell.
     """
 
     grid: Grid
@@ -80,6 +83,11 @@ class QuantumProblem:
     constants: PhysicalConstants = CODATA2018
 
     def __post_init__(self) -> None:
+        if min(self.grid.shape) < 3:
+            raise ValueError(
+                f"grid shape {self.grid.shape} has an axis of fewer than 3 cells, "
+                "so no interior cell to propagate"
+            )
         _require_grid_shape("potential", self.potential.grid.shape, self.grid.shape)
         if not np.all(np.isfinite(self.potential.values)):
             raise ValueError("potential contains non-finite values")
@@ -129,6 +137,11 @@ def _require_valid_state(state: ComplexField, problem: QuantumProblem) -> None:
         )
 
 
+def _require_lapack_success(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
+
+
 class _Stepper:
     """Crank-Nicolson stepper on the interior cells of a 1-, 2- or 3-D grid.
 
@@ -136,14 +149,15 @@ class _Stepper:
     the per-axis second differences (axis 0 slowest, as in C order), and
     only A = I + cH, c = i dt/2hbar, is kept.  Since I - cH = 2I - A, the
     CN update A^-1 (I - cH) x equals 2y - x with A y = x, so each step is
-    one solve with A.  In 1-D, A is tridiagonal, so its sparse LU has no
-    fill-in: it is factored once here and every step is two triangular
-    solves.  In 2-D and 3-D the LU fills in (a 40^3 factorisation takes
-    about a minute), so each step runs BiCGSTAB started from x instead;
-    its rtol bounds the relative error of y, and x' = 2y - x carries at
-    most twice that error.  scipy is imported here, not with the module,
-    so that importing qfront for traveltimes, dispersion or fits does not
-    pay for it.
+    one solve with A.  In 1-D, A is tridiagonal: its three diagonals are
+    factored once here with LAPACK zgttrf, and every step is one zgttrs
+    solve.  zgttrf takes at least 3 unknowns, so a smaller system is
+    padded to 3 with decoupled unit rows.  In 2-D and 3-D a sparse LU
+    fills in (a 40^3 factorisation takes about a minute), so each step
+    runs BiCGSTAB started from x instead; its rtol bounds the relative
+    error of y, and x' = 2y - x carries at most twice that error.  scipy
+    is imported here, not with the module, so that importing qfront for
+    traveltimes, dispersion or fits does not pay for it.
     """
 
     def __init__(self, problem: QuantumProblem) -> None:
@@ -169,13 +183,26 @@ class _Stepper:
         c = 1j * problem.dt / (2.0 * hbar)
         eye = scipy.sparse.identity(u.size, dtype=np.complex128, format="csr")
         self._a = (eye + c * h_mat).tocsr()
-        self._lu = scipy.sparse.linalg.splu(self._a.tocsc()) if u.ndim == 1 else None
+        self._lu = None
+        if u.ndim == 1:
+            self._pad = max(3 - u.size, 0)
+            bands = [
+                np.pad(self._a.diagonal(k), (0, self._pad), constant_values=fill)
+                for k, fill in ((-1, 0.0), (0, 1.0), (1, 0.0))
+            ]
+            gttrf, self._gttrs = scipy.linalg.lapack.get_lapack_funcs(
+                ("gttrf", "gttrs"), dtype=np.complex128
+            )
+            *self._lu, info = gttrf(*bands)
+            _require_lapack_success("zgttrf", info)
         self._bicgstab = scipy.sparse.linalg.bicgstab
 
     def step(self, values: np.ndarray, out: np.ndarray) -> None:
         x = values[self._interior].ravel()
         if self._lu is not None:
-            y = self._lu.solve(x)
+            y, info = self._gttrs(*self._lu, np.pad(x, (0, self._pad)) if self._pad else x)
+            _require_lapack_success("zgttrs", info)
+            y = y[: x.size]
         else:
             y, info = self._bicgstab(
                 self._a, x, x0=x, rtol=_BICGSTAB_RTOL, atol=0.0, maxiter=_BICGSTAB_MAXITER

@@ -327,6 +327,33 @@ def test_eikonal_rejects_non_finite_ball_radius(tmp_path, capsys, radius):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_eikonal_rejects_non_positive_or_non_finite_speed(tmp_path, capsys, value):
+    out = tmp_path / "tt.csv"
+    code = main(
+        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
+         "--speed", value, "--out", str(out)]
+    )
+    assert code == 2
+    assert "--speed must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_eikonal_rejects_non_positive_or_non_finite_speed_csv(tmp_path, capsys, value):
+    speed = tmp_path / "v.csv"
+    speeds = np.ones(16)
+    speeds[7] = value
+    write_field_csv(ScalarField(Grid((16,), (1.0,)), speeds), str(speed))
+    code = main(
+        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
+         "--speed-csv", str(speed), "--out", str(tmp_path / "tt.csv")]
+    )
+    assert code == 2
+    assert "--speed-csv: speeds must be positive and finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.csv"]
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("shape", [(64,), (12, 10)])
 def test_propagate_rejects_non_finite_initial_state(tmp_path, capsys, shape, bad):
@@ -441,6 +468,54 @@ def test_propagate_window_violation_is_runtime_error(tmp_path, capsys):
     )
     assert code == 1
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["classical", "modified"])
+@pytest.mark.parametrize("eval_time", ["nan", "inf", "-0.0001", "1.1e-3"])
+def test_propagate_rejects_eval_time_outside_the_run(tmp_path, monkeypatch, capsys,
+                                                     mode, eval_time):
+    # The run spans [0, 10 * 1e-4] s; the check comes before any step.
+    monkeypatch.chdir(tmp_path)
+    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
+    argv = ["propagate", *GRID_1D, "--mode", mode,
+            "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+            "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
+            "--eval-time", eval_time, "--out-prefix", "run"]
+    if mode == "modified":
+        argv += ["--traveltime", "tt.csv"]
+    assert main(argv) == 2
+    assert "--eval-time" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
+
+
+def test_propagate_eval_time_matches_the_last_step_to_round_off(tmp_path):
+    # 3 * 0.3 = 0.8999999999999999 < 0.9, yet 0.9 s is the last snapshot time.
+    code = main(
+        ["propagate", "--shape", "16", "--spacing", "1", "--gaussian-center", "8",
+         "--gaussian-width", "2", "--mass", "1", "--dt", "0.3", "--n-steps", "3",
+         "--eval-time", "0.9", "--out-prefix", str(tmp_path / "run")]
+    )
+    assert code == 0
+    assert (tmp_path / "run_state.csv").exists()
+
+
+@pytest.mark.parametrize("shape, spacing, centre", [
+    ("2", "1", "0.5"),
+    ("2,5", "1,1", "0.5,2"),
+    ("5,2", "1,1", "2,0.5"),
+])
+def test_propagate_needs_an_interior_cell_on_every_axis(tmp_path, capsys, shape, spacing,
+                                                        centre):
+    code = main(
+        ["propagate", "--shape", shape, "--spacing", spacing,
+         "--gaussian-center", centre, "--gaussian-width", "0.5",
+         "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
+         "--out-prefix", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--shape" in err and "fewer than 3 cells" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- dispersion --------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,6 +45,13 @@ def test_problem_validation():
         QuantumProblem(g, u, 1.0, -1.0)
     with pytest.raises(ValueError, match="match"):
         QuantumProblem(g, ScalarField(Grid((9,), (1.0,)), np.zeros(9)), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 5), (5, 2), (4, 4, 2)])
+def test_problem_needs_an_interior_cell_on_every_axis(shape):
+    g = Grid(shape, (1.0,) * len(shape))
+    with pytest.raises(ValueError, match=rf"grid shape {re.escape(str(shape))} .* fewer than 3"):
+        QuantumProblem(g, ScalarField(g, np.zeros(shape)), 1.0, 1.0)
 
 
 def test_step_requires_zero_boundary():
@@ -213,6 +222,8 @@ def test_constant_potential_shifts_eigenvalue():
 
 
 @pytest.mark.parametrize("shape, spacing", [
+    ((3,), (0.5,)),
+    ((4,), (0.3,)),
     ((40,), (0.03,)),
     ((9, 12), (0.1, 0.07)),
     ((6, 7, 8), (0.2, 0.15, 0.1)),
@@ -251,6 +262,30 @@ def test_cn_step_matches_dense_solve(shape, spacing):
     assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
     stepped[interior] = 0.0
     assert not np.any(stepped)  # the boundary layer stays zero
+
+
+# sha256 prefixes of propagate_classical(...).history.tobytes() for a 1-D
+# packet on n cells (natural units, dt 5e-4, 40 steps) in a zero potential
+# or one drawn uniform(-50, 50) from default_rng(seed).  The 1-D solve is LAPACK
+# zgttrf/zgttrs from scipy 1.17.1; SuperLU gave these histories to 3e-14
+# relative, not bit for bit.
+PINNED_HISTORIES_1D = {
+    "free": (257, None, "964c36fbd7228d1d"),
+    "potential": (257, 7, "a235c3d979d4e604"),
+    "3-cell": (3, 7, "e98644a7d5a60547"),
+    "4-cell": (4, None, "217fc3add9338225"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES_1D))
+def test_pinned_1d_histories(name):
+    n, seed, digest = PINNED_HISTORIES_1D[name]
+    g = Grid((n,), (1.0 / (n - 1),))
+    u = np.zeros(n) if seed is None else np.random.default_rng(seed).uniform(-50.0, 50.0, n)
+    prob = QuantumProblem(g, ScalarField(g, u), 1.0, 5e-4, NAT)
+    psi = gaussian_packet(g, (0.5,), 0.2 if n < 8 else 0.08, 10.0)
+    history = propagate_classical(psi, prob, 40).history
+    assert hashlib.sha256(history.tobytes()).hexdigest()[:16] == digest
 
 
 # --- history window management -------------------------------------------------
