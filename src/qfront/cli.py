@@ -49,10 +49,10 @@ from .fit import (
 )
 from .localtime import local_time, write_localtime_csv
 from .schrodinger import (
-    _TIME_MATCH_RTOL,
     ConvergenceError,
     HistoryWindowError,
     QuantumProblem,
+    _step_weights,
     difference_estimate,
     evaluate_modified,
     gaussian_packet,
@@ -209,6 +209,11 @@ def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
+    a8 = args.mode == "compare-a8"
+    if args.n_steps < 2 * a8:
+        raise UsageError(f"--n-steps must be >= {2 * a8} in mode {args.mode}, got {args.n_steps}")
+    if args.save_every < 0:
+        raise UsageError(f"--save-every must be >= 0, got {args.save_every}")
     grid = _build_grid(args)
     if args.mode == "classical":
         if args.traveltime is not None:
@@ -237,23 +242,27 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         tt = _read_grid_field(args.traveltime, "--traveltime", grid,
                               lambda g, t_P: TraveltimeField(g, t_P, args.vp))
 
-    # compare-a8 differentiates across the evaluation step, so by default it
-    # evaluates at the last step that has a successor.
-    last_step = args.n_steps - 1 if args.mode == "compare-a8" else args.n_steps
-    if args.eval_time is None:
-        eval_time = last_step * args.dt
-    elif -_TIME_MATCH_RTOL <= args.eval_time / args.dt <= args.n_steps + _TIME_MATCH_RTOL:
-        # The snapshot lookup's round-off allowance: 0.9 s is step 3 of 0.3 s.
-        eval_time = args.eval_time
-    else:
+    # compare-a8 differentiates across the evaluation step, so it evaluates
+    # at a step with a predecessor and, by default, at the last with a successor.
+    last_step = args.n_steps - a8
+    eval_time = last_step * args.dt if args.eval_time is None else args.eval_time
+    if not math.isfinite(eval_time):
+        raise UsageError(f"--eval-time must be finite, got {eval_time}")
+    first, weight = _step_weights(eval_time, 0.0, args.dt)
+    exact = args.mode != "modified"
+    if not (a8 <= first and first + (weight > 0) <= last_step and not (exact and weight)):
         raise UsageError(
-            f"--eval-time must lie in the run [0, {args.n_steps * args.dt}] s, "
-            f"got {args.eval_time}"
+            f"--eval-time must be a {'step ' * exact}time in [{a8 * args.dt}, "
+            f"{last_step * args.dt}] s in mode {args.mode}, got {eval_time}"
         )
 
-    solution = propagate_classical(
-        initial, problem, args.n_steps, history_window=args.history_window
-    )
+    # Keep the run from the first step an output reads: that of eval_time, of
+    # eval_time - max t_P (one less in compare-a8), or step 0 with --save-every.
+    if tt is not None:
+        first = _step_weights(max(eval_time - tt.max_traveltime(), 0.0), 0.0, args.dt)[0] - a8
+    first = 0 if args.save_every > 0 else max(int(first), 0)
+    solution = propagate_classical(initial, problem, args.n_steps,
+                                   history_window=max(args.n_steps + 1 - first, 2))
     times = solution.times
 
     outputs: list[str] = []
@@ -264,10 +273,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         outputs.append(path)
 
     if args.save_every > 0:
-        for j, snap in enumerate(solution.snapshots):
-            step = solution.first_step + j
-            if step % args.save_every == 0:
-                emit(snap, f"step{step:06d}")
+        for j, snap in enumerate(solution.snapshots[::args.save_every]):
+            emit(snap, f"step{j * args.save_every:06d}")
 
     if args.mode == "classical":
         emit(solution.snapshot_at(eval_time), "state")
@@ -307,7 +314,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     print(f"wrote {manifest_path}")
     for path in outputs:
         print(f"wrote {path}")
-    print(f"norm drift over run: {manifest['max_norm_drift']:.3e}")
+    print(f"norm drift over retained states: {manifest['max_norm_drift']:.3e}")
     return 0
 
 
@@ -573,8 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True, help="time step in s")
     p.add_argument("--n-steps", type=int, required=True,
                    help="number of CN steps")
-    p.add_argument("--history-window", type=int, default=None,
-                   help="retain only this many trailing snapshots")
     p.add_argument("--traveltime", default=None,
                    help="traveltime CSV t_P (required for modified/compare-a8)")
     p.add_argument("--vp", type=_front_speed, default=None,
@@ -585,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "compare-a8, one step earlier, the last step with a "
                         "successor)")
     p.add_argument("--save-every", type=int, default=0,
-                   help="also dump every k-th retained snapshot (0 = none)")
+                   help="also dump every k-th step of the run (0 = none)")
     p.add_argument("--localtime-out", default=None,
                    help="also write theta/class CSV at the evaluation time "
                         "(mode modified)")

@@ -58,6 +58,17 @@ _BICGSTAB_MAXITER = 500
 _TIME_MATCH_RTOL = 1e-9
 
 
+def _step_weights(times, start_time: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Step (as float) at or below each finite time of a run from start_time
+    and the weight of the next step.  A time within _TIME_MATCH_RTOL * dt of
+    a step snaps to it with weight 0, so snapshot hits read one row bit for bit."""
+    pos = (np.asarray(times, dtype=np.float64) - start_time) / dt
+    step = np.rint(pos)
+    hit = np.abs(pos - step) <= _TIME_MATCH_RTOL
+    step = np.where(hit, step, np.floor(pos))
+    return step, np.where(hit, 0.0, pos - step)
+
+
 class ConvergenceError(RuntimeError):
     """Iterative linear solve failed to reach the requested tolerance."""
 
@@ -276,20 +287,14 @@ class ClassicalSolution:
         return ComplexField(self.problem.grid, row, self.start_time + step * self.problem.dt)
 
     def _locate(self, t: float, local: np.ndarray | None = None, exact=False, margin=0):
-        """Global step at or below each time (t, or local if given) and the
-        weight of the next step.  A time within _TIME_MATCH_RTOL * dt of a
-        whole step snaps to it with weight 0, so snapshot hits read one row
-        bit for bit.  Every time must lie in the retained window less margin
-        steps at each end; exact also requires snapshot times.
+        """_step_weights of each time (t, or local if given).  Every time
+        must lie in the retained window less margin steps at each end;
+        exact also requires snapshot times.
         """
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
         times = np.asarray(t if local is None else local, dtype=np.float64)
-        pos = (times - self.start_time) / self.problem.dt
-        step = np.rint(pos)
-        hit = np.abs(pos - step) <= _TIME_MATCH_RTOL
-        step = np.where(hit, step, np.floor(pos))
-        weight = np.where(hit, 0.0, pos - step)
+        step, weight = _step_weights(times, self.start_time, self.problem.dt)
         first = self.first_step + margin
         last = self.first_step + len(self.history) - 1 - margin
         if np.any(step < first) or np.any(step + (weight > 0.0) > last):

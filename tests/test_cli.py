@@ -1,18 +1,29 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qfront
-from qfront.cli import main
+from qfront.cli import build_parser, main
+from qfront.constants import CODATA2018
+from qfront.eikonal import TraveltimeField
 from qfront.fields import ComplexField, Grid, ScalarField, read_field_csv, write_field_csv
 from qfront.fit import RECORDS_CSV_HEADER, synthesize_records
-from qfront.schrodinger import gaussian_packet
+from qfront.schrodinger import (
+    QuantumProblem,
+    difference_estimate,
+    evaluate_modified,
+    gaussian_packet,
+    propagate_classical,
+)
 
 GRID_1D = ["--shape", "64", "--spacing", str(1.0 / 63)]
 
@@ -160,19 +171,109 @@ def test_propagate_manifest_contents(tmp_path):
     code = main(
         ["propagate", *GRID_1D, "--gaussian-center", "0.5",
          "--gaussian-width", "0.08", "--mass", "1", "--dt", "1e-4",
-         "--n-steps", "10", "--history-window", "4",
-         "--out-prefix", str(prefix)]
+         "--n-steps", "10", "--out-prefix", str(prefix)]
     )
     assert code == 0
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["mode"] == "classical"
     assert manifest["n_steps"] == 10
     assert manifest["grid"]["shape"] == [64]
-    assert manifest["retained_snapshots"] == 4
+    # Mode classical reads only the final state; the window keeps two.
+    assert manifest["retained_snapshots"] == 2
     assert manifest["max_norm_drift"] < 1e-10
     assert manifest["outputs"] == [str(tmp_path / "run_state.csv")]
-    assert manifest["retained_time_range"][0] == pytest.approx(7e-4)
+    assert manifest["retained_time_range"][0] == pytest.approx(9e-4)
     assert manifest["retained_time_range"][1] == pytest.approx(1e-3)
+
+
+def csv_bytes(field, path) -> bytes:
+    write_field_csv(field, str(path))
+    return Path(path).read_bytes()
+
+
+def electron_run(n_cells, dt, n_steps, center=5e-11, carrier=2e10):
+    """An electron packet on a 1e-10 m box, as CLI flags and as the API's
+    full-history run of the same bits; at these scales every CN step moves it."""
+    spacing = 1e-10 / (n_cells - 1)
+    argv = ["propagate", "--shape", str(n_cells), "--spacing", repr(spacing),
+            "--gaussian-center", repr(center), "--gaussian-width", "1e-11",
+            "--gaussian-carrier", repr(carrier), "--dt", repr(dt),
+            "--n-steps", str(n_steps)]
+    grid = Grid((n_cells,), (spacing,))
+    problem = QuantumProblem(grid, ScalarField(grid, np.zeros(n_cells)), CODATA2018.m_e, dt)
+    initial = gaussian_packet(grid, (center,), 1e-11, carrier)
+    return argv, initial, propagate_classical(initial, problem, n_steps, history_window=None)
+
+
+def test_propagate_electron_state_moves_and_matches_the_api(tmp_path):
+    argv, initial, full = electron_run(64, 1e-19, 20)
+    assert main(argv + ["--out-prefix", str(tmp_path / "run")]) == 0
+    state = (tmp_path / "run_state.csv").read_bytes()
+    assert state == csv_bytes(full.snapshots[-1], tmp_path / "api.csv")
+    assert state != csv_bytes(initial, tmp_path / "initial.csv")
+    moved = np.abs(full.snapshots[-1].values - initial.values).max()
+    assert moved > 0.1 * np.abs(initial.values).max()
+
+
+def snapped_step(t, dt):
+    """The step of time t, snapping to a whole step within 1e-9 * dt."""
+    pos = t / dt
+    return round(pos) if abs(pos - round(pos)) <= 1e-9 else math.floor(pos)
+
+
+@settings(max_examples=25)
+@given(
+    n_cells=st.integers(64, 97),
+    dt=st.floats(1e-19, 1e-18),
+    n_steps=st.integers(2, 24),
+    mode=st.sampled_from(["classical", "modified", "compare-a8"]),
+    save_every=st.sampled_from([0, 0, 0, 3]),
+    step_fraction=st.floats(0.0, 1.0),
+    between=st.floats(0.0, 0.999),
+    tp_fraction=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagate_derived_window_matches_full_history(
+        n_cells, dt, n_steps, mode, save_every, step_fraction, between, tp_fraction, seed):
+    # Every output equals, byte for byte, the same evaluation on the full
+    # history, and the run keeps the states from the first one an output
+    # reads: the step of eval_time (classical), of eval_time - max t_P
+    # (modified), one before that (compare-a8), or step 0 with --save-every.
+    a8 = mode == "compare-a8"
+    k = a8 + round(step_fraction * (n_steps - 2 * a8))
+    eval_time = (k + between * (mode == "modified" and k < n_steps)) * dt
+    argv, _, full = electron_run(n_cells, dt, n_steps)
+    grid = full.problem.grid
+    tt = TraveltimeField(grid, np.random.default_rng(seed).uniform(
+        0.0, tp_fraction * n_steps * dt, n_cells))  # max t_P may exceed eval_time
+    first = snapped_step(eval_time, dt)
+    if mode != "classical":
+        first = max(snapped_step(max(eval_time - tt.max_traveltime(), 0.0), dt) - a8, 0)
+    if save_every:
+        first = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_field_csv(ScalarField(grid, tt.t_P), str(out / "tt.csv"))
+        argv += ["--mode", mode, "--eval-time", repr(eval_time), "--save-every",
+                 str(save_every), "--out-prefix", str(out / "run")]
+        if mode != "classical":
+            argv += ["--traveltime", str(out / "tt.csv")]
+        assert main(argv) == 0
+        expected = ({f"step{j:06d}": full.snapshots[j] for j in range(0, n_steps + 1, save_every)}
+                    if save_every else {})
+        if mode == "classical":
+            expected["state"] = full.snapshot_at(eval_time)
+        elif mode == "modified":
+            expected["state"] = evaluate_modified(full, tt, eval_time)
+        else:
+            expected["actual"], expected["predicted"] = difference_estimate(full, tt, eval_time)
+        for suffix, field in expected.items():
+            got = (out / f"run_{suffix}.csv").read_bytes()
+            assert got == csv_bytes(field, out / "expected.csv"), suffix
+        manifest = json.loads((out / "run_manifest.json").read_text())
+    assert sorted(Path(p).name for p in manifest["outputs"]) == sorted(
+        f"run_{suffix}.csv" for suffix in expected)
+    assert manifest["retained_snapshots"] == min(max(n_steps + 1 - first, 2), n_steps + 1)
 
 
 def test_propagate_save_every_dumps_snapshots(tmp_path):
@@ -456,21 +557,7 @@ def test_propagate_modified_requires_traveltime(tmp_path, capsys):
     assert "--traveltime" in capsys.readouterr().err
 
 
-def test_propagate_window_violation_is_runtime_error(tmp_path, capsys):
-    tt = tmp_path / "tt.csv"
-    write_constant_traveltime(tt, 5e-4)
-    code = main(
-        ["propagate", *GRID_1D, "--mode", "modified",
-         "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-         "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
-         "--history-window", "3", "--traveltime", str(tt),
-         "--out-prefix", str(tmp_path / "run")]
-    )
-    assert code == 1
-    assert "runtime error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("mode", ["classical", "modified"])
+@pytest.mark.parametrize("mode", ["classical", "modified", "compare-a8"])
 @pytest.mark.parametrize("eval_time", ["nan", "inf", "-0.0001", "1.1e-3"])
 def test_propagate_rejects_eval_time_outside_the_run(tmp_path, monkeypatch, capsys,
                                                      mode, eval_time):
@@ -481,11 +568,47 @@ def test_propagate_rejects_eval_time_outside_the_run(tmp_path, monkeypatch, caps
             "--gaussian-center", "0.5", "--gaussian-width", "0.08",
             "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
             "--eval-time", eval_time, "--out-prefix", "run"]
-    if mode == "modified":
+    if mode != "classical":
         argv += ["--traveltime", "tt.csv"]
     assert main(argv) == 2
     assert "--eval-time" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
+
+
+@pytest.mark.parametrize("mode, flag, value", [
+    # Only mode modified interpolates between steps; compare-a8 also needs a
+    # step on each side of the evaluation step.
+    ("classical", "--eval-time", "1.5e-4"),
+    ("compare-a8", "--eval-time", "1.5e-4"),
+    ("compare-a8", "--eval-time", "0"),
+    ("compare-a8", "--eval-time", "1e-3"),
+    # Checked first: the default --eval-time of -3 dt is not the fault.
+    ("classical", "--n-steps", "-3"),
+    ("compare-a8", "--n-steps", "1"),
+    ("classical", "--save-every", "-2"),
+])
+def test_propagate_rejects_what_the_mode_cannot_run_before_any_step(
+        tmp_path, monkeypatch, capsys, mode, flag, value):
+    monkeypatch.chdir(tmp_path)
+    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
+    argv = ["propagate", *GRID_1D, "--mode", mode,
+            "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+            "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
+            "--out-prefix", "run", flag, value]
+    if mode != "classical":
+        argv += ["--traveltime", "tt.csv"]
+    assert main(argv) == 2
+    assert f"error: {flag} must be " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
+
+
+def test_propagate_history_window_flag_is_gone(tmp_path, capsys):
+    argv = ["propagate", *GRID_1D, "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+            "--dt", "1e-4", "--n-steps", "5", "--history-window", "4",
+            "--out-prefix", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "unrecognized arguments: --history-window 4" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_propagate_eval_time_matches_the_last_step_to_round_off(tmp_path):
@@ -705,6 +828,28 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["dispersion", "--nope"]) == 2
+
+
+def readme_commands() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("qfront ")]
+
+
+def test_readme_has_commands_of_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == {
+        "eikonal", "propagate", "dispersion", "fit", "compare"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(),
+                         ids=lambda argv: argv[0])
+def test_readme_command_parses(argv):
+    # A flag deleted or renamed in the parser must not linger in the README.
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README command does not parse: qfront {' '.join(argv)}")
 
 
 # --- imports -----------------------------------------------------------------------
