@@ -2,20 +2,17 @@
 
 All quantities cross this boundary in SI units (meters, seconds, kg, Hz,
 volts); the dispersion table adds a wavelength display column in angstrom.
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  Output files are
-written to a temporary sibling and renamed into place, so failures leave
-no partial files behind.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.  Every output
+file goes through the package writers, which write a temporary sibling
+and rename it into place, so failures leave no partial files behind.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import json
 import math
 import os
 import sys
-import tempfile
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -33,13 +30,14 @@ from .fields import (
     ComplexField,
     Grid,
     ScalarField,
+    _text_file,
+    _write_json,
     l2_norm_squared,
     read_field_csv,
     write_field_csv,
 )
 from .fit import (
     derive_kinematics,
-    fit_result_to_dict,
     fit_vp,
     model_curves,
     read_records_csv,
@@ -114,26 +112,6 @@ def _require_input_path(path: str, flag: str) -> str:
     return path
 
 
-@contextlib.contextmanager
-def _atomic_write(path: str):
-    """Open a temp file beside path; rename over path only on success."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def _write_field(field, path: str) -> None:
-    with _atomic_write(path) as fh:
-        write_field_csv(field, fh)
-
-
 def _read_grid_field(path: str, flag: str, grid: Grid, build: Callable):
     """build(grid, values), e.g. ScalarField, on the field CSV at path read on
     the grid of --shape; a ValueError from reading or building names flag."""
@@ -174,7 +152,7 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
     tt = solve_traveltime(
         grid, source, speed, source_ball_radius=args.source_ball_radius
     )
-    _write_field(ScalarField(grid, tt.t_P), args.out)
+    write_field_csv(ScalarField(grid, tt.t_P), args.out)
     print(f"wrote {args.out}")
     print(f"t_P range: [{tt.t_P.min():.6e}, {tt.max_traveltime():.6e}] s")
 
@@ -269,7 +247,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
     def emit(field, suffix: str) -> None:
         path = f"{args.out_prefix}_{suffix}.csv"
-        _write_field(field, path)
+        write_field_csv(field, path)
         outputs.append(path)
 
     if args.save_every > 0:
@@ -281,8 +259,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     elif args.mode == "modified":
         emit(evaluate_modified(solution, tt, eval_time), "state")
         if args.localtime_out is not None:
-            with _atomic_write(args.localtime_out) as fh:
-                write_localtime_csv(local_time(tt, eval_time), fh)
+            write_localtime_csv(local_time(tt, eval_time), args.localtime_out)
             outputs.append(args.localtime_out)
     else:
         actual, predicted = difference_estimate(solution, tt, eval_time)
@@ -308,9 +285,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         "retained_time_range": [float(times[0]), float(times[-1])],
         "outputs": outputs,
     }
-    with _atomic_write(manifest_path) as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest, manifest_path)
     print(f"wrote {manifest_path}")
     for path in outputs:
         print(f"wrote {path}")
@@ -337,12 +312,7 @@ _DISPERSION_COLUMNS = (
 
 
 def cmd_dispersion(args: argparse.Namespace) -> int:
-    if args.classical:
-        v_p = math.inf
-    elif args.vp is not None:
-        v_p = args.vp
-    else:
-        raise UsageError("provide --vp METERS_PER_SECOND or --classical")
+    v_p = math.inf if args.classical else args.vp
     if not args.voltage and not args.speed:
         raise UsageError("provide at least one --voltage or --speed")
 
@@ -421,7 +391,7 @@ def _load_records(args: argparse.Namespace):
     if args.use_bundled:
         path = resources.files("qfront.data") / "davisson_germer.csv"
         with resources.as_file(path) as concrete:
-            return read_records_csv(str(concrete))
+            return read_records_csv(concrete)
     _require_input_path(args.data, "--data")
     try:
         return read_records_csv(args.data)
@@ -429,7 +399,8 @@ def _load_records(args: argparse.Namespace):
         raise UsageError(str(exc))
 
 
-def _layered_rows(records, result, curve_points: int) -> list[str]:
+def _write_layers(path: str, records, result, curve_points: int) -> None:
+    """Layered CSV at path: the records as points, then curves A and B."""
     rows = ["layer,v_m_per_s,k_inv_m"]
     vs = []
     for rec in records:
@@ -440,13 +411,16 @@ def _layered_rows(records, result, curve_points: int) -> list[str]:
                           result.v_p_fitted)
     rows.extend(f"curveA,{v:.17g},{k_cl:.17g}" for v, k_cl, _ in curves)
     rows.extend(f"curveB,{v:.17g},{k_mod:.17g}" for v, _, k_mod in curves)
-    return rows
+    with _text_file(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    if args.data_out and not args.generate:
+        raise UsageError("--data-out needs --generate")
     records = _load_records(args)
-    if args.generate and args.data_out:
-        with _atomic_write(args.data_out) as fh:
+    if args.data_out:
+        with _text_file(args.data_out, "w") as fh:
             fh.write(RECORDS_CSV_HEADER + "\n")
             for rec in records:
                 fh.write(f"{rec.voltage:.17g},{rec.wavelength_exp:.17g}\n")
@@ -455,10 +429,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         result = fit_vp(records)
     except ValueError as exc:
         raise UsageError(str(exc))
-    print(json.dumps(fit_result_to_dict(result), indent=2))
+    write_fit_json(result, sys.stdout)
     if args.out:
-        with _atomic_write(args.out) as fh:
-            write_fit_json(result, fh)
+        write_fit_json(result, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     if args.curves:
         if result.clamped_to_classical:
@@ -466,9 +439,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 "--curves: fit clamped to the classical limit, curve B "
                 "coincides with curve A; nothing informative to write"
             )
-        rows = _layered_rows(records, result, args.curve_points)
-        with _atomic_write(args.curves) as fh:
-            fh.write("\n".join(rows) + "\n")
+        _write_layers(args.curves, records, result, args.curve_points)
         print(f"wrote {args.curves}", file=sys.stderr)
     return 0
 
@@ -490,9 +461,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "fit clamped to the classical limit; pass a finite --vp to "
             "draw curve B anyway"
         )
-    rows = _layered_rows(records, result, args.curve_points)
-    with _atomic_write(args.out) as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_layers(args.out, records, result, args.curve_points)
     print(f"wrote {args.out}")
     ratio = result.variance_classical / result.variance_modified
     print(
@@ -605,10 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accelerating voltage in volts (repeatable)")
     p.add_argument("--speed", type=float, action="append",
                    help="electron speed in m/s (repeatable)")
-    p.add_argument("--vp", type=_front_speed, default=None,
-                   help="front speed v_P in m/s")
-    p.add_argument("--classical", action="store_true",
-                   help="classical limit 1/v_P = 0")
+    speed_choice = p.add_mutually_exclusive_group(required=True)
+    speed_choice.add_argument("--vp", type=_front_speed, default=None,
+                              help="front speed v_P in m/s")
+    speed_choice.add_argument("--classical", action="store_true",
+                              help="classical limit 1/v_P = 0")
     p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser(

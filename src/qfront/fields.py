@@ -10,11 +10,19 @@ each cell carries the volume ``prod(spacing)``.
 
 Fields are immutable snapshots: the value arrays are copied on construction
 and marked read-only, so instances can be shared freely between threads.
+
+Every reader and writer of the package takes a path (``str`` or
+``os.PathLike``) or an open text handle.  A handle is used as is and left
+open; a path write goes to a temporary sibling that replaces the path only
+once the whole file is written, so a failure leaves the old file or none.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -159,20 +167,53 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_cell_rows(out: TextIO | str, grid: Grid, value_cols: list,
-                     rows: Iterable) -> None:
-    """Header, then per cell in row-major order its indices and its row."""
-    if isinstance(out, str):
-        with open(out, "w", newline="") as handle:
-            _write_cell_rows(handle, grid, value_cols, rows)
+@contextlib.contextmanager
+def _text_file(target: TextIO | str | os.PathLike, mode: str):
+    """Text handle on target for mode "r" or "w".  An open handle passes
+    through and stays open; a path is opened for "r", or for "w" written to
+    a new sibling that replaces the path only if the body succeeds."""
+    if not isinstance(target, (str, os.PathLike)):
+        yield target
         return
+    if mode == "r":
+        with open(target, "r", newline="") as handle:
+            yield handle
+        return
+    path = os.fspath(target)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:  # 0o666 less the umask: the mode open(path, "w") gives a new file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # name the target, not its temporary sibling
+        raise
+    try:
+        with os.fdopen(fd, "w", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_json(doc, out: TextIO | str | os.PathLike) -> None:
+    """doc as indented JSON and a final newline."""
+    with _text_file(out, "w") as handle:
+        json.dump(doc, handle, indent=2)
+        handle.write("\n")
+
+
+def _write_cell_rows(out: TextIO | str | os.PathLike, grid: Grid,
+                     value_cols: list, rows: Iterable) -> None:
+    """Header, then per cell in row-major order its indices and its row."""
     index_cols = [f"index_axis{a}" for a in range(grid.dims)]
-    out.write(",".join(index_cols + value_cols) + "\n")
-    for multi, row in zip(np.ndindex(*grid.shape), rows):
-        out.write(",".join([*map(str, multi), *row]) + "\n")
+    with _text_file(out, "w") as handle:
+        handle.write(",".join(index_cols + value_cols) + "\n")
+        for multi, row in zip(np.ndindex(*grid.shape), rows):
+            handle.write(",".join([*map(str, multi), *row]) + "\n")
 
 
-def write_field_csv(f: ComplexField | ScalarField, out: TextIO | str) -> None:
+def write_field_csv(f: ComplexField | ScalarField, out: TextIO | str | os.PathLike) -> None:
     """Write a field in the package CSV format (complex fields add value_im)."""
     flat = f.values.reshape(-1).tolist()
     if np.iscomplexobj(f.values):
@@ -182,7 +223,7 @@ def write_field_csv(f: ComplexField | ScalarField, out: TextIO | str) -> None:
         _write_cell_rows(out, f.grid, ["value_re"], ((_fmt(v),) for v in flat))
 
 
-def read_field_csv(src: TextIO | str,
+def read_field_csv(src: TextIO | str | os.PathLike,
                    spacing: Optional[Sequence[float]] = None,
                    origin: Optional[Sequence[float]] = None,
                    time_stamp: float = 0.0) -> ComplexField | ScalarField:
@@ -193,37 +234,37 @@ def read_field_csv(src: TextIO | str,
     the largest index per axis.  Returns a ComplexField when a value_im
     column is present, else a ScalarField.
     """
-    if isinstance(src, str):
-        with open(src, "r", newline="") as handle:
-            return read_field_csv(handle, spacing=spacing, origin=origin,
-                                  time_stamp=time_stamp)
-    header = src.readline().strip()
-    if not header:
-        raise ValueError("empty field CSV")
-    columns = header.split(",")
-    dims = sum(1 for c in columns if c.startswith("index_axis"))
-    is_complex = "value_im" in columns
-    expected = [f"index_axis{a}" for a in range(dims)] + ["value_re"]
-    if is_complex:
-        expected.append("value_im")
-    if columns != expected:
-        raise ValueError(f"unexpected field CSV header: {header!r}")
-    indices: list = []
-    values: list = []
-    line_nos: list = []
-    for line_no, line in enumerate(src, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise ValueError(f"line {line_no}: expected {len(columns)} columns")
-        indices.append(tuple(int(p) for p in parts[:dims]))
-        line_nos.append(line_no)
+    with _text_file(src, "r") as handle:
+        header = handle.readline().strip()
+        if not header:
+            raise ValueError("empty field CSV")
+        columns = header.split(",")
+        dims = sum(1 for c in columns if c.startswith("index_axis"))
+        is_complex = "value_im" in columns
+        expected = [f"index_axis{a}" for a in range(dims)] + ["value_re"]
         if is_complex:
-            values.append(complex(float(parts[dims]), float(parts[dims + 1])))
-        else:
-            values.append(float(parts[dims]))
+            expected.append("value_im")
+        if columns != expected:
+            raise ValueError(f"unexpected field CSV header: {header!r}")
+        indices: list = []
+        values: list = []
+        line_nos: list = []
+        for line_no, line in enumerate(handle, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(columns):
+                raise ValueError(f"line {line_no}: expected {len(columns)} columns")
+            try:
+                indices.append(tuple(int(p) for p in parts[:dims]))
+                if is_complex:
+                    values.append(complex(float(parts[dims]), float(parts[dims + 1])))
+                else:
+                    values.append(float(parts[dims]))
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+            line_nos.append(line_no)
     if not indices:
         raise ValueError("field CSV holds no cells")
     n = len(indices)  # no axis of an n-cell field is longer than n cells

@@ -16,16 +16,16 @@ so a_i is its frequency nu and m v_i / h its wavenumber k.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .constants import CODATA2018, PhysicalConstants
 from .dispersion import FreeParticle, modified_wavenumber_free
+from .fields import _text_file, _write_json
 
 __all__ = [
     "DiffractionRecord",
@@ -157,44 +157,39 @@ def read_records_csv(path_or_file: str | os.PathLike | IO[str]) -> list[Diffract
     """Read records from CSV: header voltage_volts,wavelength_meters.
 
     Lines starting with '#' are comments.  Malformed input raises
-    ValueError naming the offending line number.
+    ValueError naming the source and the offending line number.
     """
-    if hasattr(path_or_file, "read"):
-        return _read_records(path_or_file, getattr(path_or_file, "name", "<stream>"))
-    with open(path_or_file, "r", newline="") as fh:
-        return _read_records(fh, str(path_or_file))
-
-
-def _read_records(fh: Iterable[str], name: str) -> list[DiffractionRecord]:
     records: list[DiffractionRecord] = []
     header_seen = False
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != RECORDS_CSV_HEADER:
+    with _text_file(path_or_file, "r") as fh:
+        name = getattr(fh, "name", "<stream>")
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not header_seen:
+                if line != RECORDS_CSV_HEADER:
+                    raise ValueError(
+                        f"{name}:{lineno}: expected header '{RECORDS_CSV_HEADER}', "
+                        f"got '{line}'"
+                    )
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
                 raise ValueError(
-                    f"{name}:{lineno}: expected header '{RECORDS_CSV_HEADER}', "
-                    f"got '{line}'"
+                    f"{name}:{lineno}: expected 2 comma-separated fields, "
+                    f"got {len(parts)}"
                 )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(
-                f"{name}:{lineno}: expected 2 comma-separated fields, "
-                f"got {len(parts)}"
-            )
-        try:
-            voltage = float(parts[0])
-            wavelength = float(parts[1])
-        except ValueError:
-            raise ValueError(f"{name}:{lineno}: non-numeric field in '{line}'") from None
-        try:
-            records.append(DiffractionRecord(voltage, wavelength))
-        except ValueError as exc:
-            raise ValueError(f"{name}:{lineno}: {exc}") from None
+            try:
+                voltage = float(parts[0])
+                wavelength = float(parts[1])
+            except ValueError:
+                raise ValueError(f"{name}:{lineno}: non-numeric field in '{line}'") from None
+            try:
+                records.append(DiffractionRecord(voltage, wavelength))
+            except ValueError as exc:
+                raise ValueError(f"{name}:{lineno}: {exc}") from None
     if not header_seen:
         raise ValueError(f"{name}: no header line found")
     return records
@@ -214,14 +209,7 @@ def fit_result_to_dict(result: FitResult) -> dict:
 
 def write_fit_json(result: FitResult, path_or_file: str | os.PathLike | IO[str]) -> None:
     """Write the fit result as a JSON document."""
-    doc = fit_result_to_dict(result)
-    if hasattr(path_or_file, "write"):
-        json.dump(doc, path_or_file, indent=2)
-        path_or_file.write("\n")
-        return
-    with open(path_or_file, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(fit_result_to_dict(result), path_or_file)
 
 
 def synthesize_records(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -96,7 +97,7 @@ def infinite_speed_limit(grid: Grid, t: float,
     return local_time(zero, t, front_tol)
 
 
-def write_localtime_csv(f: LocalTimeField, out: TextIO | str) -> None:
+def write_localtime_csv(f: LocalTimeField, out: TextIO | str | os.PathLike) -> None:
     """Rows ``indices..., theta, class`` with class in {N, F, P}."""
     rows = ((_fmt(theta), "NFP"[code]) for theta, code
             in zip(f.theta.reshape(-1).tolist(), f.classes.reshape(-1).tolist()))

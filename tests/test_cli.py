@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
 import tempfile
@@ -672,6 +673,13 @@ def test_dispersion_requires_speed_choice(capsys):
     assert "--vp" in capsys.readouterr().err
 
 
+def test_dispersion_rejects_vp_with_classical(capsys):
+    assert main(["dispersion", "--vp", "1e8", "--classical", "--voltage", "54"]) == 2
+    captured = capsys.readouterr()
+    assert "--classical" in captured.err and "--vp" in captured.err
+    assert captured.out == ""
+
+
 def test_dispersion_requires_particles(capsys):
     assert main(["dispersion", "--vp", "1.3e8"]) == 2
     assert "--voltage" in capsys.readouterr().err
@@ -713,6 +721,20 @@ def test_fit_data_roundtrip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["v_p_fitted_m_per_s"] == pytest.approx(1.1e8, rel=1e-6)
+
+
+def test_fit_data_out_needs_generate(tmp_path, capsys):
+    out = tmp_path / "rec.csv"
+    assert main(["fit", "--use-bundled", "--data-out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--data-out" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_prints_the_bytes_it_writes(tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--use-bundled", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_fit_malformed_csv_names_line(tmp_path, capsys):
@@ -772,6 +794,17 @@ def test_fit_bundled_dataset(capsys):
 
 
 # --- compare -----------------------------------------------------------------------
+
+def test_compare_output_mode_follows_the_umask(tmp_path, capsys):
+    out = tmp_path / "layers.csv"
+    old = os.umask(0o022)
+    try:
+        assert main(["compare", "--use-bundled", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    assert list(tmp_path.iterdir()) == [out]
+
 
 def test_compare_layers_and_summary(tmp_path, capsys):
     out = tmp_path / "layers.csv"

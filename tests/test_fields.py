@@ -189,6 +189,16 @@ def test_csv_rejects_bad_indices(text, line, what):
         read_field_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("text, line, token", [
+    (ONE_AXIS + "0,1.0\n1.0,2.0\n", 3, "'1.0'"),
+    (ONE_AXIS + "0,abc\n1,2.0\n", 2, "'abc'"),
+    ("index_axis0,value_re,value_im\n0,1.0,2.0\n1,3.0,4.0j\n", 3, "'4.0j'"),
+])
+def test_csv_parse_errors_name_the_line(text, line, token):
+    with pytest.raises(ValueError, match=f"^line {line}: .*{token}"):
+        read_field_csv(io.StringIO(text))
+
+
 def test_csv_file_roundtrip(tmp_path):
     g = Grid((2, 2), (1.0, 1.0))
     f = ComplexField(g, np.array([[1, 2j], [3, 4 + 4j]]))
