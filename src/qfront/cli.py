@@ -241,7 +241,6 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     first = 0 if args.save_every > 0 else max(int(first), 0)
     solution = propagate_classical(initial, problem, args.n_steps,
                                    history_window=max(args.n_steps + 1 - first, 2))
-    times = solution.times
 
     outputs: list[str] = []
 
@@ -282,7 +281,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         "final_norm": l2_norm_squared(solution.snapshots[-1]),
         "max_norm_drift": solution.norm_drift(),
         "retained_snapshots": len(solution.snapshots),
-        "retained_time_range": [float(times[0]), float(times[-1])],
+        "retained_time_range": solution.times[[0, -1]].tolist(),
         "outputs": outputs,
     }
     _write_json(manifest, manifest_path)
@@ -419,26 +418,26 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.data_out and not args.generate:
         raise UsageError("--data-out needs --generate")
     records = _load_records(args)
+    try:
+        result = fit_vp(records)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    if args.curves and result.clamped_to_classical:
+        raise UsageError(
+            "--curves: fit clamped to the classical limit, curve B "
+            "coincides with curve A; nothing informative to write"
+        )
     if args.data_out:
         with _text_file(args.data_out, "w") as fh:
             fh.write(RECORDS_CSV_HEADER + "\n")
             for rec in records:
                 fh.write(f"{rec.voltage:.17g},{rec.wavelength_exp:.17g}\n")
         print(f"wrote {args.data_out}", file=sys.stderr)
-    try:
-        result = fit_vp(records)
-    except ValueError as exc:
-        raise UsageError(str(exc))
     write_fit_json(result, sys.stdout)
     if args.out:
         write_fit_json(result, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     if args.curves:
-        if result.clamped_to_classical:
-            raise UsageError(
-                "--curves: fit clamped to the classical limit, curve B "
-                "coincides with curve A; nothing informative to write"
-            )
         _write_layers(args.curves, records, result, args.curve_points)
         print(f"wrote {args.curves}", file=sys.stderr)
     return 0

@@ -81,22 +81,29 @@ class SourceSpec:
 
 @dataclass(frozen=True, eq=False)
 class TraveltimeField:
-    """Solved traveltime t_P per cell plus the speed it was solved with."""
+    """Solved traveltime t_P per cell plus the speed it was solved with: a
+    speed > 0 (inf allowed), a ScalarField of them, or None if unknown."""
 
     grid: Grid
     t_P: np.ndarray = field(repr=False)
-    v_P: Speed = 1.0
+    v_P: Optional[Speed] = 1.0
 
     def __post_init__(self):
         t_P = _as_grid_array(self.grid, self.t_P, np.float64)
         if np.any(t_P < 0.0) or np.any(np.isnan(t_P)):
             raise ValueError("t_P must be non-negative")
         object.__setattr__(self, "t_P", t_P)
+        if isinstance(self.v_P, ScalarField):
+            _require_grid_shape("v_P", self.v_P.grid.shape, self.grid.shape)
+        if self.v_P is not None and not self.min_speed() > 0.0:
+            raise ValueError(f"v_P must be > 0 (inf allowed), got {self.min_speed()}")
 
     def max_traveltime(self) -> float:
         return float(np.max(self.t_P))
 
     def min_speed(self) -> float:
+        if self.v_P is None:
+            raise ValueError("v_P is None: the traveltime field carries no front speed")
         v = self.v_P.values if isinstance(self.v_P, ScalarField) else self.v_P
         return float(np.min(v))
 
@@ -266,5 +273,5 @@ def cone_error(tt: TraveltimeField, source: SourceSpec,
     beyond = cells > exclude_cells
     if not beyond.any():
         raise ValueError(f"no cell lies beyond {exclude_cells} cells of the source")
-    exact = dist[beyond] / tt.v_P
+    exact = dist[beyond] / tt.min_speed()
     return float(np.max(np.abs(tt.t_P[beyond] - exact) / exact))

@@ -54,7 +54,7 @@ _BICGSTAB_RTOL = 1e-13
 _BICGSTAB_MAXITER = 500
 
 # A time within _TIME_MATCH_RTOL * dt of a whole step is that step's
-# snapshot time (absorbs round-off in t, t_P and start_time + k*dt).
+# snapshot time (absorbs round-off in t, t_P and the step times).
 _TIME_MATCH_RTOL = 1e-9
 
 
@@ -127,6 +127,11 @@ def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
+def _require_axis(grid: Grid, axis: int) -> None:
+    if not 0 <= axis < grid.dims:
+        raise ValueError(f"axis {axis} out of range for {grid.dims}-d grid")
+
+
 def _hard_wall_normalized(grid: Grid, values: np.ndarray) -> ComplexField:
     """values, zeroed in place on the boundary cell layer, at unit L2 norm."""
     values[_boundary_mask(grid.shape)] = 0.0
@@ -134,18 +139,6 @@ def _hard_wall_normalized(grid: Grid, values: np.ndarray) -> ComplexField:
     if norm == 0.0:
         raise ValueError("state vanishes on the grid interior")
     return ComplexField(grid, values / norm)
-
-
-def _require_valid_state(state: ComplexField, problem: QuantumProblem) -> None:
-    _require_grid_shape("state", state.grid.shape, problem.grid.shape)
-    if not np.all(np.isfinite(state.values)):
-        raise ValueError("state contains non-finite values")
-    mask = _boundary_mask(state.grid.shape)
-    if np.any(state.values[mask] != 0.0):
-        raise ValueError(
-            "state does not vanish on the boundary cell layer; the stepper "
-            "assumes hard-wall (fixed zero) boundaries"
-        )
 
 
 def _require_lapack_success(routine: str, info: int) -> None:
@@ -228,28 +221,21 @@ class _Stepper:
 
 
 def step_classical(state: ComplexField, problem: QuantumProblem) -> ComplexField:
-    """Advance a state by one CN step of problem.dt.
-
-    The state must live on the problem grid and vanish on the boundary
-    cell layer.  The returned field carries time_stamp advanced by dt.
-    """
-    _require_valid_state(state, problem)
-    new_values = np.zeros_like(state.values)
-    _Stepper(problem).step(state.values, new_values)
-    return ComplexField(problem.grid, new_values, state.time_stamp + problem.dt)
+    """One CN step of problem.dt, time_stamp advanced by dt: the last state
+    of a one-step propagate_classical run, which checks the state."""
+    return propagate_classical(state, problem, 1).snapshots[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class ClassicalSolution:
-    """A run of CN states at uniform spacing problem.dt, kept in a ring buffer.
+    """A run of CN states at uniform spacing problem.dt, oldest first.
 
     history has shape (rows, *grid.shape) and holds the retained tail of
-    the run: the state at global step k, for first_step <= k <
-    first_step + rows, is row k % rows and belongs to time start_time +
-    k * problem.dt.  A read-only complex128 array is kept as it is; any
-    other array is copied and frozen.  initial_norm is the squared L2
-    norm at step 0, kept so norm drift stays checkable after early steps
-    have left the window.
+    the run: row i is the state at global step first_step + i, at time
+    _time(i).  A read-only complex128 array is kept as it is; any other
+    array is copied and frozen.  initial_norm is the squared L2 norm at
+    step 0, kept so norm drift stays checkable after early steps have
+    left the window.
     """
 
     problem: QuantumProblem
@@ -272,24 +258,26 @@ class ClassicalSolution:
         if self.first_step < 0 or not math.isfinite(self.start_time):
             raise ValueError("first_step must be >= 0 and start_time finite")
 
+    def _time(self, row):
+        """Time of history row (an int or an integer array)."""
+        return self.start_time + (self.first_step + row) * self.problem.dt
+
     @property
     def times(self) -> np.ndarray:
-        steps = self.first_step + np.arange(len(self.history))
-        return self.start_time + steps * self.problem.dt
+        return self._time(np.arange(len(self.history)))
 
     @property
     def snapshots(self) -> "_Snapshots":
         """The retained states oldest first; each read copies one row."""
         return _Snapshots(self)
 
-    def _snapshot(self, step: int) -> ComplexField:
-        row = self.history[step % len(self.history)]
-        return ComplexField(self.problem.grid, row, self.start_time + step * self.problem.dt)
+    def _snapshot(self, row: int) -> ComplexField:
+        return ComplexField(self.problem.grid, self.history[row], self._time(row))
 
     def _locate(self, t: float, local: np.ndarray | None = None, exact=False, margin=0):
-        """_step_weights of each time (t, or local if given).  Every time
-        must lie in the retained window less margin steps at each end;
-        exact also requires snapshot times.
+        """_step_weights of each time (t, or local if given), as history rows.
+        Every time must lie in the retained window less margin rows at each
+        end; exact also requires snapshot times.
         """
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
@@ -305,7 +293,7 @@ class ClassicalSolution:
             )
         if exact and np.any(weight != 0.0):
             raise HistoryWindowError(f"t={t} is not a retained snapshot time")
-        return step.astype(np.int64), weight
+        return (step - self.first_step).astype(np.int64), weight
 
     def norm_drift(self) -> float:
         """Largest relative deviation of any retained norm from step 0."""
@@ -314,8 +302,7 @@ class ClassicalSolution:
 
     def snapshot_at(self, t: float) -> ComplexField:
         """The retained snapshot whose time matches t to round-off."""
-        step, _ = self._locate(t, exact=True)
-        return self._snapshot(int(step))
+        return self._snapshot(int(self._locate(t, exact=True)[0]))
 
 
 @dataclass(frozen=True)
@@ -328,11 +315,10 @@ class _Snapshots(Sequence):
         return len(self.solution.history)
 
     def __getitem__(self, index):
-        first = self.solution.first_step
-        steps = range(first, first + len(self))[index]
-        if isinstance(steps, range):
-            return tuple(self.solution._snapshot(k) for k in steps)
-        return self.solution._snapshot(steps)
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return tuple(self.solution._snapshot(i) for i in rows)
+        return self.solution._snapshot(rows)
 
 
 def propagate_classical(
@@ -341,7 +327,7 @@ def propagate_classical(
     n_steps: int,
     history_window: int | None = None,
 ) -> ClassicalSolution:
-    """Run n_steps CN steps, retaining the last history_window states.
+    """Run n_steps CN steps, retaining the last history_window states oldest first.
 
     history_window=None keeps all n_steps + 1 states.  A retarded
     evaluation at global time t needs every state back to t - max(t_P),
@@ -355,24 +341,33 @@ def propagate_classical(
             f"history_window must be at least 2 to bracket any local time, "
             f"got {history_window}"
         )
-    _require_valid_state(initial, problem)
+    _require_grid_shape("state", initial.grid.shape, problem.grid.shape)
+    if not np.all(np.isfinite(initial.values)):
+        raise ValueError("state contains non-finite values")
+    if np.any(initial.values[_boundary_mask(problem.grid.shape)] != 0.0):
+        raise ValueError(
+            "state does not vanish on the boundary cell layer; the stepper "
+            "assumes hard-wall (fixed zero) boundaries"
+        )
     initial_norm = l2_norm_squared(initial)
     if initial_norm == 0.0:
         raise ValueError("initial state has zero norm")
 
     rows = n_steps + 1 if history_window is None else min(history_window, n_steps + 1)
+    first = n_steps + 1 - rows
     # Zero-filled: the stepper writes interiors only, so boundaries stay 0.
+    # Step k goes to row (k - first) % rows, so the kept steps end oldest first.
     history = np.zeros((rows, *problem.grid.shape), dtype=np.complex128)
-    history[0] = initial.values
+    history[-first % rows] = initial.values
     stepper = _Stepper(problem)
     for k in range(1, n_steps + 1):
-        stepper.step(history[(k - 1) % rows], history[k % rows])
+        stepper.step(history[(k - 1 - first) % rows], history[(k - first) % rows])
     history.flags.writeable = False
     return ClassicalSolution(
         problem=problem,
         history=history,
         initial_norm=initial_norm,
-        first_step=n_steps + 1 - rows,
+        first_step=first,
         start_time=initial.time_stamp,
     )
 
@@ -397,14 +392,12 @@ def evaluate_modified(
     reached = theta >= 0.0
     # Unreached points look up the oldest retained time; their values are
     # overwritten with zero below.
-    oldest = solution.start_time + solution.first_step * solution.problem.dt
-    step, w = solution._locate(t, np.where(reached, theta, oldest))
+    row, w = solution._locate(t, np.where(reached, theta, solution._time(0)))
 
-    rows = len(solution.history)
-    flat = solution.history.reshape(rows, -1)
+    flat = solution.history.reshape(len(solution.history), -1)
     cols = np.arange(grid.n_cells)
-    lower = flat[step % rows, cols]
-    upper = flat[(step + (w > 0.0)) % rows, cols]  # the last step has no successor
+    lower = flat[row, cols]
+    upper = flat[row + (w > 0.0), cols]  # the last row has no successor
     # Exact hits bypass the blend so snapshot hits are bit-identical.
     mixed = np.where(w == 0.0, lower, (1.0 - w) * lower + w * upper)
     out = np.where(reached, mixed, 0.0 + 0.0j).reshape(grid.shape)
@@ -424,12 +417,12 @@ def difference_estimate(
     window; the retarded lookup additionally needs history back to
     t - max(t_P).  Both fields vanish together as t_P goes to zero.
     """
-    k = int(solution._locate(t, exact=True, margin=1)[0])
-    history, rows, dt = solution.history, len(solution.history), solution.problem.dt
-    dpsi_dt = (history[(k + 1) % rows] - history[(k - 1) % rows]) / (2.0 * dt)
+    i = int(solution._locate(t, exact=True, margin=1)[0])
+    before, now, after = solution.history[i - 1 : i + 2]
+    dpsi_dt = (after - before) / (2.0 * solution.problem.dt)
     predicted = np.abs(dpsi_dt) * traveltime.t_P
-    modified = evaluate_modified(solution, traveltime, solution.start_time + k * dt)
-    actual = np.abs(history[k % rows] - modified.values)
+    modified = evaluate_modified(solution, traveltime, solution._time(i))
+    actual = np.abs(now - modified.values)
     grid = solution.problem.grid
     return ScalarField(grid, actual), ScalarField(grid, predicted)
 
@@ -466,8 +459,7 @@ def make_plane_wave(
     times, stacked with np.stack, form a ClassicalSolution history without
     running the stepper.
     """
-    if not 0 <= axis < grid.dims:
-        raise ValueError(f"axis {axis} out of range for {grid.dims}-d grid")
+    _require_axis(grid, axis)
     x = grid.coordinate_arrays()[axis]
     values = np.exp(2.0j * np.pi * (wavenumber * x - nu * t))
     return ComplexField(grid, values, t)
@@ -499,6 +491,7 @@ def gaussian_packet(
         raise ValueError(f"width must be positive and finite, got {width}")
     if not math.isfinite(wavenumber):
         raise ValueError(f"wavenumber must be finite, got {wavenumber}")
+    _require_axis(grid, axis)
     coords = grid.coordinate_arrays()
     r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, center))
     values = np.exp(-r2 / (4.0 * width**2)).astype(np.complex128)

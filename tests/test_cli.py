@@ -761,6 +761,21 @@ def test_fit_clamped_reports_null(tmp_path, capsys):
     ) == 2
 
 
+def test_fit_clamped_with_curves_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "classical.csv"
+    records = synthesize_records(10, math.inf, seed=4)
+    with open(data, "w") as fh:
+        fh.write(RECORDS_CSV_HEADER + "\n")
+        for rec in records:
+            fh.write(f"{rec.voltage:.17g},{rec.wavelength_exp * 1.001:.17g}\n")
+    out = tmp_path / "f.json"
+    assert main(["fit", "--data", str(data), "--out", str(out),
+                 "--curves", str(tmp_path / "c.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--curves: fit clamped" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["classical.csv"]
+
+
 @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
 def test_fit_generate_rejects_bad_noise(capsys, noise):
     assert main(["fit", "--generate", "n=5", f"noise={noise}"]) == 2
@@ -883,6 +898,14 @@ def test_readme_command_parses(argv):
         build_parser().parse_args(argv)
     except SystemExit:
         pytest.fail(f"README command does not parse: qfront {' '.join(argv)}")
+
+
+def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
+    # Each command may read what an earlier one wrote, as a reader would run them.
+    monkeypatch.chdir(tmp_path)
+    for argv in readme_commands():
+        assert main(argv) == 0, f"README command failed: qfront {' '.join(argv)}"
+        capsys.readouterr()
 
 
 # --- imports -----------------------------------------------------------------------

@@ -89,6 +89,38 @@ def test_traveltime_field_rejects_complex():
         TraveltimeField(g, np.array([0.0, 1.0 + 1.0j, 0.5, 2.0]), 1.0)
 
 
+@pytest.mark.parametrize("v_p", [0.0, -1.0, math.nan, -math.inf])
+def test_traveltime_field_rejects_a_speed_not_above_zero(v_p):
+    g = Grid((4,), (1.0,))
+    with pytest.raises(ValueError, match=r"v_P must be > 0 \(inf allowed\), got"):
+        TraveltimeField(g, np.zeros(4), v_p)
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
+def test_traveltime_field_rejects_a_speed_field_with_a_value_not_above_zero(bad):
+    g = Grid((4,), (1.0,))
+    with pytest.raises(ValueError, match="v_P must be > 0"):
+        TraveltimeField(g, np.zeros(4), ScalarField(g, [1.0, bad, 2.0, math.inf]))
+
+
+def test_traveltime_field_rejects_a_speed_field_off_the_grid():
+    g = Grid((4,), (1.0,))
+    speed = ScalarField(Grid((5,), (1.0,)), np.ones(5))
+    with pytest.raises(ValueError, match=r"^v_P shape \(5,\) does not match grid shape \(4,\)$"):
+        TraveltimeField(g, np.zeros(4), speed)
+
+
+def test_traveltime_field_speed_may_be_infinite_or_unknown():
+    g = Grid((4,), (1.0,))
+    assert TraveltimeField(g, np.zeros(4), math.inf).min_speed() == math.inf
+    unknown = TraveltimeField(g, np.zeros(4), None)
+    with pytest.raises(ValueError, match="v_P is None"):
+        unknown.min_speed()
+    with pytest.raises(ValueError, match="v_P is None"):
+        eikonal_cone_error(TraveltimeField(Grid((9,), (1.0,)), np.arange(9.0), None),
+                           SourceSpec([(0,)]))
+
+
 def test_speed_field_shape_mismatch_names_both_shapes():
     g = Grid((4, 4), (1.0, 1.0))
     speed = ScalarField(Grid((4, 5), (1.0, 1.0)), np.ones((4, 5)))

@@ -69,6 +69,12 @@ def test_default_front_tol_uses_min_speed_of_field():
     assert default_front_tol(tt) == 1.0 / (2.0 * 0.5)
 
 
+def test_default_front_tol_names_a_missing_speed():
+    tt = TraveltimeField(Grid((4,), (1.0,)), np.zeros(4), v_P=None)
+    with pytest.raises(ValueError, match="v_P is None"):
+        local_time(tt, 1.0)
+
+
 def test_infinite_speed_limit_all_perturbed():
     g = Grid((3, 3), (1.0, 1.0))
     lt = infinite_speed_limit(g, t=0.7)

@@ -61,6 +61,12 @@ def test_step_requires_zero_boundary():
         step_classical(state, prob)
 
 
+def test_step_rejects_zero_norm_state():
+    prob = free_problem(16)
+    with pytest.raises(ValueError, match="zero norm"):
+        step_classical(ComplexField(prob.grid, np.zeros(16)), prob)
+
+
 def test_step_requires_matching_grid():
     prob = free_problem(16)
     other = Grid((17,), (1.0 / 16,))
@@ -100,6 +106,15 @@ def test_gaussian_packet_rejects_non_finite_or_bad_parameters(center, width, wav
     g = Grid((32,), (1.0 / 31,))
     with pytest.raises(ValueError, match="center|width|wavenumber"):
         gaussian_packet(g, center, width, wavenumber)
+
+
+@pytest.mark.parametrize("axis", [2, -1])
+def test_packet_and_plane_wave_reject_an_axis_off_the_grid(axis):
+    g = Grid((8, 8), (0.1, 0.1))
+    with pytest.raises(ValueError, match=rf"^axis {axis} out of range for 2-d grid$"):
+        gaussian_packet(g, (0.35, 0.35), 0.1, 1.0, axis=axis)
+    with pytest.raises(ValueError, match=rf"^axis {axis} out of range for 2-d grid$"):
+        make_plane_wave(g, 1.0, 1.0, 0.0, axis=axis)
 
 
 def test_states_vanishing_on_the_interior_are_rejected():
@@ -342,6 +357,26 @@ def test_snapshot_view_reads_the_ring_in_time_order():
         view[4]
 
 
+def test_hand_built_history_reads_row_i_as_step_first_step_plus_i():
+    # Rows 0..4 are plane-wave states at steps 3..7 of a run from t0; a
+    # row order keyed on step % rows would read them rotated.
+    nu, k, dt, t0, first = 2.0, 3.0, 0.01, 0.25, 3
+    g = Grid((9,), (1.0 / 8,))
+    prob = QuantumProblem(g, ScalarField(g, np.zeros(9)), 1.0, dt, NAT)
+    waves = [make_plane_wave(g, nu, k, t0 + s * dt) for s in range(first, first + 5)]
+    sol = ClassicalSolution(prob, np.stack([w.values for w in waves]), initial_norm=1.0,
+                            first_step=first, start_time=t0)
+    assert [s.time_stamp for s in sol.snapshots] == [w.time_stamp for w in waves]
+    assert list(sol.times) == [w.time_stamp for w in waves]
+    for snap, wave in zip(sol.snapshots, waves):
+        assert np.array_equal(snap.values, wave.values)
+    assert np.array_equal(sol.snapshot_at(t0 + 5 * dt).values, waves[2].values)
+    # Delays of j % 5 whole steps at step 7 read row 4 - j % 5 of cell j.
+    tt = TraveltimeField(g, np.arange(9) % 5 * dt, 1.0)
+    mod = evaluate_modified(sol, tt, t0 + 7 * dt)
+    assert np.array_equal(mod.values, [waves[4 - j % 5].values[j] for j in range(9)])
+
+
 def test_writeable_history_is_copied():
     prob = free_problem(16)
     values = np.ones((2, 16), dtype=complex)
@@ -371,6 +406,7 @@ def test_windowed_run_is_the_tail_of_the_full_run_property(n_steps, window, two_
     rows = min(window, n_steps + 1)
     assert len(tail.snapshots) == rows
     assert tail.first_step == n_steps + 1 - rows
+    assert tail.history.tobytes() == full.history[tail.first_step:].tobytes()
     assert np.array_equal(tail.times, full.times[-rows:])
     for a, b in zip(tail.snapshots, full.snapshots[-rows:]):
         assert a.time_stamp == b.time_stamp
