@@ -6,109 +6,49 @@ of the instantaneous Schrodinger equation with retarded (local-time)
 evaluation behind the front, closed-form modified de Broglie dispersion
 relations, and least-squares recovery of the front speed from electron
 diffraction records.
+
+Names resolve on first use (PEP 562), so ``import qfront`` loads no
+submodule, and tabulating dispersion or fitting records imports neither
+numpy nor scipy.
 """
 
-from .constants import CODATA2018, PhysicalConstants, natural_units
-from .dispersion import (
-    FreeParticle,
-    WavelengthRegime,
-    WavePhaseDecomposition,
-    modified_group_velocity,
-    modified_phase_velocity,
-    modified_wavenumber_free,
-    modified_wavenumber_general,
-    wavelength_regime,
-)
-from .eikonal import SourceSpec, TraveltimeField, front_mask, solve_traveltime
-from .fields import (
-    ComplexField,
-    Grid,
-    ScalarField,
-    l2_norm_squared,
-    read_field_csv,
-    write_field_csv,
-)
-from .fit import (
-    DiffractionRecord,
-    FitResult,
-    derive_kinematics,
-    fit_vp,
-    model_curves,
-    read_records_csv,
-    synthesize_records,
-    write_fit_json,
-)
-from .localtime import (
-    LocalTimeField,
-    RegionClass,
-    infinite_speed_limit,
-    local_time,
-    write_localtime_csv,
-)
-from .schrodinger import (
-    ClassicalSolution,
-    ConvergenceError,
-    HistoryWindowError,
-    QuantumProblem,
-    StationaryState,
-    box_eigenmode,
-    difference_estimate,
-    evaluate_modified,
-    gaussian_packet,
-    make_plane_wave,
-    propagate_classical,
-    stationary_modified_wavefunction,
-    step_classical,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CODATA2018",
-    "PhysicalConstants",
-    "natural_units",
-    "Grid",
-    "ScalarField",
-    "ComplexField",
-    "l2_norm_squared",
-    "read_field_csv",
-    "write_field_csv",
-    "SourceSpec",
-    "TraveltimeField",
-    "solve_traveltime",
-    "front_mask",
-    "LocalTimeField",
-    "RegionClass",
-    "local_time",
-    "infinite_speed_limit",
-    "write_localtime_csv",
-    "QuantumProblem",
-    "ClassicalSolution",
-    "StationaryState",
-    "ConvergenceError",
-    "HistoryWindowError",
-    "step_classical",
-    "propagate_classical",
-    "evaluate_modified",
-    "difference_estimate",
-    "stationary_modified_wavefunction",
-    "make_plane_wave",
-    "gaussian_packet",
-    "box_eigenmode",
-    "WavePhaseDecomposition",
-    "FreeParticle",
-    "WavelengthRegime",
-    "modified_wavenumber_general",
-    "modified_wavenumber_free",
-    "modified_phase_velocity",
-    "modified_group_velocity",
-    "wavelength_regime",
-    "DiffractionRecord",
-    "FitResult",
-    "derive_kinematics",
-    "fit_vp",
-    "model_curves",
-    "read_records_csv",
-    "write_fit_json",
-    "synthesize_records",
-]
+_EXPORTS = {
+    "constants": ("CODATA2018", "PhysicalConstants", "natural_units"),
+    "fields": ("Grid", "ScalarField", "ComplexField", "l2_norm_squared",
+               "read_field_csv", "write_field_csv"),
+    "eikonal": ("SourceSpec", "TraveltimeField", "solve_traveltime", "front_mask"),
+    "localtime": ("LocalTimeField", "RegionClass", "local_time",
+                  "infinite_speed_limit", "write_localtime_csv"),
+    "schrodinger": ("QuantumProblem", "ClassicalSolution", "StationaryState",
+                    "ConvergenceError", "HistoryWindowError", "step_classical",
+                    "propagate_classical", "evaluate_modified", "difference_estimate",
+                    "stationary_modified_wavefunction", "make_plane_wave",
+                    "gaussian_packet", "box_eigenmode"),
+    "dispersion": ("WavePhaseDecomposition", "FreeParticle", "WavelengthRegime",
+                   "modified_wavenumber_general", "modified_wavenumber_free",
+                   "modified_phase_velocity", "modified_group_velocity",
+                   "wavelength_regime"),
+    "fit": ("DiffractionRecord", "FitResult", "derive_kinematics", "fit_vp",
+            "model_curves", "read_records_csv", "write_fit_json", "synthesize_records"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines name, on first use only."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """The module's names and every public name, imported or not."""
+    return sorted({*globals(), *__all__})

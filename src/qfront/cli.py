@@ -14,9 +14,7 @@ import math
 import os
 import sys
 from importlib import resources
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .constants import CODATA2018
 from .dispersion import (
@@ -24,17 +22,6 @@ from .dispersion import (
     modified_group_velocity,
     modified_phase_velocity,
     modified_wavenumber_free,
-)
-from .eikonal import SourceSpec, TraveltimeField, cone_error, solve_traveltime
-from .fields import (
-    ComplexField,
-    Grid,
-    ScalarField,
-    _text_file,
-    _write_json,
-    l2_norm_squared,
-    read_field_csv,
-    write_field_csv,
 )
 from .fit import (
     derive_kinematics,
@@ -45,17 +32,12 @@ from .fit import (
     write_fit_json,
     RECORDS_CSV_HEADER,
 )
-from .localtime import local_time, write_localtime_csv
-from .schrodinger import (
-    ConvergenceError,
-    HistoryWindowError,
-    QuantumProblem,
-    _step_weights,
-    difference_estimate,
-    evaluate_modified,
-    gaussian_packet,
-    propagate_classical,
-)
+from .textfile import _text_file, _write_json
+
+# The grid commands import numpy, scipy and the modules built on them when
+# they run, so dispersion, fit and compare load the stdlib alone.
+if TYPE_CHECKING:
+    from .fields import ComplexField, Grid
 
 __all__ = ["main"]
 
@@ -90,13 +72,15 @@ def _front_speed(text: str) -> float:
 
 
 def _curve_points(text: str) -> int:
-    """--curve-points: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got '{text}'")
+    """--curve-points: an integer >= 2, since a curve needs two ends."""
+    if not text.isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got '{text}'")
     return int(text)
 
 
 def _build_grid(args: argparse.Namespace) -> Grid:
+    from .fields import Grid
+
     shape = _parse_ints(args.shape, "--shape")
     spacing = _parse_floats(args.spacing, "--spacing")
     origin = _parse_floats(args.origin, "--origin") if args.origin else None
@@ -115,6 +99,8 @@ def _require_input_path(path: str, flag: str) -> str:
 def _read_grid_field(path: str, flag: str, grid: Grid, build: Callable):
     """build(grid, values), e.g. ScalarField, on the field CSV at path read on
     the grid of --shape; a ValueError from reading or building names flag."""
+    from .fields import read_field_csv
+
     _require_input_path(path, flag)
     try:
         raw = read_field_csv(path, spacing=grid.spacing, origin=grid.origin)
@@ -130,6 +116,11 @@ def _read_grid_field(path: str, flag: str, grid: Grid, build: Callable):
 # --- eikonal ----------------------------------------------------------------
 
 def cmd_eikonal(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .eikonal import SourceSpec, cone_error, solve_traveltime
+    from .fields import ScalarField, write_field_csv
+
     grid = _build_grid(args)
     sources = [_parse_ints(s, "--source") for s in args.source]
     try:
@@ -168,6 +159,9 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
 # --- propagate --------------------------------------------------------------
 
 def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
+    from .fields import ComplexField
+    from .schrodinger import gaussian_packet
+
     if args.initial is not None:
         return _read_grid_field(args.initial, "--initial", grid, ComplexField)
     if args.gaussian_center is None or args.gaussian_width is None:
@@ -187,6 +181,14 @@ def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .eikonal import TraveltimeField
+    from .fields import ScalarField, l2_norm_squared, write_field_csv
+    from .localtime import local_time, write_localtime_csv
+    from .schrodinger import (QuantumProblem, _step_weights, difference_estimate,
+                              evaluate_modified, propagate_classical)
+
     a8 = args.mode == "compare-a8"
     if args.n_steps < 2 * a8:
         raise UsageError(f"--n-steps must be >= {2 * a8} in mode {args.mode}, got {args.n_steps}")
@@ -406,7 +408,9 @@ def _write_layers(path: str, records, result, curve_points: int) -> None:
         v, k_exp = derive_kinematics(rec)
         vs.append(v)
         rows.append(f"points,{v:.17g},{k_exp:.17g}")
-    curves = model_curves(np.linspace(0.0, 1.05 * max(vs), curve_points),
+    stop = 1.05 * max(vs)
+    step = stop / (curve_points - 1)  # the points of np.linspace(0, stop, curve_points)
+    curves = model_curves([i * step for i in range(curve_points - 1)] + [stop],
                           result.v_p_fitted)
     rows.extend(f"curveA,{v:.17g},{k_cl:.17g}" for v, k_cl, _ in curves)
     rows.extend(f"curveB,{v:.17g},{k_mod:.17g}" for v, _, k_mod in curves)
@@ -603,6 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stepper_errors() -> tuple:
+    """HistoryWindowError and ConvergenceError once a command has imported the
+    stepper; before that nothing can have raised them."""
+    stepper = sys.modules.get(f"{__package__}.schrodinger")
+    return (stepper.HistoryWindowError, stepper.ConvergenceError) if stepper else ()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -614,7 +625,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HistoryWindowError, ConvergenceError) as exc:
+    except _stepper_errors() as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -47,7 +47,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .fields import Grid, ScalarField, _as_grid_array, _require_grid_shape
+from .fields import Grid, ScalarField, _as_grid_array, _integers, _require_grid_shape
 
 __all__ = ["SourceSpec", "TraveltimeField", "solve_traveltime", "front_mask",
            "cone_error"]
@@ -66,7 +66,7 @@ class SourceSpec:
     cells: tuple
 
     def __init__(self, cells: Sequence):
-        cells = tuple(tuple(int(i) for i in np.atleast_1d(c)) for c in cells)
+        cells = tuple(_integers(c, "source cell") for c in cells)
         if not cells:
             raise ValueError("source must contain at least one cell")
         object.__setattr__(self, "cells", cells)
@@ -255,11 +255,14 @@ def cone_error(tt: TraveltimeField, source: SourceSpec,
     For a uniform speed the exact first arrival is the distance to the
     nearest source cell divided by v_P.  Cells within ``exclude_cells``
     cells (index distance) of any source are skipped, since the relative
-    error's denominator vanishes there.  A ScalarField speed has no
-    analytic cone and raises ValueError.
+    error's denominator vanishes there, so ``exclude_cells`` must be
+    finite and >= 0.  A ScalarField speed has no analytic cone and raises
+    ValueError.
     """
     if isinstance(tt.v_P, ScalarField):
         raise ValueError("the analytic cone needs a uniform speed")
+    if not 0.0 <= exclude_cells < math.inf:
+        raise ValueError(f"exclude_cells must be finite and >= 0, got {exclude_cells}")
     grid = tt.grid
     source.validate_against(grid)
     index = np.ogrid[tuple(slice(0, n) for n in grid.shape)]

@@ -11,22 +11,22 @@ each cell carries the volume ``prod(spacing)``.
 Fields are immutable snapshots: the value arrays are copied on construction
 and marked read-only, so instances can be shared freely between threads.
 
-Every reader and writer of the package takes a path (``str`` or
-``os.PathLike``) or an open text handle.  A handle is used as is and left
-open; a path write goes to a temporary sibling that replaces the path only
-once the whole file is written, so a failure leaves the old file or none.
+The CSV reader and writers open their files through
+:func:`qfront.textfile._text_file`: a path or an open text handle.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
+
+from .textfile import _text_file
 
 __all__ = [
     "Grid",
@@ -36,6 +36,15 @@ __all__ = [
     "write_field_csv",
     "read_field_csv",
 ]
+
+
+def _integers(values, name: str) -> tuple:
+    """values, one or a sequence, as a tuple of ints; an entry that is not an
+    integer to operator.index, such as 10.7 or "10", is an error naming name."""
+    try:
+        return tuple(operator.index(v) for v in np.atleast_1d(values))
+    except TypeError:
+        raise ValueError(f"{name} must hold integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class Grid:
 
     def __init__(self, shape: Sequence[int], spacing: Sequence[float],
                  origin: Optional[Sequence[float]] = None):
-        shape = tuple(int(n) for n in np.atleast_1d(shape))
+        shape = _integers(shape, "shape")
         spacing = tuple(float(s) for s in np.atleast_1d(spacing))
         if origin is None:
             origin = (0.0,) * len(shape)
@@ -163,64 +172,24 @@ def l2_norm_squared(f: ComplexField | ScalarField,
 #   index_axis0[,index_axis1[,index_axis2]],value_re[,value_im]
 # LF line endings, '.' decimal point, 17 significant digits.
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-@contextlib.contextmanager
-def _text_file(target: TextIO | str | os.PathLike, mode: str):
-    """Text handle on target for mode "r" or "w".  An open handle passes
-    through and stays open; a path is opened for "r", or for "w" written to
-    a new sibling that replaces the path only if the body succeeds."""
-    if not isinstance(target, (str, os.PathLike)):
-        yield target
-        return
-    if mode == "r":
-        with open(target, "r", newline="") as handle:
-            yield handle
-        return
-    path = os.fspath(target)
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:  # 0o666 less the umask: the mode open(path, "w") gives a new file
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        exc.filename = path  # name the target, not its temporary sibling
-        raise
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(doc, out: TextIO | str | os.PathLike) -> None:
-    """doc as indented JSON and a final newline."""
-    with _text_file(out, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-
-
 def _write_cell_rows(out: TextIO | str | os.PathLike, grid: Grid,
-                     value_cols: list, rows: Iterable) -> None:
+                     value_cols: list, rows: Iterable[str]) -> None:
     """Header, then per cell in row-major order its indices and its row."""
     index_cols = [f"index_axis{a}" for a in range(grid.dims)]
+    cells = itertools.product(*([*map(str, range(n))] for n in grid.shape))
     with _text_file(out, "w") as handle:
         handle.write(",".join(index_cols + value_cols) + "\n")
-        for multi, row in zip(np.ndindex(*grid.shape), rows):
-            handle.write(",".join([*map(str, multi), *row]) + "\n")
+        handle.writelines(f"{','.join(cell)},{row}\n" for cell, row in zip(cells, rows))
 
 
 def write_field_csv(f: ComplexField | ScalarField, out: TextIO | str | os.PathLike) -> None:
     """Write a field in the package CSV format (complex fields add value_im)."""
     flat = f.values.reshape(-1).tolist()
     if np.iscomplexobj(f.values):
-        rows = ((_fmt(v.real), _fmt(v.imag)) for v in flat)
+        rows = (f"{v.real:.17g},{v.imag:.17g}" for v in flat)
         _write_cell_rows(out, f.grid, ["value_re", "value_im"], rows)
     else:
-        _write_cell_rows(out, f.grid, ["value_re"], ((_fmt(v),) for v in flat))
+        _write_cell_rows(out, f.grid, ["value_re"], (f"{v:.17g}" for v in flat))
 
 
 def read_field_csv(src: TextIO | str | os.PathLike,

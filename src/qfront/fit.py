@@ -21,11 +21,9 @@ import os
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-import numpy as np
-
 from .constants import CODATA2018, PhysicalConstants
 from .dispersion import FreeParticle, modified_wavenumber_free
-from .fields import _text_file, _write_json
+from .textfile import _text_file, _write_json
 
 __all__ = [
     "DiffractionRecord",
@@ -103,11 +101,11 @@ def derive_kinematics(
 
 def _design_arrays(
     records: Sequence[DiffractionRecord], constants: PhysicalConstants
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float]]:
     """Per-record slope a_i = nu_i = m v_i^2/(2h) and residual r_i = k_exp,i - k_i."""
     electrons = [FreeParticle.electron_from_voltage(r.voltage, constants) for r in records]
-    a = np.array([e.nu for e in electrons])
-    r = np.array([1.0 / rec.wavelength_exp - e.k for rec, e in zip(records, electrons)])
+    a = [e.nu for e in electrons]
+    r = [1.0 / rec.wavelength_exp - e.k for rec, e in zip(records, electrons)]
     return a, r
 
 
@@ -115,17 +113,20 @@ def fit_vp(
     records: Sequence[DiffractionRecord],
     constants: PhysicalConstants = CODATA2018,
 ) -> FitResult:
-    """Closed-form least-squares fit of the front speed over beta = 1/v_P >= 0."""
+    """Closed-form least-squares fit of the front speed over beta = 1/v_P >= 0.
+
+    Sums are math.fsum of the rounded terms, so they do not depend on the
+    order of the records."""
     if len(records) < 2:
         raise ValueError(f"need at least 2 records to fit, got {len(records)}")
     a, r = _design_arrays(records, constants)
-    beta = float(np.dot(a, r) / np.dot(a, a))
+    beta = math.fsum(x * y for x, y in zip(a, r)) / math.fsum(x * x for x in a)
     clamped = beta <= 0.0
     if clamped:
         beta = 0.0
-    residuals = r - a * beta
-    variance_modified = float(np.mean(residuals**2))
-    variance_classical = float(np.mean(r**2))
+    residuals = [y - x * beta for x, y in zip(a, r)]
+    variance_modified = math.fsum(e * e for e in residuals) / len(records)
+    variance_classical = math.fsum(y * y for y in r) / len(records)
     if clamped:
         variance_modified = variance_classical
     return FitResult(
@@ -229,6 +230,8 @@ def synthesize_records(
     by Gaussian noise of relative width noise_relative, reproducibly
     seeded.
     """
+    import numpy as np
+
     if voltages is None:
         if n_records < 2:
             raise ValueError(f"need at least 2 records, got {n_records}")

@@ -18,7 +18,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .eikonal import TraveltimeField
-from .fields import Grid, _as_grid_array, _fmt, _write_cell_rows
+from .fields import Grid, _as_grid_array, _write_cell_rows
 
 __all__ = [
     "RegionClass",
@@ -99,6 +99,6 @@ def infinite_speed_limit(grid: Grid, t: float,
 
 def write_localtime_csv(f: LocalTimeField, out: TextIO | str | os.PathLike) -> None:
     """Rows ``indices..., theta, class`` with class in {N, F, P}."""
-    rows = ((_fmt(theta), "NFP"[code]) for theta, code
+    rows = (f"{theta:.17g},{'NFP'[code]}" for theta, code
             in zip(f.theta.reshape(-1).tolist(), f.classes.reshape(-1).tolist()))
     _write_cell_rows(out, f.grid, ["theta", "class"], rows)

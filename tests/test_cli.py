@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfront
+import qfront.schrodinger
 from qfront.cli import build_parser, main
 from qfront.constants import CODATA2018
 from qfront.eikonal import TraveltimeField
 from qfront.fields import ComplexField, Grid, ScalarField, read_field_csv, write_field_csv
 from qfront.fit import RECORDS_CSV_HEADER, synthesize_records
 from qfront.schrodinger import (
+    ConvergenceError,
+    HistoryWindowError,
     QuantumProblem,
     difference_estimate,
     evaluate_modified,
@@ -642,6 +645,25 @@ def test_propagate_needs_an_interior_cell_on_every_axis(tmp_path, capsys, shape,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("error, code", [(ConvergenceError, 1), (HistoryWindowError, 1),
+                                         (RuntimeError, None)],
+                         ids=["ConvergenceError", "HistoryWindowError", "RuntimeError"])
+def test_stepper_failures_exit_1_and_nothing_wider_is_caught(tmp_path, monkeypatch, capsys,
+                                                              error, code):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(qfront.schrodinger, "propagate_classical", fail)
+    argv = ["propagate", *GRID_1D, "--gaussian-center", "0.5", "--gaussian-width", "0.05",
+            "--mass", "1", "--dt", "1e-4", "--n-steps", "2", "--out-prefix", str(tmp_path / "p")]
+    if code is None:
+        with pytest.raises(RuntimeError, match="injected"):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err == "runtime error: injected\n"
+
+
 # --- dispersion --------------------------------------------------------------------
 
 def test_dispersion_table_54v(capsys):
@@ -785,12 +807,13 @@ def test_fit_generate_rejects_bad_noise(capsys, noise):
 
 
 @pytest.mark.parametrize("subcommand", ["fit", "compare"])
-@pytest.mark.parametrize("points", ["0", "-3", "2.5"])
+@pytest.mark.parametrize("points", ["0", "1", "-3", "2.5"])
 def test_curve_points_must_be_a_positive_integer(tmp_path, capsys, subcommand, points):
+    # A curve needs two ends: one point would draw curveA,0,0 and curveB,0,0.
     out = tmp_path / "layers.csv"
     flag = "--curves" if subcommand == "fit" else "--out"
     assert main([subcommand, "--use-bundled", "--curve-points", points, flag, str(out)]) == 2
-    assert "--curve-points: must be an integer >= 1" in capsys.readouterr().err
+    assert "--curve-points: must be an integer >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -913,16 +936,39 @@ def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("statement", [
     "import qfront",
     "from qfront.cli import main; assert main(['fit', '--use-bundled']) == 0",
+    "from qfront.cli import main; assert main(['fit', '--data', 'records.csv']) == 0",
+    "from qfront.cli import main; assert main(['dispersion', '--vp', '1.3e8', "
+    "'--voltage', '54']) == 0",
+    "from qfront.cli import main; assert main(['compare', '--use-bundled', "
+    "'--out', 'layers.csv']) == 0",
 ])
 def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, statement):
-    # Only the Crank-Nicolson stepper needs scipy; importing qfront or
-    # fitting the bundled data must not pay for scipy.sparse.
+    # Only the grid commands need numpy, and only the Crank-Nicolson stepper
+    # scipy; importing qfront, tabulating dispersion or fitting records pays
+    # for neither, which pytest, having numpy loaded, would not show.
+    bundled = Path(qfront.__file__).parent / "data" / "davisson_germer.csv"
+    (tmp_path / "records.csv").write_bytes(bundled.read_bytes())
+    run = _fresh_python(tmp_path, f"import sys; {statement}; "
+                        "print('scipy.sparse' in sys.modules, 'numpy' in sys.modules)")
+    assert run.stdout.splitlines()[-1] == "False False"
+
+
+def test_fresh_process_resolves_every_public_name(tmp_path):
+    run = _fresh_python(tmp_path, """if True:
+        import qfront
+        names = {}
+        exec("from qfront import *", names)
+        for name in qfront.__all__:
+            assert names[name] is getattr(qfront, name), name
+        assert not hasattr(qfront, "no_such_name")
+        print(len(qfront.__all__), qfront.solve_traveltime.__module__)""")
+    assert run.stdout.split() == ["47", "qfront.eikonal"]
+
+
+def _fresh_python(cwd: Path, code: str) -> subprocess.CompletedProcess:
+    """code run by a new interpreter in cwd, importing qfront from this tree."""
     src = str(Path(qfront.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; {statement}; print('scipy.sparse' in sys.modules)"],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
-    assert run.stdout.splitlines()[-1] == "False"
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)

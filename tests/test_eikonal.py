@@ -121,6 +121,32 @@ def test_traveltime_field_speed_may_be_infinite_or_unknown():
                            SourceSpec([(0,)]))
 
 
+@pytest.mark.parametrize("cell", [(1.7, 2.2), (1, 2.0), ("1", 2)])
+def test_source_spec_rejects_non_integer_indices(cell):
+    # int() used to truncate (1.7, 2.2) to the cell (1, 2).
+    with pytest.raises(ValueError, match="source cell must hold integers"):
+        SourceSpec([cell])
+
+
+def test_source_spec_takes_numpy_integers():
+    assert SourceSpec([np.array([3, 4])]).cells == ((3, 4),)
+
+
+@pytest.mark.parametrize("exclude", [-1.0, -0.5, math.nan, math.inf])
+def test_cone_error_rejects_exclude_cells_below_zero_or_not_finite(exclude):
+    # A negative radius took the sources in, where the relative error is 0/0.
+    g = Grid((9,), (1.0,))
+    tt = solve_traveltime(g, SourceSpec([(4,)]), 1.0)
+    with pytest.raises(ValueError, match="exclude_cells must be finite and >= 0"):
+        eikonal_cone_error(tt, SourceSpec([(4,)]), exclude_cells=exclude)
+
+
+def test_cone_error_excluding_no_cell_skips_only_the_sources():
+    g = Grid((9,), (1.0,))
+    tt = solve_traveltime(g, SourceSpec([(4,)]), 1.0)
+    assert eikonal_cone_error(tt, SourceSpec([(4,)]), exclude_cells=0.0) == 0.0
+
+
 def test_speed_field_shape_mismatch_names_both_shapes():
     g = Grid((4, 4), (1.0, 1.0))
     speed = ScalarField(Grid((4, 5), (1.0, 1.0)), np.ones((4, 5)))

@@ -54,6 +54,17 @@ def test_grid_rejects_bad_geometry(shape, spacing):
         Grid(shape, spacing)
 
 
+@pytest.mark.parametrize("shape", [(10.7,), (10.0,), (4, 4.5), ("10",)])
+def test_grid_rejects_non_integer_shape(shape):
+    # int() used to truncate (10.7,) to 10 cells.
+    with pytest.raises(ValueError, match="shape must hold integers"):
+        Grid(shape, (1.0,) * len(shape))
+
+
+def test_grid_takes_numpy_integer_shape():
+    assert Grid(np.array([4, 3]), (1.0, 1.0)).shape == (4, 3)
+
+
 @pytest.mark.parametrize("origin", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
 def test_grid_rejects_non_finite_origin(origin):
     with pytest.raises(ValueError, match="origin must be finite"):

@@ -1,7 +1,6 @@
 """Every public reader and writer takes a path or a handle, and path writes are atomic."""
 
 import io
-import itertools
 import os
 import stat
 
@@ -67,17 +66,19 @@ def test_every_reader_takes_a_path_or_a_handle(tmp_path, name, kind):
     assert got == read(io.StringIO(text))
 
 
-def _fail_on_second_format(monkeypatch, module):
-    """Make module._fmt raise on its second call, after one row is written."""
-    calls = itertools.count()
-    real = module._fmt
+def _fail_on_second_row(monkeypatch, module):
+    """Make module's rows raise at the second row, after one row is written."""
+    real = qfront.fields._write_cell_rows
 
-    def fmt(x):
-        if next(calls) == 1:
-            raise RuntimeError("injected write failure")
-        return real(x)
+    def write(out, grid, value_cols, rows):
+        def failing():
+            for i, row in enumerate(rows):
+                if i == 1:
+                    raise RuntimeError("injected write failure")
+                yield row
+        real(out, grid, value_cols, failing())
 
-    monkeypatch.setattr(module, "_fmt", fmt)
+    monkeypatch.setattr(module, "_write_cell_rows", write)
 
 
 def _fail_in_json(monkeypatch):
@@ -87,8 +88,8 @@ def _fail_in_json(monkeypatch):
 
 
 FAILURES = {
-    "write_field_csv": lambda mp: _fail_on_second_format(mp, qfront.fields),
-    "write_localtime_csv": lambda mp: _fail_on_second_format(mp, qfront.localtime),
+    "write_field_csv": lambda mp: _fail_on_second_row(mp, qfront.fields),
+    "write_localtime_csv": lambda mp: _fail_on_second_row(mp, qfront.localtime),
     "write_fit_json": _fail_in_json,
 }
 

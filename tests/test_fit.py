@@ -1,12 +1,15 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qfront.fit
 from qfront.constants import CODATA2018
+from qfront.dispersion import FreeParticle
 from qfront.fit import (
     RECORDS_CSV_HEADER,
     DiffractionRecord,
@@ -125,6 +128,47 @@ def test_nesting_invariant_property(seed, noise, v_p):
     records = synthesize_records(10, v_p, noise_relative=noise, seed=seed)
     result = fit_vp(records)
     assert result.variance_modified <= result.variance_classical * (1.0 + 1e-9)
+
+
+# --- arithmetic oracle: the numpy formula fit_vp had before math.fsum ---------------
+
+BUNDLED = read_records_csv(Path(qfront.fit.__file__).parent / "data" / "davisson_germer.csv")
+
+
+def _numpy_fit(records):
+    """(v_P, variance_modified, variance_classical, residuals, r) by np.dot
+    and np.mean, r_i = k_exp,i - k_i being the classical residuals."""
+    electrons = [FreeParticle.electron_from_voltage(rec.voltage) for rec in records]
+    a = np.array([e.nu for e in electrons])
+    r = np.array([1.0 / rec.wavelength_exp - e.k for rec, e in zip(records, electrons)])
+    beta = max(float(np.dot(a, r) / np.dot(a, a)), 0.0)
+    residuals = r - a * beta
+    v_p = math.inf if beta == 0.0 else 1.0 / beta
+    return v_p, float(np.mean(residuals**2)), float(np.mean(r**2)), residuals, r
+
+
+def test_fit_agrees_with_the_numpy_formula_over_300_seeds():
+    # At the bundled design: its 16 voltages, 4% noise in k, v_P = 1.3e8 m/s.
+    voltages = [rec.voltage for rec in BUNDLED]
+    for seed in range(300):
+        records = synthesize_records(0, V_P_TRUE, noise_relative=0.04, seed=seed,
+                                     voltages=voltages)
+        got = fit_vp(records)
+        v_p, var_mod, var_cl, residuals, r = _numpy_fit(records)
+        assert got.clamped_to_classical == math.isinf(v_p)
+        assert got.v_p_fitted == pytest.approx(v_p, rel=1e-13, abs=0)
+        assert got.variance_modified == pytest.approx(var_mod, rel=1e-13, abs=0)
+        assert got.variance_classical == pytest.approx(var_cl, rel=1e-13, abs=0)
+        assert np.max(np.abs(np.array(got.residuals) - residuals)) <= 1e-13 * np.max(np.abs(r))
+        assert got.variance_modified <= got.variance_classical
+
+
+def test_bundled_fit_is_bit_identical_to_the_numpy_formula():
+    got = fit_vp(BUNDLED)
+    v_p, var_mod, var_cl, residuals, _ = _numpy_fit(BUNDLED)
+    assert (got.v_p_fitted, got.variance_modified, got.variance_classical) == (
+        v_p, var_mod, var_cl)
+    assert got.residuals == tuple(residuals.tolist())
 
 
 def test_fit_result_rejects_broken_nesting():
