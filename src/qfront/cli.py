@@ -2,14 +2,20 @@
 
 All quantities cross this boundary in SI units (meters, seconds, kg, Hz,
 volts); the dispersion table adds a wavelength display column in angstrom.
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  Every output
-file goes through the package writers, which write a temporary sibling
-and rename it into place, so failures leave no partial files behind.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.  argparse checks
+each flag value by its type and the either/or flags by required groups,
+and prints "argument --flag: ...".  A value found bad later raises
+ValueError, which _flag prefixes with the flags at fault (a rule that
+spans flags names them itself) and main prints as "error: ...".  Every
+output file goes through the package writers, which write a temporary
+sibling and rename it into place, so failures leave no partial files
+behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -42,75 +48,67 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    """Bad arguments or malformed input; maps to exit code 2."""
+def _numbers(kind: type) -> Callable[[str], tuple]:
+    """argparse type: comma-separated kind (int or float) values, e.g. 201,201."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(p) for p in text.split(","))
+
+    # argparse reports a ValueError as "invalid <__name__> value: '<text>'".
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _number(kind: type, rule: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """argparse type: text as kind (int or float) where ok(value) holds;
+    otherwise, and for text that is no kind, "must be {rule}"."""
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # ok() fails on NaN
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got '{text}'")
+        return value
+
+    return parse
+
+
+# --vp in m/s: 0, negatives and NaN fail and inf is the classical limit.
+_FRONT_SPEED = _number(float, "a number > 0", lambda v: v > 0.0)
+_POSITIVE_FINITE = _number(float, "positive and finite", lambda v: 0.0 < v < math.inf)
+
+
+@contextlib.contextmanager
+def _flag(names: str):
+    """Prefix a ValueError raised in the block with names, the flags at fault."""
     try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got '{text}'")
-
-
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated integers, got '{text}'")
-
-
-def _front_speed(text: str) -> float:
-    """--vp in m/s: a number > 0, so 0, negatives and NaN fail and inf passes."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be a number > 0, got '{text}'")
-    return value
-
-
-def _curve_points(text: str) -> int:
-    """--curve-points: an integer >= 2, since a curve needs two ends."""
-    if not text.isdecimal() or int(text) < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got '{text}'")
-    return int(text)
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{names}: {exc}") from None
 
 
 def _build_grid(args: argparse.Namespace) -> Grid:
     from .fields import Grid
 
-    shape = _parse_ints(args.shape, "--shape")
-    spacing = _parse_floats(args.spacing, "--spacing")
-    origin = _parse_floats(args.origin, "--origin") if args.origin else None
-    try:
-        return Grid(shape, spacing, origin)
-    except ValueError as exc:
-        raise UsageError(f"--shape/--spacing/--origin: {exc}")
+    with _flag("--shape/--spacing/--origin"):
+        return Grid(args.shape, args.spacing, args.origin)
 
 
-def _require_input_path(path: str, flag: str) -> str:
+def _require_input_path(path: str) -> None:
     if not os.path.exists(path):
-        raise UsageError(f"{flag}: no such file: {path}")
-    return path
+        raise ValueError(f"no such file: {path}")
 
 
-def _read_grid_field(path: str, flag: str, grid: Grid, build: Callable):
+def _read_grid_field(path: str, grid: Grid, build: Callable):
     """build(grid, values), e.g. ScalarField, on the field CSV at path read on
-    the grid of --shape; a ValueError from reading or building names flag."""
+    the grid of --shape."""
     from .fields import read_field_csv
 
-    _require_input_path(path, flag)
-    try:
-        raw = read_field_csv(path, spacing=grid.spacing, origin=grid.origin)
-        if raw.grid.shape != grid.shape:
-            raise ValueError(
-                f"file shape {raw.grid.shape} does not match --shape {grid.shape}"
-            )
-        return build(grid, raw.values)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}")
+    _require_input_path(path)
+    raw = read_field_csv(path, spacing=grid.spacing, origin=grid.origin)
+    if raw.grid.shape != grid.shape:
+        raise ValueError(f"file shape {raw.grid.shape} does not match --shape {grid.shape}")
+    return build(grid, raw.values)
 
 
 # --- eikonal ----------------------------------------------------------------
@@ -122,36 +120,29 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
     from .fields import ScalarField, write_field_csv
 
     grid = _build_grid(args)
-    sources = [_parse_ints(s, "--source") for s in args.source]
-    try:
-        source = SourceSpec(sources)
+    with _flag("--source"):
+        source = SourceSpec(args.source)
         source.validate_against(grid)
-    except ValueError as exc:
-        raise UsageError(f"--source: {exc}")
 
+    speed = args.speed
     if args.speed_csv is not None:
-        speed = _read_grid_field(args.speed_csv, "--speed-csv", grid, ScalarField)
-        if not np.all((0.0 < speed.values) & (speed.values < math.inf)):
-            raise UsageError("--speed-csv: speeds must be positive and finite everywhere")
-    else:
-        if args.speed is None:
-            raise UsageError("provide --speed METERS_PER_SECOND or --speed-csv FILE")
-        if not 0.0 < args.speed < math.inf:
-            raise UsageError(f"--speed must be positive and finite, got {args.speed}")
-        speed = args.speed
+        with _flag("--speed-csv"):
+            speed = _read_grid_field(args.speed_csv, grid, ScalarField)
+            if not np.all((0.0 < speed.values) & (speed.values < math.inf)):
+                raise ValueError("speeds must be positive and finite everywhere")
 
-    tt = solve_traveltime(
-        grid, source, speed, source_ball_radius=args.source_ball_radius
-    )
+    # Grid, source and speed are checked, so only the radius is left to fail.
+    with _flag("--source-ball-radius"):
+        tt = solve_traveltime(
+            grid, source, speed, source_ball_radius=args.source_ball_radius
+        )
     write_field_csv(ScalarField(grid, tt.t_P), args.out)
     print(f"wrote {args.out}")
     print(f"t_P range: [{tt.t_P.min():.6e}, {tt.max_traveltime():.6e}] s")
 
     if args.verify_analytic:
-        try:
+        with _flag("--verify-analytic"):
             err = cone_error(tt, source, exclude_cells=5.0)
-        except ValueError as exc:
-            raise UsageError(f"--verify-analytic: {exc}")
         print(f"max relative error vs analytic cone (beyond 5 cells): {err:.4%}")
     return 0
 
@@ -160,23 +151,21 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
 
 def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
     from .fields import ComplexField
-    from .schrodinger import gaussian_packet
+    from .schrodinger import _initial_norm, gaussian_packet
 
     if args.initial is not None:
-        return _read_grid_field(args.initial, "--initial", grid, ComplexField)
+        with _flag("--initial"):
+            state = _read_grid_field(args.initial, grid, ComplexField)
+            _initial_norm(state, grid)
+        return state
     if args.gaussian_center is None or args.gaussian_width is None:
-        raise UsageError(
+        raise ValueError(
             "provide an initial state: --initial FILE, or --gaussian-center "
             "and --gaussian-width"
         )
-    center = _parse_floats(args.gaussian_center, "--gaussian-center")
-    try:
+    with _flag("--gaussian-center/--gaussian-width/--gaussian-carrier"):
         return gaussian_packet(
-            grid, center, args.gaussian_width, args.gaussian_carrier
-        )
-    except ValueError as exc:
-        raise UsageError(
-            f"--gaussian-center/--gaussian-width/--gaussian-carrier: {exc}"
+            grid, args.gaussian_center, args.gaussian_width, args.gaussian_carrier
         )
 
 
@@ -186,52 +175,53 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     from .eikonal import TraveltimeField
     from .fields import ScalarField, l2_norm_squared, write_field_csv
     from .localtime import local_time, write_localtime_csv
-    from .schrodinger import (QuantumProblem, _step_weights, difference_estimate,
-                              evaluate_modified, propagate_classical)
+    from .schrodinger import (QuantumProblem, _require_finite, _step_weights,
+                              difference_estimate, evaluate_modified, propagate_classical)
 
     a8 = args.mode == "compare-a8"
     if args.n_steps < 2 * a8:
-        raise UsageError(f"--n-steps must be >= {2 * a8} in mode {args.mode}, got {args.n_steps}")
+        raise ValueError(f"--n-steps must be >= {2 * a8} in mode {args.mode}, got {args.n_steps}")
     if args.save_every < 0:
-        raise UsageError(f"--save-every must be >= 0, got {args.save_every}")
+        raise ValueError(f"--save-every must be >= 0, got {args.save_every}")
     grid = _build_grid(args)
     if args.mode == "classical":
         if args.traveltime is not None:
-            raise UsageError("--traveltime is not used in mode classical")
+            raise ValueError("--traveltime is not used in mode classical")
     elif args.traveltime is None:
-        raise UsageError(f"--traveltime is required for mode {args.mode}")
+        raise ValueError(f"--traveltime is required for mode {args.mode}")
     if args.localtime_out is not None:
         if args.mode != "modified":
-            raise UsageError(f"--localtime-out needs mode modified, not {args.mode}")
+            raise ValueError(f"--localtime-out needs mode modified, not {args.mode}")
         if args.vp is None:
-            raise UsageError("--localtime-out needs the front speed --vp METERS_PER_SECOND")
+            raise ValueError("--localtime-out needs the front speed --vp METERS_PER_SECOND")
 
     if args.potential is not None:
-        potential = _read_grid_field(args.potential, "--potential", grid, ScalarField)
+        with _flag("--potential"):
+            potential = _read_grid_field(args.potential, grid, ScalarField)
+            _require_finite("potential", potential.values)
     else:
         potential = ScalarField(grid, np.zeros(grid.shape))
 
-    try:
+    with _flag("--shape/--mass/--dt"):
         problem = QuantumProblem(grid, potential, args.mass, args.dt)
-    except ValueError as exc:
-        raise UsageError(f"--shape/--mass/--dt: {exc}")
     initial = _initial_state(args, grid)
 
     tt = None
     if args.traveltime is not None:
-        tt = _read_grid_field(args.traveltime, "--traveltime", grid,
-                              lambda g, t_P: TraveltimeField(g, t_P, args.vp))
+        with _flag("--traveltime"):
+            tt = _read_grid_field(args.traveltime, grid,
+                                  lambda g, t_P: TraveltimeField(g, t_P, args.vp))
 
     # compare-a8 differentiates across the evaluation step, so it evaluates
     # at a step with a predecessor and, by default, at the last with a successor.
     last_step = args.n_steps - a8
     eval_time = last_step * args.dt if args.eval_time is None else args.eval_time
     if not math.isfinite(eval_time):
-        raise UsageError(f"--eval-time must be finite, got {eval_time}")
+        raise ValueError(f"--eval-time must be finite, got {eval_time}")
     first, weight = _step_weights(eval_time, 0.0, args.dt)
     exact = args.mode != "modified"
     if not (a8 <= first and first + (weight > 0) <= last_step and not (exact and weight)):
-        raise UsageError(
+        raise ValueError(
             f"--eval-time must be a {'step ' * exact}time in [{a8 * args.dt}, "
             f"{last_step * args.dt}] s in mode {args.mode}, got {eval_time}"
         )
@@ -315,19 +305,11 @@ _DISPERSION_COLUMNS = (
 def cmd_dispersion(args: argparse.Namespace) -> int:
     v_p = math.inf if args.classical else args.vp
     if not args.voltage and not args.speed:
-        raise UsageError("provide at least one --voltage or --speed")
+        raise ValueError("provide at least one --voltage or --speed")
 
-    particles: list[tuple[str, FreeParticle]] = []
-    for voltage in args.voltage or ():
-        try:
-            electron = FreeParticle.electron_from_voltage(voltage)
-        except ValueError as exc:
-            raise UsageError(f"--voltage: {exc}")
-        particles.append((f"{voltage:g}", electron))
-    for speed in args.speed or ():
-        if not 0.0 < speed < math.inf:
-            raise UsageError(f"--speed must be positive and finite, got {speed}")
-        particles.append(("-", FreeParticle(CODATA2018.m_e, speed)))
+    particles = [(f"{voltage:g}", FreeParticle.electron_from_voltage(voltage))
+                 for voltage in args.voltage or ()]
+    particles += [("-", FreeParticle(CODATA2018.m_e, speed)) for speed in args.speed or ()]
 
     print(" ".join(f"{c:>14s}" for c in _DISPERSION_COLUMNS))
     for label, p in particles:
@@ -361,43 +343,31 @@ def _generated_records(pairs: Sequence[str]):
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or key not in _GENERATE_KEYS:
-            raise UsageError(
-                f"--generate: expected key=value with key in "
+            raise ValueError(
+                f"expected key=value with key in "
                 f"{'/'.join(_GENERATE_KEYS)}, got '{pair}'"
             )
-        try:
-            params[key] = float(value) if key != "seed" and key != "n" else int(value)
-        except ValueError:
-            raise UsageError(f"--generate: bad number in '{pair}'")
-    try:
-        return synthesize_records(
-            params["n"],
-            params["vP"],
-            voltage_range=(params["vmin"], params["vmax"]),
-            noise_relative=params["noise"],
-            seed=params["seed"],
-        )
-    except ValueError as exc:
-        raise UsageError(f"--generate: {exc}")
+        params[key] = float(value) if key != "seed" and key != "n" else int(value)
+    return synthesize_records(
+        params["n"],
+        params["vP"],
+        voltage_range=(params["vmin"], params["vmax"]),
+        noise_relative=params["noise"],
+        seed=params["seed"],
+    )
 
 
 def _load_records(args: argparse.Namespace):
-    given = sum(
-        1 for x in (args.data, args.generate, args.use_bundled) if x
-    )
-    if given != 1:
-        raise UsageError("provide exactly one of --data, --generate, --use-bundled")
     if args.generate:
-        return _generated_records(args.generate)
+        with _flag("--generate"):
+            return _generated_records(args.generate)
     if args.use_bundled:
         path = resources.files("qfront.data") / "davisson_germer.csv"
         with resources.as_file(path) as concrete:
             return read_records_csv(concrete)
-    _require_input_path(args.data, "--data")
-    try:
+    with _flag("--data"):
+        _require_input_path(args.data)
         return read_records_csv(args.data)
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 def _write_layers(path: str, records, result, curve_points: int) -> None:
@@ -420,14 +390,11 @@ def _write_layers(path: str, records, result, curve_points: int) -> None:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.data_out and not args.generate:
-        raise UsageError("--data-out needs --generate")
+        raise ValueError("--data-out needs --generate")
     records = _load_records(args)
-    try:
-        result = fit_vp(records)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    result = fit_vp(records)
     if args.curves and result.clamped_to_classical:
-        raise UsageError(
+        raise ValueError(
             "--curves: fit clamped to the classical limit, curve B "
             "coincides with curve A; nothing informative to write"
         )
@@ -449,10 +416,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     records = _load_records(args)
-    try:
-        result = fit_vp(records)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    result = fit_vp(records)
     if args.vp is not None:
         from dataclasses import replace
 
@@ -460,7 +424,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             result, v_p_fitted=args.vp, clamped_to_classical=math.isinf(args.vp)
         )
     if math.isinf(result.v_p_fitted):
-        raise UsageError(
+        raise ValueError(
             "fit clamped to the classical limit; pass a finite --vp to "
             "draw curve B anyway"
         )
@@ -478,23 +442,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # --- parser -----------------------------------------------------------------
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shape", required=True,
+    p.add_argument("--shape", type=_numbers(int), required=True,
                    help="comma-separated cells per axis, e.g. 201,201")
-    p.add_argument("--spacing", required=True,
+    p.add_argument("--spacing", type=_numbers(float), required=True,
                    help="comma-separated cell spacing per axis in meters")
-    p.add_argument("--origin", default=None,
+    p.add_argument("--origin", type=_numbers(float), default=None,
                    help="comma-separated axis origins in meters (default zeros)")
 
 
 def _add_records_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", default=None,
-                   help="records CSV: voltage_volts,wavelength_meters")
-    p.add_argument("--use-bundled", action="store_true",
-                   help="use the bundled synthetic Davisson-Germer dataset")
-    p.add_argument("--generate", nargs="+", metavar="KEY=VALUE", default=None,
-                   help="use synthetic records; keys: vP (m/s), n, seed, "
-                        "noise (relative, in k), vmin/vmax (volts)")
-    p.add_argument("--curve-points", type=_curve_points, default=200,
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", default=None,
+                        help="records CSV: voltage_volts,wavelength_meters")
+    source.add_argument("--use-bundled", action="store_true",
+                        help="use the bundled synthetic Davisson-Germer dataset")
+    source.add_argument("--generate", nargs="+", metavar="KEY=VALUE", default=None,
+                        help="use synthetic records; keys: vP (m/s), n, seed, "
+                             "noise (relative, in k), vmin/vmax (volts)")
+    # A curve needs two ends.
+    p.add_argument("--curve-points", default=200,
+                   type=_number(int, "an integer >= 2", lambda v: v >= 2),
                    help="samples per model curve")
 
 
@@ -513,12 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
         "eikonal", help="solve |grad t_P| = 1/v_P by fast marching"
     )
     _add_grid_flags(p)
-    p.add_argument("--source", action="append", required=True,
+    p.add_argument("--source", type=_numbers(int), action="append", required=True,
                    help="source cell indices, e.g. 100,100 (repeatable)")
-    p.add_argument("--speed", type=float, default=None,
-                   help="uniform front speed v_P in m/s")
-    p.add_argument("--speed-csv", default=None,
-                   help="CSV field of per-cell front speeds in m/s")
+    speed = p.add_mutually_exclusive_group(required=True)
+    speed.add_argument("--speed", type=_POSITIVE_FINITE, default=None,
+                       help="uniform front speed v_P in m/s")
+    speed.add_argument("--speed-csv", default=None,
+                       help="CSV field of per-cell front speeds in m/s")
     p.add_argument("--source-ball-radius", type=float, default=None,
                    help="physical radius (m) of the exact-distance seed ball; "
                         "default 8*max(spacing) for uniform speed, 0 otherwise")
@@ -539,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "actual-vs-first-order retardation difference")
     p.add_argument("--initial", default=None,
                    help="initial state CSV (complex field)")
-    p.add_argument("--gaussian-center", default=None,
+    p.add_argument("--gaussian-center", type=_numbers(float), default=None,
                    help="comma-separated packet center in meters")
     p.add_argument("--gaussian-width", type=float, default=None,
                    help="packet standard deviation in meters")
@@ -554,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of CN steps")
     p.add_argument("--traveltime", default=None,
                    help="traveltime CSV t_P (required for modified/compare-a8)")
-    p.add_argument("--vp", type=_front_speed, default=None,
+    p.add_argument("--vp", type=_FRONT_SPEED, default=None,
                    help="front speed in m/s recorded with the traveltime field "
                         "(required with --localtime-out)")
     p.add_argument("--eval-time", type=float, default=None,
@@ -573,12 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "dispersion", help="modified de Broglie table for free electrons"
     )
-    p.add_argument("--voltage", type=float, action="append",
+    p.add_argument("--voltage", type=_POSITIVE_FINITE, action="append",
                    help="accelerating voltage in volts (repeatable)")
-    p.add_argument("--speed", type=float, action="append",
+    p.add_argument("--speed", type=_POSITIVE_FINITE, action="append",
                    help="electron speed in m/s (repeatable)")
     speed_choice = p.add_mutually_exclusive_group(required=True)
-    speed_choice.add_argument("--vp", type=_front_speed, default=None,
+    speed_choice.add_argument("--vp", type=_FRONT_SPEED, default=None,
                               help="front speed v_P in m/s")
     speed_choice.add_argument("--classical", action="store_true",
                               help="classical limit 1/v_P = 0")
@@ -599,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="one CSV with data points and both model curves"
     )
     _add_records_flags(p)
-    p.add_argument("--vp", type=_front_speed, default=None,
+    p.add_argument("--vp", type=_FRONT_SPEED, default=None,
                    help="draw curve B at this v_P instead of the fitted one")
     p.add_argument("--out", required=True, help="output layered CSV path")
     p.set_defaults(func=cmd_compare)
@@ -622,9 +590,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _stepper_errors() as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

@@ -84,7 +84,8 @@ class QuantumProblem:
     The potential is in joules on the same grid as the states; boundary
     values are clamped to zero (hard-wall box), so any state fed to the
     stepper must vanish on the outermost cell layer.  Every axis needs at
-    least 3 cells, so that it has an interior cell.
+    least 3 cells, so that it has an interior cell, and every entry of the
+    stepper's operator c*H, c = i*dt/(2*hbar), must be finite.
     """
 
     grid: Grid
@@ -100,12 +101,23 @@ class QuantumProblem:
                 "so no interior cell to propagate"
             )
         _require_grid_shape("potential", self.potential.grid.shape, self.grid.shape)
-        if not np.all(np.isfinite(self.potential.values)):
-            raise ValueError("potential contains non-finite values")
+        _require_finite("potential", self.potential.values)
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        # Bounds |cH| entrywise: the diagonal is c*(hbar^2/2m * sum 2/dx^2 + U).
+        hbar = self.constants.hbar
+        with np.errstate(all="ignore"):
+            kinetic = hbar**2 / (2.0 * self.mass) / np.square(self.grid.spacing)
+            bound = self.dt / (2.0 * hbar) * (
+                2.0 * kinetic.sum() + np.abs(self.potential.values).max())
+        if not np.isfinite(bound):
+            raise ValueError(
+                f"c*H = i*dt*H/(2*hbar) overflows at dt={self.dt}, mass={self.mass}, "
+                f"spacing={self.grid.spacing}; lower dt or the potential, or raise "
+                "mass or spacing"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +137,27 @@ def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
     mask = np.ones(shape, dtype=bool)
     mask[tuple(slice(1, -1) for _ in shape)] = False
     return mask
+
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} contains non-finite values")
+
+
+def _initial_norm(state: ComplexField, grid: Grid) -> float:
+    """Squared L2 norm of state, checked as an initial state on grid: finite,
+    zero on the boundary cell layer and of nonzero norm."""
+    _require_grid_shape("state", state.grid.shape, grid.shape)
+    _require_finite("state", state.values)
+    if np.any(state.values[_boundary_mask(grid.shape)] != 0.0):
+        raise ValueError(
+            "state does not vanish on the boundary cell layer; the stepper "
+            "assumes hard-wall (fixed zero) boundaries"
+        )
+    norm = l2_norm_squared(state)
+    if norm == 0.0:
+        raise ValueError("initial state has zero norm")
+    return norm
 
 
 def _require_axis(grid: Grid, axis: int) -> None:
@@ -341,18 +374,7 @@ def propagate_classical(
             f"history_window must be at least 2 to bracket any local time, "
             f"got {history_window}"
         )
-    _require_grid_shape("state", initial.grid.shape, problem.grid.shape)
-    if not np.all(np.isfinite(initial.values)):
-        raise ValueError("state contains non-finite values")
-    if np.any(initial.values[_boundary_mask(problem.grid.shape)] != 0.0):
-        raise ValueError(
-            "state does not vanish on the boundary cell layer; the stepper "
-            "assumes hard-wall (fixed zero) boundaries"
-        )
-    initial_norm = l2_norm_squared(initial)
-    if initial_norm == 0.0:
-        raise ValueError("initial state has zero norm")
-
+    initial_norm = _initial_norm(initial, problem.grid)
     rows = n_steps + 1 if history_window is None else min(history_window, n_steps + 1)
     first = n_steps + 1 - rows
     # Zero-filled: the stepper writes interiors only, so boundaries stay 0.

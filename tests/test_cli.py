@@ -440,7 +440,7 @@ def test_eikonal_rejects_non_positive_or_non_finite_speed(tmp_path, capsys, valu
          "--speed", value, "--out", str(out)]
     )
     assert code == 2
-    assert "--speed must be positive and finite" in capsys.readouterr().err
+    assert "--speed: must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -459,12 +459,19 @@ def test_eikonal_rejects_non_positive_or_non_finite_speed_csv(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.csv"]
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("cell, value, message", [
+    pytest.param(3, math.nan, "state contains non-finite values", id="nan"),
+    pytest.param(3, math.inf, "state contains non-finite values", id="inf"),
+    pytest.param(0, 1.0, "state does not vanish on the boundary cell layer", id="boundary"),
+    pytest.param(None, 0.0, "initial state has zero norm", id="zero"),
+])
 @pytest.mark.parametrize("shape", [(64,), (12, 10)])
-def test_propagate_rejects_non_finite_initial_state(tmp_path, capsys, shape, bad):
+def test_propagate_rejects_non_finite_initial_state(tmp_path, capsys, shape, cell, value,
+                                                    message):
+    # A state propagate_classical would reject is blamed on --initial before any step.
     g = Grid(shape, tuple(1.0 / (n - 1) for n in shape))
     values = gaussian_packet(g, tuple(0.5 for _ in shape), 0.2).values.copy()
-    values[(3,) * len(shape)] = float(bad)
+    values[... if cell is None else (cell,) * len(shape)] = value
     initial = tmp_path / "initial.csv"
     write_field_csv(ComplexField(g, values), str(initial))
     code = main(
@@ -474,7 +481,7 @@ def test_propagate_rejects_non_finite_initial_state(tmp_path, capsys, shape, bad
          "--n-steps", "5", "--out-prefix", str(tmp_path / "run")]
     )
     assert code == 2
-    assert "state contains non-finite values" in capsys.readouterr().err
+    assert f"error: --initial: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["initial.csv"]
 
 
@@ -901,6 +908,62 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["dispersion", "--nope"]) == 2
 
 
+EIKONAL = ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3", "--speed", "1",
+           "--out", "tt.csv"]
+PROPAGATE = ["propagate", "--shape", "16", "--spacing", "1", "--gaussian-center", "8",
+             "--gaussian-width", "2", "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
+             "--out-prefix", "run"]
+# An electron packet at a dt so large that c*H = i*dt*H/(2*hbar) overflows.
+ELECTRON_1D = ["propagate", "--shape", "64", "--spacing", "1e-11", "--gaussian-center",
+               "3e-10", "--gaussian-width", "4e-11", "--n-steps", "3", "--out-prefix", "big"]
+ELECTRON_2D = ["propagate", "--shape", "64,64", "--spacing", "1e-11,1e-11",
+               "--gaussian-center", "3e-10,3e-10", "--gaussian-width", "4e-11",
+               "--n-steps", "3", "--out-prefix", "big"]
+
+# Usage errors: argv, and the flags the last line of stderr must name (the
+# usage text argparse prints above it names every flag).  A repeated flag
+# takes its last value; --source appends a cell.  Rows read the files that
+# write_usage_error_inputs writes.
+USAGE_ERRORS = [
+    (EIKONAL + ["--shape", "10.5"], "--shape"),
+    (EIKONAL + ["--spacing", "1,a"], "--spacing"),
+    (PROPAGATE + ["--origin", "x"], "--origin"),
+    (EIKONAL + ["--source", "1.5"], "--source"),
+    (PROPAGATE + ["--gaussian-center", "a"], "--gaussian-center"),
+    (EIKONAL + ["--speed", "0"], "--speed"),
+    (EIKONAL + ["--speed-csv", "v.csv"], "--speed-csv"),  # as well as --speed
+    (EIKONAL + ["--source-ball-radius", "nan"], "--source-ball-radius"),
+    (PROPAGATE + ["--potential", "nan_potential.csv"], "--potential"),
+    (ELECTRON_1D + ["--dt", "1e300"], "--shape/--mass/--dt"),
+    (ELECTRON_2D + ["--dt", "1e300"], "--shape/--mass/--dt"),
+    (["dispersion", "--vp", "1.3e8", "--voltage", "nan"], "--voltage"),
+    (["fit", "--data", "missing.csv"], "--data"),
+    (["fit", "--generate", "n=x"], "--generate"),
+    (["compare", "--use-bundled", "--out", "layers.csv", "--curve-points", "1"],
+     "--curve-points"),
+]
+
+
+def write_usage_error_inputs(directory: Path) -> None:
+    """The input files the USAGE_ERRORS rows read, written into directory."""
+    potential = np.zeros(16)
+    potential[5] = math.nan
+    write_field_csv(ScalarField(Grid((16,), (1.0,)), potential),
+                    directory / "nan_potential.csv")
+
+
+@pytest.mark.parametrize("argv, flag", USAGE_ERRORS,
+                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in USAGE_ERRORS])
+def test_usage_error_names_its_flag_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                       argv, flag):
+    monkeypatch.chdir(tmp_path)
+    write_usage_error_inputs(tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    assert f" {flag}: " in capsys.readouterr().err.splitlines()[-1]
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+
 def readme_commands() -> list[list[str]]:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = text.replace("\\\n", " ").splitlines()
@@ -941,6 +1004,9 @@ def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
     "'--voltage', '54']) == 0",
     "from qfront.cli import main; assert main(['compare', '--use-bundled', "
     "'--out', 'layers.csv']) == 0",
+    "from qfront.cli import main; assert main(['dispersion', '--vp', '1.3e8', "
+    "'--voltage', 'nan']) == 2",
+    "from qfront.cli import main; assert main(['fit', '--data', 'missing.csv']) == 2",
 ])
 def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, statement):
     # Only the grid commands need numpy, and only the Crank-Nicolson stepper

@@ -54,6 +54,21 @@ def test_problem_needs_an_interior_cell_on_every_axis(shape):
         QuantumProblem(g, ScalarField(g, np.zeros(shape)), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("dt", 1e308), ("mass", 1e-308), ("spacing", 1e-160), ("potential", 1e308)])
+def test_problem_rejects_an_operator_that_overflows(name, value):
+    # In natural units the entries of c*H = i*dt*H/2 are at most
+    # dt/2 * (2/(2*mass*spacing**2) + max|U|) = 200 at the base values; each
+    # value alone overflows one, so the stepper would write NaN.
+    def problem(dt=4.0, mass=1.0, spacing=0.1, potential=0.0):
+        g = Grid((8,), (spacing,))
+        return QuantumProblem(g, ScalarField(g, np.full(8, potential)), mass, dt, NAT)
+
+    problem()
+    with pytest.raises(ValueError, match="overflows"):
+        problem(**{name: value})
+
+
 def test_step_requires_zero_boundary():
     prob = free_problem(16)
     state = ComplexField(prob.grid, np.ones(16))
