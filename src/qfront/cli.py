@@ -136,13 +136,13 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
         tt = solve_traveltime(
             grid, source, speed, source_ball_radius=args.source_ball_radius
         )
+    # The check runs before the write, so that its usage error writes nothing.
+    with _flag("--verify-analytic"):
+        err = args.verify_analytic and cone_error(tt, source, exclude_cells=5.0)
     write_field_csv(ScalarField(grid, tt.t_P), args.out)
     print(f"wrote {args.out}")
     print(f"t_P range: [{tt.t_P.min():.6e}, {tt.max_traveltime():.6e}] s")
-
     if args.verify_analytic:
-        with _flag("--verify-analytic"):
-            err = cone_error(tt, source, exclude_cells=5.0)
         print(f"max relative error vs analytic cone (beyond 5 cells): {err:.4%}")
     return 0
 
@@ -173,7 +173,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .eikonal import TraveltimeField
-    from .fields import ScalarField, l2_norm_squared, write_field_csv
+    from .fields import ComplexField, ScalarField, l2_norm_squared, write_field_csv
     from .localtime import local_time, write_localtime_csv
     from .schrodinger import (QuantumProblem, _require_finite, _step_weights,
                               difference_estimate, evaluate_modified, propagate_classical)
@@ -226,14 +226,10 @@ def cmd_propagate(args: argparse.Namespace) -> int:
             f"{last_step * args.dt}] s in mode {args.mode}, got {eval_time}"
         )
 
-    # Keep the run from the first step an output reads: that of eval_time, of
-    # eval_time - max t_P (one less in compare-a8), or step 0 with --save-every.
+    # Keep the run from the first step an output reads: that of eval_time, or
+    # of eval_time - max t_P (one less in compare-a8).
     if tt is not None:
         first = _step_weights(max(eval_time - tt.max_traveltime(), 0.0), 0.0, args.dt)[0] - a8
-    first = 0 if args.save_every > 0 else max(int(first), 0)
-    solution = propagate_classical(initial, problem, args.n_steps,
-                                   history_window=max(args.n_steps + 1 - first, 2))
-
     outputs: list[str] = []
 
     def emit(field, suffix: str) -> None:
@@ -241,10 +237,13 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         write_field_csv(field, path)
         outputs.append(path)
 
-    if args.save_every > 0:
-        for j, snap in enumerate(solution.snapshots[::args.save_every]):
-            emit(snap, f"step{j * args.save_every:06d}")
+    def save(k: int, values) -> None:
+        if k % args.save_every == 0:
+            emit(ComplexField(grid, values), f"step{k:06d}")
 
+    solution = propagate_classical(initial, problem, args.n_steps,
+                                   history_window=max(args.n_steps + 1 - int(first), 2),
+                                   on_step=save if args.save_every else None)
     if args.mode == "classical":
         emit(solution.snapshot_at(eval_time), "state")
     elif args.mode == "modified":
@@ -357,17 +356,20 @@ def _generated_records(pairs: Sequence[str]):
     )
 
 
-def _load_records(args: argparse.Namespace):
-    if args.generate:
-        with _flag("--generate"):
-            return _generated_records(args.generate)
-    if args.use_bundled:
-        path = resources.files("qfront.data") / "davisson_germer.csv"
-        with resources.as_file(path) as concrete:
-            return read_records_csv(concrete)
-    with _flag("--data"):
-        _require_input_path(args.data)
-        return read_records_csv(args.data)
+def _fit_records(args: argparse.Namespace):
+    """The records of the given flag and their fit_vp, errors named by it."""
+    with _flag("--generate" if args.generate else
+               "--use-bundled" if args.use_bundled else "--data"):
+        if args.generate:
+            records = _generated_records(args.generate)
+        elif args.use_bundled:
+            path = resources.files("qfront.data") / "davisson_germer.csv"
+            with resources.as_file(path) as concrete:
+                records = read_records_csv(concrete)
+        else:
+            _require_input_path(args.data)
+            records = read_records_csv(args.data)
+        return records, fit_vp(records)
 
 
 def _write_layers(path: str, records, result, curve_points: int) -> None:
@@ -391,8 +393,7 @@ def _write_layers(path: str, records, result, curve_points: int) -> None:
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.data_out and not args.generate:
         raise ValueError("--data-out needs --generate")
-    records = _load_records(args)
-    result = fit_vp(records)
+    records, result = _fit_records(args)
     if args.curves and result.clamped_to_classical:
         raise ValueError(
             "--curves: fit clamped to the classical limit, curve B "
@@ -415,8 +416,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    records = _load_records(args)
-    result = fit_vp(records)
+    records, result = _fit_records(args)
     if args.vp is not None:
         from dataclasses import replace
 
@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "compare-a8, one step earlier, the last step with a "
                         "successor)")
     p.add_argument("--save-every", type=int, default=0,
-                   help="also dump every k-th step of the run (0 = none)")
+                   help="also write every k-th step as it is made (0 = none)")
     p.add_argument("--localtime-out", default=None,
                    help="also write theta/class CSV at the evaluation time "
                         "(mode modified)")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,6 +359,7 @@ def propagate_classical(
     problem: QuantumProblem,
     n_steps: int,
     history_window: int | None = None,
+    on_step: Callable[[int, np.ndarray], object] | None = None,
 ) -> ClassicalSolution:
     """Run n_steps CN steps, retaining the last history_window states oldest first.
 
@@ -366,6 +367,8 @@ def propagate_classical(
     evaluation at global time t needs every state back to t - max(t_P),
     so the window must cover ceil(max(t_P)/dt) + 2 steps; too-small
     windows surface later as HistoryWindowError from evaluate_modified.
+    on_step(k, values), if given, is called for step 0 and after each step
+    k, with values a read-only view of the new state valid during the call.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
@@ -382,8 +385,13 @@ def propagate_classical(
     history = np.zeros((rows, *problem.grid.shape), dtype=np.complex128)
     history[-first % rows] = initial.values
     stepper = _Stepper(problem)
-    for k in range(1, n_steps + 1):
-        stepper.step(history[(k - 1 - first) % rows], history[(k - first) % rows])
+    for k in range(n_steps + 1):
+        row = history[(k - first) % rows]
+        if k:
+            stepper.step(history[(k - 1 - first) % rows], row)
+        if on_step is not None:
+            row.flags.writeable = False
+            on_step(k, row)
     history.flags.writeable = False
     return ClassicalSolution(
         problem=problem,

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +243,7 @@ def test_propagate_derived_window_matches_full_history(
     # Every output equals, byte for byte, the same evaluation on the full
     # history, and the run keeps the states from the first one an output
     # reads: the step of eval_time (classical), of eval_time - max t_P
-    # (modified), one before that (compare-a8), or step 0 with --save-every.
+    # (modified) or one before that (compare-a8), with --save-every as without.
     a8 = mode == "compare-a8"
     k = a8 + round(step_fraction * (n_steps - 2 * a8))
     eval_time = (k + between * (mode == "modified" and k < n_steps)) * dt
@@ -253,8 +254,6 @@ def test_propagate_derived_window_matches_full_history(
     first = snapped_step(eval_time, dt)
     if mode != "classical":
         first = max(snapped_step(max(eval_time - tt.max_traveltime(), 0.0), dt) - a8, 0)
-    if save_every:
-        first = 0
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_field_csv(ScalarField(grid, tt.t_P), str(out / "tt.csv"))
@@ -291,6 +290,46 @@ def test_propagate_save_every_dumps_snapshots(tmp_path):
     for step in (0, 2, 4):
         assert (tmp_path / f"run_step{step:06d}.csv").exists()
     assert not (tmp_path / "run_step000001.csv").exists()
+
+
+def test_propagate_save_every_keeps_only_the_derived_window(tmp_path, capsys):
+    # The whole run is 1001 states of 16 KiB (15.6 MiB); the classical
+    # evaluation at the last step keeps two of them.
+    electron_run(64, 1e-19, 2)  # builds a stepper first, so scipy's import is not traced
+    argv = ["propagate", "--shape", "1024", "--spacing", repr(1e-10 / 1023),
+            "--gaussian-center", "5e-11", "--gaussian-width", "1e-11",
+            "--gaussian-carrier", "2e10", "--dt", "1e-19", "--n-steps", "1000",
+            "--save-every", "500", "--out-prefix", str(tmp_path / "run")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    for step in (0, 500, 1000):
+        assert (tmp_path / f"run_step{step:06d}.csv").exists()
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["retained_snapshots"] == 2
+
+
+def test_propagate_failure_keeps_the_step_files_already_written(tmp_path, monkeypatch,
+                                                                 capsys):
+    argv, _, _ = electron_run(64, 1e-19, 6)
+    step = qfront.schrodinger._Stepper.step
+    calls = []
+
+    def fail_on_step_3(self, values, out):
+        calls.append(len(calls) + 1)
+        if calls[-1] == 3:
+            raise ConvergenceError("injected")
+        step(self, values, out)
+
+    monkeypatch.setattr(qfront.schrodinger._Stepper, "step", fail_on_step_3)
+    assert main(argv + ["--save-every", "2", "--out-prefix", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "runtime error: injected\n"
+    assert calls == [1, 2, 3]
+    assert sorted(os.listdir(tmp_path)) == ["run_step000000.csv", "run_step000002.csv"]
 
 
 def test_propagate_compare_a8_outputs(tmp_path):
@@ -933,11 +972,16 @@ USAGE_ERRORS = [
     (EIKONAL + ["--speed", "0"], "--speed"),
     (EIKONAL + ["--speed-csv", "v.csv"], "--speed-csv"),  # as well as --speed
     (EIKONAL + ["--source-ball-radius", "nan"], "--source-ball-radius"),
+    (EIKONAL + ["--shape", "4", "--verify-analytic"], "--verify-analytic"),  # no cell 5 away
+    (["eikonal", "--shape", "16", "--spacing", "1", "--source", "3", "--out", "tt.csv",
+      "--speed-csv", "ones.csv", "--verify-analytic"], "--verify-analytic"),
     (PROPAGATE + ["--potential", "nan_potential.csv"], "--potential"),
     (ELECTRON_1D + ["--dt", "1e300"], "--shape/--mass/--dt"),
     (ELECTRON_2D + ["--dt", "1e300"], "--shape/--mass/--dt"),
     (["dispersion", "--vp", "1.3e8", "--voltage", "nan"], "--voltage"),
     (["fit", "--data", "missing.csv"], "--data"),
+    (["fit", "--data", "one_record.csv"], "--data"),
+    (["compare", "--out", "layers.csv", "--data", "one_record.csv"], "--data"),
     (["fit", "--generate", "n=x"], "--generate"),
     (["compare", "--use-bundled", "--out", "layers.csv", "--curve-points", "1"],
      "--curve-points"),
@@ -950,6 +994,8 @@ def write_usage_error_inputs(directory: Path) -> None:
     potential[5] = math.nan
     write_field_csv(ScalarField(Grid((16,), (1.0,)), potential),
                     directory / "nan_potential.csv")
+    write_field_csv(ScalarField(Grid((16,), (1.0,)), np.ones(16)), directory / "ones.csv")
+    (directory / "one_record.csv").write_text(f"{RECORDS_CSV_HEADER}\n54,1.66e-10\n")
 
 
 @pytest.mark.parametrize("argv, flag", USAGE_ERRORS,

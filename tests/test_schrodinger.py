@@ -401,6 +401,27 @@ def test_writeable_history_is_copied():
     assert not sol.history.flags.writeable
 
 
+@pytest.mark.parametrize("window", [None, 2])
+def test_on_step_sees_every_state_as_it_is_made(window):
+    # A window of 2 evicts steps 0..8 of 10; the hook still sees each of them.
+    prob = free_problem(32)
+    psi0 = gaussian_packet(prob.grid, (0.5,), 0.1, wavenumber=3.0)
+    full = propagate_classical(psi0, prob, 10)
+    seen = []
+
+    def hook(k, values):
+        with pytest.raises(ValueError, match="read-only"):
+            values[1] = 1.0
+        seen.append((k, values.tobytes()))
+
+    sol = propagate_classical(psi0, prob, 10, history_window=window, on_step=hook)
+    assert [k for k, _ in seen] == list(range(11))
+    assert [b for _, b in seen] == [row.tobytes() for row in full.history]
+    plain = propagate_classical(psi0, prob, 10, history_window=window)
+    assert sol.history.tobytes() == plain.history.tobytes()
+    assert sol.first_step == plain.first_step
+
+
 @given(
     n_steps=st.integers(0, 14),
     window=st.integers(2, 16),
