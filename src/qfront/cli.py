@@ -76,6 +76,8 @@ def _number(kind: type, rule: str, ok: Callable[[float], bool]) -> Callable[[str
 # --vp in m/s: 0, negatives and NaN fail and inf is the classical limit.
 _FRONT_SPEED = _number(float, "a number > 0", lambda v: v > 0.0)
 _POSITIVE_FINITE = _number(float, "positive and finite", lambda v: 0.0 < v < math.inf)
+_FINITE = _number(float, "finite", math.isfinite)
+_COUNT = _number(int, "an integer >= 0", lambda v: v >= 0)
 
 
 @contextlib.contextmanager
@@ -114,8 +116,6 @@ def _read_grid_field(path: str, grid: Grid, build: Callable):
 # --- eikonal ----------------------------------------------------------------
 
 def cmd_eikonal(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .eikonal import SourceSpec, cone_error, solve_traveltime
     from .fields import ScalarField, write_field_csv
 
@@ -124,15 +124,11 @@ def cmd_eikonal(args: argparse.Namespace) -> int:
         source = SourceSpec(args.source)
         source.validate_against(grid)
 
-    speed = args.speed
-    if args.speed_csv is not None:
-        with _flag("--speed-csv"):
+    # Grid, source and the radius are checked, so only the speed is left to fail.
+    with _flag("--speed" if args.speed_csv is None else "--speed-csv"):
+        speed = args.speed
+        if args.speed_csv is not None:
             speed = _read_grid_field(args.speed_csv, grid, ScalarField)
-            if not np.all((0.0 < speed.values) & (speed.values < math.inf)):
-                raise ValueError("speeds must be positive and finite everywhere")
-
-    # Grid, source and speed are checked, so only the radius is left to fail.
-    with _flag("--source-ball-radius"):
         tt = solve_traveltime(
             grid, source, speed, source_ball_radius=args.source_ball_radius
         )
@@ -158,15 +154,9 @@ def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
             state = _read_grid_field(args.initial, grid, ComplexField)
             _initial_norm(state, grid)
         return state
-    if args.gaussian_center is None or args.gaussian_width is None:
-        raise ValueError(
-            "provide an initial state: --initial FILE, or --gaussian-center "
-            "and --gaussian-width"
-        )
-    with _flag("--gaussian-center/--gaussian-width/--gaussian-carrier"):
-        return gaussian_packet(
-            grid, args.gaussian_center, args.gaussian_width, args.gaussian_carrier
-        )
+    carrier = 0.0 if args.gaussian_carrier is None else args.gaussian_carrier
+    with _flag("--gaussian-center/--gaussian-width"):
+        return gaussian_packet(grid, args.gaussian_center, args.gaussian_width, carrier)
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
@@ -181,8 +171,6 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     a8 = args.mode == "compare-a8"
     if args.n_steps < 2 * a8:
         raise ValueError(f"--n-steps must be >= {2 * a8} in mode {args.mode}, got {args.n_steps}")
-    if args.save_every < 0:
-        raise ValueError(f"--save-every must be >= 0, got {args.save_every}")
     grid = _build_grid(args)
     if args.mode == "classical":
         if args.traveltime is not None:
@@ -194,6 +182,14 @@ def cmd_propagate(args: argparse.Namespace) -> int:
             raise ValueError(f"--localtime-out needs mode modified, not {args.mode}")
         if args.vp is None:
             raise ValueError("--localtime-out needs the front speed --vp METERS_PER_SECOND")
+    if args.initial is None and args.gaussian_width is None:
+        raise ValueError("--gaussian-center: needs --gaussian-width")
+    for flag, value in (("--gaussian-width", args.gaussian_width),
+                        ("--gaussian-carrier", args.gaussian_carrier)):
+        if args.initial is not None and value is not None:
+            raise ValueError(f"{flag}: not allowed with --initial")
+    if args.vp is not None and args.traveltime is None:
+        raise ValueError("--vp: not allowed without --traveltime")
 
     if args.potential is not None:
         with _flag("--potential"):
@@ -202,7 +198,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     else:
         potential = ScalarField(grid, np.zeros(grid.shape))
 
-    with _flag("--shape/--mass/--dt"):
+    # QuantumProblem checks shape and potential, and bounds c*H by all five flags.
+    with _flag("--shape/--spacing/--potential/--mass/--dt"):
         problem = QuantumProblem(grid, potential, args.mass, args.dt)
     initial = _initial_state(args, grid)
 
@@ -216,8 +213,6 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     # at a step with a predecessor and, by default, at the last with a successor.
     last_step = args.n_steps - a8
     eval_time = last_step * args.dt if args.eval_time is None else args.eval_time
-    if not math.isfinite(eval_time):
-        raise ValueError(f"--eval-time must be finite, got {eval_time}")
     first, weight = _step_weights(eval_time, 0.0, args.dt)
     exact = args.mode != "modified"
     if not (a8 <= first and first + (weight > 0) <= last_step and not (exact and weight)):
@@ -487,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="uniform front speed v_P in m/s")
     speed.add_argument("--speed-csv", default=None,
                        help="CSV field of per-cell front speeds in m/s")
-    p.add_argument("--source-ball-radius", type=float, default=None,
+    p.add_argument("--source-ball-radius", default=None,
+                   type=_number(float, "finite and >= 0", lambda v: 0.0 <= v < math.inf),
                    help="physical radius (m) of the exact-distance seed ball; "
                         "default 8*max(spacing) for uniform speed, 0 otherwise")
     p.add_argument("--out", required=True, help="output traveltime CSV path")
@@ -505,31 +501,33 @@ def build_parser() -> argparse.ArgumentParser:
                    default="classical",
                    help="classical snapshot, retarded evaluation, or "
                         "actual-vs-first-order retardation difference")
-    p.add_argument("--initial", default=None,
-                   help="initial state CSV (complex field)")
-    p.add_argument("--gaussian-center", type=_numbers(float), default=None,
-                   help="comma-separated packet center in meters")
-    p.add_argument("--gaussian-width", type=float, default=None,
+    initial = p.add_mutually_exclusive_group(required=True)
+    initial.add_argument("--initial", default=None,
+                         help="initial state CSV (complex field)")
+    initial.add_argument("--gaussian-center", type=_numbers(float), default=None,
+                         help="comma-separated packet center in meters "
+                              "(needs --gaussian-width)")
+    p.add_argument("--gaussian-width", type=_POSITIVE_FINITE, default=None,
                    help="packet standard deviation in meters")
-    p.add_argument("--gaussian-carrier", type=float, default=0.0,
-                   help="carrier wavenumber along axis 0 in cycles/m")
+    p.add_argument("--gaussian-carrier", type=_FINITE, default=None,
+                   help="carrier wavenumber along axis 0 in cycles/m (default 0)")
     p.add_argument("--potential", default=None,
                    help="potential CSV in joules (default: zero)")
-    p.add_argument("--mass", type=float, default=CODATA2018.m_e,
+    p.add_argument("--mass", type=_POSITIVE_FINITE, default=CODATA2018.m_e,
                    help="particle mass in kg (default: electron)")
-    p.add_argument("--dt", type=float, required=True, help="time step in s")
-    p.add_argument("--n-steps", type=int, required=True,
+    p.add_argument("--dt", type=_POSITIVE_FINITE, required=True, help="time step in s")
+    p.add_argument("--n-steps", type=_COUNT, required=True,
                    help="number of CN steps")
     p.add_argument("--traveltime", default=None,
                    help="traveltime CSV t_P (required for modified/compare-a8)")
     p.add_argument("--vp", type=_FRONT_SPEED, default=None,
                    help="front speed in m/s recorded with the traveltime field "
-                        "(required with --localtime-out)")
-    p.add_argument("--eval-time", type=float, default=None,
+                        "(needs --traveltime; required with --localtime-out)")
+    p.add_argument("--eval-time", type=_FINITE, default=None,
                    help="evaluation time in s (default: final time; in mode "
                         "compare-a8, one step earlier, the last step with a "
                         "successor)")
-    p.add_argument("--save-every", type=int, default=0,
+    p.add_argument("--save-every", type=_COUNT, default=0,
                    help="also write every k-th step as it is made (0 = none)")
     p.add_argument("--localtime-out", default=None,
                    help="also write theta/class CSV at the evaluation time "

@@ -2,15 +2,16 @@
 
 All derived numbers in the package trace back to the CODATA-2018 values
 below, so every computed wavelength, frequency and speed is reproducible
-bit for bit.  Solvers accept a ``PhysicalConstants`` instance instead of
-importing the module-level singleton, which also makes natural-unit test
-setups (hbar = m = 1) possible.
+bit for bit.  The Schrodinger solvers accept a ``PhysicalConstants``
+instance instead of importing the module-level singleton, which also makes
+natural-unit test setups (hbar = m = 1) possible; the electron model of
+``dispersion`` and ``fit`` always uses CODATA 2018.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["PhysicalConstants", "CODATA2018", "natural_units"]
 
@@ -20,38 +21,28 @@ class PhysicalConstants:
     """Bundle of the constants used across the package.
 
     h        Planck constant, J s
-    hbar     reduced Planck constant, J s (must equal h / 2 pi)
+    hbar     reduced Planck constant h / (2 pi), J s (derived, not set)
     m_e      electron mass, kg
     e_charge elementary charge, C
     c_light  vacuum light speed, m/s
     """
 
     h: float
-    hbar: float
+    hbar: float = field(init=False)
     m_e: float
     e_charge: float
     c_light: float
 
     def __post_init__(self):
+        object.__setattr__(self, "hbar", self.h / (2.0 * math.pi))
         for name in ("h", "hbar", "m_e", "e_charge", "c_light"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        expected = self.h / (2.0 * math.pi)
-        if not math.isclose(self.hbar, expected, rel_tol=4e-16, abs_tol=0.0):
-            raise ValueError(
-                f"hbar={self.hbar!r} inconsistent with h/(2 pi)={expected!r}"
-            )
-
-    @classmethod
-    def with_h(cls, h, m_e, e_charge, c_light) -> "PhysicalConstants":
-        """Construct with hbar derived from h."""
-        return cls(h=h, hbar=h / (2.0 * math.pi), m_e=m_e,
-                   e_charge=e_charge, c_light=c_light)
 
 
 # CODATA 2018: h, e and c are exact by definition; m_e is the recommended value.
-CODATA2018 = PhysicalConstants.with_h(
+CODATA2018 = PhysicalConstants(
     h=6.62607015e-34,
     m_e=9.1093837015e-31,
     e_charge=1.602176634e-19,
@@ -61,5 +52,4 @@ CODATA2018 = PhysicalConstants.with_h(
 
 def natural_units() -> PhysicalConstants:
     """hbar = m_e = e = c = 1 (so h = 2 pi).  Convenient for solver tests."""
-    return PhysicalConstants.with_h(h=2.0 * math.pi, m_e=1.0, e_charge=1.0,
-                                    c_light=1.0)
+    return PhysicalConstants(h=2.0 * math.pi, m_e=1.0, e_charge=1.0, c_light=1.0)

@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 
 __all__ = [
     "WavePhaseDecomposition",
@@ -40,15 +40,15 @@ class WavePhaseDecomposition:
 
     k_classical is |grad phi| of the unmodified phase, k_modified is
     |grad Phi| of the full phase including the front term, and alpha is
-    the angle between grad phi and grad t_P.  If k_modified is not given
-    it is filled in from the general composition law.
+    the angle between grad phi and grad t_P.  k_modified is derived from
+    the general composition law, not set.
     """
 
     nu: float
     k_classical: float
     alpha: float
     v_P: float
-    k_modified: float | None = None
+    k_modified: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.nu >= 0.0 and math.isfinite(self.nu)):
@@ -61,21 +61,16 @@ class WavePhaseDecomposition:
             raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
         if not self.v_P > 0.0:
             raise ValueError(f"v_P must be positive (inf allowed), got {self.v_P}")
-        if self.k_modified is None:
-            object.__setattr__(self, "k_modified", modified_wavenumber_general(self))
-        elif not (self.k_modified >= 0.0 and math.isfinite(self.k_modified)):
-            raise ValueError(
-                f"k_modified must be finite and non-negative, got {self.k_modified}"
-            )
+        object.__setattr__(self, "k_modified", modified_wavenumber_general(self))
 
 
 @dataclass(frozen=True)
 class FreeParticle:
-    """A free particle and its matter-wave parameters nu = mv^2/2h, k = mv/h."""
+    """A free particle and its matter-wave parameters nu = mv^2/2h, k = mv/h
+    (CODATA 2018 h)."""
 
     mass: float
     speed: float
-    constants: PhysicalConstants = CODATA2018
     nu: float = field(init=False)
     k: float = field(init=False)
 
@@ -86,24 +81,22 @@ class FreeParticle:
             raise ValueError(
                 f"speed must be non-negative and finite, got {self.speed}"
             )
-        h = self.constants.h
+        h = CODATA2018.h
         # v * v, not v ** 2: libm pow is off by one ulp for some speeds.
         v = self.speed
         object.__setattr__(self, "nu", self.mass * (v * v) / (2.0 * h))
         object.__setattr__(self, "k", self.mass * self.speed / h)
 
     @classmethod
-    def electron_from_voltage(
-        cls, voltage: float, constants: PhysicalConstants = CODATA2018
-    ) -> "FreeParticle":
+    def electron_from_voltage(cls, voltage: float) -> "FreeParticle":
         """Electron accelerated from rest through a potential difference.
 
-        Non-relativistic: v = sqrt(2 e V / m_e).
+        Non-relativistic: v = sqrt(2 e V / m_e), CODATA 2018 e and m_e.
         """
         if not 0.0 < voltage < math.inf:
             raise ValueError(f"voltage must be positive and finite, got {voltage}")
-        v = math.sqrt(2.0 * constants.e_charge * voltage / constants.m_e)
-        return cls(mass=constants.m_e, speed=v, constants=constants)
+        v = math.sqrt(2.0 * CODATA2018.e_charge * voltage / CODATA2018.m_e)
+        return cls(mass=CODATA2018.m_e, speed=v)
 
     @property
     def phase_velocity(self) -> float:

@@ -151,18 +151,9 @@ class ComplexField:
         object.__setattr__(self, "time_stamp", float(self.time_stamp))
 
 
-def l2_norm_squared(f: ComplexField | ScalarField,
-                    mask: Optional[np.ndarray] = None) -> float:
-    """Discrete squared L2 norm: sum |f_i|^2 * cell volume over selected cells.
-
-    ``mask`` selects cells (True = include); None includes every cell.
-    """
-    values = f.values
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        _require_grid_shape("mask", mask.shape, values.shape)
-        values = values[mask]
-    total = float(np.sum(np.abs(values) ** 2))
+def l2_norm_squared(f: ComplexField | ScalarField) -> float:
+    """Discrete squared L2 norm: sum |f_i|^2 * cell volume over every cell."""
+    total = float(np.sum(np.abs(f.values) ** 2))
     return total * f.grid.cell_volume
 
 
@@ -194,14 +185,13 @@ def write_field_csv(f: ComplexField | ScalarField, out: TextIO | str | os.PathLi
 
 def read_field_csv(src: TextIO | str | os.PathLike,
                    spacing: Optional[Sequence[float]] = None,
-                   origin: Optional[Sequence[float]] = None,
-                   time_stamp: float = 0.0) -> ComplexField | ScalarField:
+                   origin: Optional[Sequence[float]] = None) -> ComplexField | ScalarField:
     """Read a field CSV written by :func:`write_field_csv`.
 
     The CSV stores only indices and values; grid geometry is supplied by the
     caller (defaults: unit spacing, zero origin).  The shape is inferred from
-    the largest index per axis.  Returns a ComplexField when a value_im
-    column is present, else a ScalarField.
+    the largest index per axis.  Returns a ComplexField (time stamp 0) when
+    a value_im column is present, else a ScalarField.
     """
     with _text_file(src, "r") as handle:
         header = handle.readline().strip()
@@ -258,5 +248,5 @@ def read_field_csv(src: TextIO | str | os.PathLike,
         first_line[idx] = line_no
         arr[idx] = value
     if is_complex:
-        return ComplexField(grid, arr, time_stamp=time_stamp)
+        return ComplexField(grid, arr)
     return ScalarField(grid, arr)

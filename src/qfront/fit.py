@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .dispersion import FreeParticle, modified_wavenumber_free
 from .textfile import _text_file, _write_json
 
@@ -91,35 +91,28 @@ class FitResult:
             )
 
 
-def derive_kinematics(
-    record: DiffractionRecord, constants: PhysicalConstants = CODATA2018
-) -> tuple[float, float]:
+def derive_kinematics(record: DiffractionRecord) -> tuple[float, float]:
     """Electron speed v = sqrt(2 e V / m) and measured wavenumber 1/lambda."""
-    electron = FreeParticle.electron_from_voltage(record.voltage, constants)
+    electron = FreeParticle.electron_from_voltage(record.voltage)
     return electron.speed, 1.0 / record.wavelength_exp
 
 
-def _design_arrays(
-    records: Sequence[DiffractionRecord], constants: PhysicalConstants
-) -> tuple[list[float], list[float]]:
+def _design_arrays(records: Sequence[DiffractionRecord]) -> tuple[list[float], list[float]]:
     """Per-record slope a_i = nu_i = m v_i^2/(2h) and residual r_i = k_exp,i - k_i."""
-    electrons = [FreeParticle.electron_from_voltage(r.voltage, constants) for r in records]
+    electrons = [FreeParticle.electron_from_voltage(r.voltage) for r in records]
     a = [e.nu for e in electrons]
     r = [1.0 / rec.wavelength_exp - e.k for rec, e in zip(records, electrons)]
     return a, r
 
 
-def fit_vp(
-    records: Sequence[DiffractionRecord],
-    constants: PhysicalConstants = CODATA2018,
-) -> FitResult:
+def fit_vp(records: Sequence[DiffractionRecord]) -> FitResult:
     """Closed-form least-squares fit of the front speed over beta = 1/v_P >= 0.
 
     Sums are math.fsum of the rounded terms, so they do not depend on the
     order of the records."""
     if len(records) < 2:
         raise ValueError(f"need at least 2 records to fit, got {len(records)}")
-    a, r = _design_arrays(records, constants)
+    a, r = _design_arrays(records)
     beta = math.fsum(x * y for x, y in zip(a, r)) / math.fsum(x * x for x in a)
     clamped = beta <= 0.0
     if clamped:
@@ -139,17 +132,13 @@ def fit_vp(
     )
 
 
-def model_curves(
-    v_range: Sequence[float],
-    v_P: float,
-    constants: PhysicalConstants = CODATA2018,
-) -> list[tuple[float, float, float]]:
+def model_curves(v_range: Sequence[float], v_P: float) -> list[tuple[float, float, float]]:
     """Rows (v, k_classical, k_modified) for plotting both model curves."""
     if len(v_range) == 0:
         raise ValueError("v_range must be non-empty")
     rows = []
     for v in v_range:
-        p = FreeParticle(constants.m_e, v, constants)
+        p = FreeParticle(CODATA2018.m_e, v)
         rows.append((float(v), p.k, modified_wavenumber_free(p, v_P)))
     return rows
 
@@ -219,7 +208,6 @@ def synthesize_records(
     voltage_range: tuple[float, float] = (30.0, 600.0),
     noise_relative: float = 0.0,
     seed: int = 0,
-    constants: PhysicalConstants = CODATA2018,
     voltages: Sequence[float] | None = None,
 ) -> list[DiffractionRecord]:
     """Generate records from the modified model, optionally with k noise.
@@ -252,7 +240,7 @@ def synthesize_records(
     rng = np.random.default_rng(seed)
     records = []
     for voltage in voltages:
-        electron = FreeParticle.electron_from_voltage(voltage, constants)
+        electron = FreeParticle.electron_from_voltage(voltage)
         k = modified_wavenumber_free(electron, v_p_true)
         if noise_relative > 0.0:
             k *= 1.0 + noise_relative * rng.standard_normal()

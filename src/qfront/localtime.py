@@ -40,19 +40,24 @@ class RegionClass(enum.IntEnum):
 
 @dataclass(frozen=True, eq=False)
 class LocalTimeField:
-    """theta per cell at a fixed global time, with per-cell region classes."""
+    """theta per cell at a fixed global time, with the per-cell region
+    classes that theta and front_tol give (derived, not set)."""
 
     grid: Grid
     theta: np.ndarray = field(repr=False)
     global_time: float
-    classes: np.ndarray = field(repr=False)  # RegionClass codes, dtype=uint8
     front_tol: float
+    classes: np.ndarray = field(init=False, repr=False)  # RegionClass codes, uint8
 
     def __post_init__(self):
-        object.__setattr__(self, "theta",
-                           _as_grid_array(self.grid, self.theta, np.float64))
-        object.__setattr__(self, "classes",
-                           _as_grid_array(self.grid, self.classes, np.uint8))
+        if not self.front_tol >= 0.0:
+            raise ValueError(f"front_tol must be >= 0, got {self.front_tol}")
+        theta = _as_grid_array(self.grid, self.theta, np.float64)
+        # N = 0 below the band, F = 1 inside it, P = 2 above it.
+        classes = np.add(theta >= -self.front_tol, theta > self.front_tol, dtype=np.uint8)
+        classes.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "classes", classes)
 
     def mask(self, region: RegionClass) -> np.ndarray:
         return self.classes == region
@@ -75,13 +80,8 @@ def local_time(tt: TraveltimeField, t: float,
         raise ValueError("global time must be finite")
     if front_tol is None:
         front_tol = default_front_tol(tt)
-    if not front_tol >= 0.0:
-        raise ValueError(f"front_tol must be >= 0, got {front_tol}")
-    theta = t - tt.t_P
-    # N = 0 below the band, F = 1 inside it, P = 2 above it.
-    classes = np.add(theta >= -front_tol, theta > front_tol, dtype=np.uint8)
-    return LocalTimeField(grid=tt.grid, theta=theta, global_time=t,
-                          classes=classes, front_tol=front_tol)
+    return LocalTimeField(grid=tt.grid, theta=t - tt.t_P, global_time=t,
+                          front_tol=front_tol)
 
 
 def infinite_speed_limit(grid: Grid, t: float,

@@ -160,11 +160,6 @@ def _initial_norm(state: ComplexField, grid: Grid) -> float:
     return norm
 
 
-def _require_axis(grid: Grid, axis: int) -> None:
-    if not 0 <= axis < grid.dims:
-        raise ValueError(f"axis {axis} out of range for {grid.dims}-d grid")
-
-
 def _hard_wall_normalized(grid: Grid, values: np.ndarray) -> ComplexField:
     """values, zeroed in place on the boundary cell layer, at unit L2 norm."""
     values[_boundary_mask(grid.shape)] = 0.0
@@ -265,8 +260,9 @@ class ClassicalSolution:
 
     history has shape (rows, *grid.shape) and holds the retained tail of
     the run: row i is the state at global step first_step + i, at time
-    _time(i).  A read-only complex128 array is kept as it is; any other
-    array is copied and frozen.  initial_norm is the squared L2 norm at
+    _time(i).  A read-only C-ordered complex128 array that owns its data is
+    kept as it is; any other array, a read-only view of a writable one
+    included, is copied and frozen.  initial_norm is the squared L2 norm at
     step 0, kept so norm drift stays checkable after early steps have
     left the window.
     """
@@ -282,7 +278,8 @@ class ClassicalSolution:
         shape = self.problem.grid.shape
         if history.ndim != len(shape) + 1 or history.shape[1:] != shape or not len(history):
             raise ValueError(f"history shape {history.shape} is not (rows >= 1, *{shape})")
-        if history.flags.writeable or not history.flags.c_contiguous:
+        flags = history.flags
+        if flags.writeable or not (flags.owndata and flags.c_contiguous):
             history = np.array(history, order="C")
             history.flags.writeable = False
         object.__setattr__(self, "history", history)
@@ -481,16 +478,14 @@ def make_plane_wave(
     nu: float,
     wavenumber: float,
     t: float,
-    axis: int = 0,
 ) -> ComplexField:
-    """exp(2 pi i (k x - nu t)) along one axis; k and nu are in cycles.
+    """exp(2 pi i (k x - nu t)) along axis 0; k and nu are in cycles.
 
     Useful as an analytic snapshot source: the values of these at uniform
     times, stacked with np.stack, form a ClassicalSolution history without
     running the stepper.
     """
-    _require_axis(grid, axis)
-    x = grid.coordinate_arrays()[axis]
+    x = grid.coordinate_arrays()[0]
     values = np.exp(2.0j * np.pi * (wavenumber * x - nu * t))
     return ComplexField(grid, values, t)
 
@@ -500,12 +495,11 @@ def gaussian_packet(
     center: Sequence[float],
     width: float,
     wavenumber: float = 0.0,
-    axis: int = 0,
 ) -> ComplexField:
     """A normalized Gaussian wave packet with a plane-wave carrier.
 
     width is the position-space standard deviation; wavenumber is the
-    carrier in cycles per unit length along the given axis.  The boundary
+    carrier in cycles per unit length along axis 0.  The boundary
     cell layer is zeroed so the packet is a valid hard-wall initial state;
     keep the packet several widths away from the walls for that clamp to
     be negligible.
@@ -521,11 +515,10 @@ def gaussian_packet(
         raise ValueError(f"width must be positive and finite, got {width}")
     if not math.isfinite(wavenumber):
         raise ValueError(f"wavenumber must be finite, got {wavenumber}")
-    _require_axis(grid, axis)
     coords = grid.coordinate_arrays()
     r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, center))
     values = np.exp(-r2 / (4.0 * width**2)).astype(np.complex128)
-    values = values * np.exp(2.0j * np.pi * wavenumber * coords[axis])
+    values = values * np.exp(2.0j * np.pi * wavenumber * coords[0])
     return _hard_wall_normalized(grid, values)
 
 

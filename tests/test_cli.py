@@ -392,9 +392,10 @@ def test_propagate_field_inputs_check_shape_and_path(tmp_path, capsys, flag):
     wrong = tmp_path / "wrong.csv"
     write_zero_traveltime(wrong, n=32)
     base = ["propagate", *GRID_1D, "--mode", "modified",
-            "--gaussian-center", "0.5", "--gaussian-width", "0.08",
             "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
             "--out-prefix", str(tmp_path / "run")]
+    if flag != "--initial":
+        base += ["--gaussian-center", "0.5", "--gaussian-width", "0.08"]
     if flag != "--traveltime":
         zero = tmp_path / "zero.csv"
         write_zero_traveltime(zero)
@@ -467,7 +468,7 @@ def test_eikonal_rejects_non_finite_ball_radius(tmp_path, capsys, radius):
          "--speed", "1", "--source-ball-radius", radius, "--out", str(out)]
     )
     assert code == 2
-    assert "source_ball_radius must be finite and >= 0" in capsys.readouterr().err
+    assert "--source-ball-radius: must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -494,7 +495,7 @@ def test_eikonal_rejects_non_positive_or_non_finite_speed_csv(tmp_path, capsys, 
          "--speed-csv", str(speed), "--out", str(tmp_path / "tt.csv")]
     )
     assert code == 2
-    assert "--speed-csv: speeds must be positive and finite" in capsys.readouterr().err
+    assert "--speed-csv: speed must be positive and finite" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.csv"]
 
 
@@ -632,10 +633,7 @@ def test_propagate_rejects_eval_time_outside_the_run(tmp_path, monkeypatch, caps
     ("compare-a8", "--eval-time", "1.5e-4"),
     ("compare-a8", "--eval-time", "0"),
     ("compare-a8", "--eval-time", "1e-3"),
-    # Checked first: the default --eval-time of -3 dt is not the fault.
-    ("classical", "--n-steps", "-3"),
     ("compare-a8", "--n-steps", "1"),
-    ("classical", "--save-every", "-2"),
 ])
 def test_propagate_rejects_what_the_mode_cannot_run_before_any_step(
         tmp_path, monkeypatch, capsys, mode, flag, value):
@@ -952,7 +950,10 @@ EIKONAL = ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3", "--spe
 PROPAGATE = ["propagate", "--shape", "16", "--spacing", "1", "--gaussian-center", "8",
              "--gaussian-width", "2", "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
              "--out-prefix", "run"]
-# An electron packet at a dt so large that c*H = i*dt*H/(2*hbar) overflows.
+PROPAGATE_INITIAL = ["propagate", "--shape", "16", "--spacing", "1", "--initial", "init.csv",
+                     "--mass", "1", "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"]
+# An electron packet, for rows with a dt or spacing at which c*H = i*dt*H/(2*hbar)
+# overflows.
 ELECTRON_1D = ["propagate", "--shape", "64", "--spacing", "1e-11", "--gaussian-center",
                "3e-10", "--gaussian-width", "4e-11", "--n-steps", "3", "--out-prefix", "big"]
 ELECTRON_2D = ["propagate", "--shape", "64,64", "--spacing", "1e-11,1e-11",
@@ -976,8 +977,25 @@ USAGE_ERRORS = [
     (["eikonal", "--shape", "16", "--spacing", "1", "--source", "3", "--out", "tt.csv",
       "--speed-csv", "ones.csv", "--verify-analytic"], "--verify-analytic"),
     (PROPAGATE + ["--potential", "nan_potential.csv"], "--potential"),
-    (ELECTRON_1D + ["--dt", "1e300"], "--shape/--mass/--dt"),
-    (ELECTRON_2D + ["--dt", "1e300"], "--shape/--mass/--dt"),
+    # Each number flag is typed, so argparse names it alone.
+    (PROPAGATE + ["--dt", "-1"], "--dt"),
+    (PROPAGATE + ["--mass", "0"], "--mass"),
+    (PROPAGATE + ["--gaussian-width", "0"], "--gaussian-width"),
+    (PROPAGATE + ["--gaussian-carrier", "inf"], "--gaussian-carrier"),
+    (PROPAGATE + ["--n-steps", "-3"], "--n-steps"),
+    (PROPAGATE + ["--save-every", "-2"], "--save-every"),
+    (PROPAGATE + ["--eval-time", "inf"], "--eval-time"),
+    # Flags the run would ignore.
+    (PROPAGATE + ["--initial", "init.csv"], "--initial"),  # with --gaussian-center
+    (PROPAGATE_INITIAL + ["--gaussian-width", "2"], "--gaussian-width"),
+    (PROPAGATE_INITIAL + ["--gaussian-carrier", "0.1"], "--gaussian-carrier"),
+    (PROPAGATE + ["--vp", "5"], "--vp"),  # without --traveltime
+    (["propagate", "--shape", "16", "--spacing", "1", "--gaussian-center", "8", "--mass", "1",
+      "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"], "--gaussian-center"),
+    (ELECTRON_1D + ["--dt", "1e300"], "--shape/--spacing/--potential/--mass/--dt"),
+    (ELECTRON_2D + ["--dt", "1e300"], "--shape/--spacing/--potential/--mass/--dt"),
+    (ELECTRON_1D + ["--dt", "2e-19", "--spacing", "1e-200"],  # 1/spacing^2 overflows
+     "--shape/--spacing/--potential/--mass/--dt"),
     (["dispersion", "--vp", "1.3e8", "--voltage", "nan"], "--voltage"),
     (["fit", "--data", "missing.csv"], "--data"),
     (["fit", "--data", "one_record.csv"], "--data"),
@@ -995,6 +1013,7 @@ def write_usage_error_inputs(directory: Path) -> None:
     write_field_csv(ScalarField(Grid((16,), (1.0,)), potential),
                     directory / "nan_potential.csv")
     write_field_csv(ScalarField(Grid((16,), (1.0,)), np.ones(16)), directory / "ones.csv")
+    write_field_csv(gaussian_packet(Grid((16,), (1.0,)), (8.0,), 2.0), directory / "init.csv")
     (directory / "one_record.csv").write_text(f"{RECORDS_CSV_HEADER}\n54,1.66e-10\n")
 
 

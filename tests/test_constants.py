@@ -14,17 +14,12 @@ def test_codata_2018_values():
     assert CODATA2018.hbar == CODATA2018.h / (2.0 * math.pi)
 
 
-def test_hbar_consistency_enforced():
-    with pytest.raises(ValueError, match="hbar"):
-        PhysicalConstants(h=1.0, hbar=0.2, m_e=1.0, e_charge=1.0, c_light=1.0)
-
-
 @pytest.mark.parametrize("field", ["h", "m_e", "e_charge", "c_light"])
 def test_positivity_enforced(field):
     kwargs = dict(h=1.0, m_e=1.0, e_charge=1.0, c_light=1.0)
     kwargs[field] = -1.0
     with pytest.raises(ValueError, match=field):
-        PhysicalConstants.with_h(**kwargs)
+        PhysicalConstants(**kwargs)
 
 
 def test_natural_units():

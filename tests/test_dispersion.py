@@ -34,7 +34,7 @@ def test_electron_54v_kinematics():
 
 
 def test_energy_frequency_wavenumber_consistency():
-    p = FreeParticle(CODATA2018.m_e, 2.0e6, CODATA2018)
+    p = FreeParticle(CODATA2018.m_e, 2.0e6)
     # nu = E / h and k = p / h with E = m v^2 / 2, p = m v.
     assert p.nu == pytest.approx(0.5 * CODATA2018.m_e * 2.0e6**2 / CODATA2018.h)
     assert p.k == pytest.approx(CODATA2018.m_e * 2.0e6 / CODATA2018.h)
@@ -48,9 +48,9 @@ def test_voltage_quadrupling_doubles_speed():
 
 def test_free_particle_validation():
     with pytest.raises(ValueError, match="mass"):
-        FreeParticle(0.0, 1.0, CODATA2018)
+        FreeParticle(0.0, 1.0)
     with pytest.raises(ValueError, match="speed"):
-        FreeParticle(1.0, -1.0, CODATA2018)
+        FreeParticle(1.0, -1.0)
     with pytest.raises(ValueError, match="voltage"):
         FreeParticle.electron_from_voltage(-5.0)
 
@@ -77,7 +77,7 @@ def test_general_equals_free_at_alpha_zero():
 
 
 def test_modified_wavenumber_free_formula():
-    p = FreeParticle(CODATA2018.m_e, 3.0e6, CODATA2018)
+    p = FreeParticle(CODATA2018.m_e, 3.0e6)
     # nu / v_P = (m v^2 / 2h) / v_P = k v / (2 v_P), so k_l = k (1 + v / 2 v_P).
     assert modified_wavenumber_free(p, V_P) == pytest.approx(
         p.k * (1.0 + p.speed / (2.0 * V_P)), rel=1e-15
@@ -274,8 +274,6 @@ def test_decomposition_autofill_and_roundtrip():
     p = FreeParticle.electron_from_voltage(54.0)
     d = WavePhaseDecomposition(p.nu, p.k, 0.0, V_P)
     assert d.k_modified == pytest.approx(6.092215e9, rel=1e-6)
-    explicit = WavePhaseDecomposition(p.nu, p.k, 0.0, V_P, k_modified=d.k_modified)
-    assert explicit.k_modified == d.k_modified
 
 
 def test_wavelength_involution():

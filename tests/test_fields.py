@@ -108,12 +108,6 @@ def test_fields_are_c_ordered_copies_of_any_layout():
         np.testing.assert_array_equal(f.values, src)
 
 
-def test_mask_shape_mismatch_names_both_shapes():
-    f = ScalarField(Grid((3,), (1.0,)), np.ones(3))
-    with pytest.raises(ValueError, match=r"mask shape \(4,\) does not match grid shape \(3,\)"):
-        l2_norm_squared(f, np.ones(4, dtype=bool))
-
-
 def test_complex_field_time_stamp():
     g = Grid((2, 2), (1.0, 1.0))
     f = ComplexField(g, np.zeros((2, 2)), time_stamp=3)
@@ -124,15 +118,6 @@ def test_l2_norm_includes_cell_volume():
     g = Grid((4,), (0.25,))
     f = ComplexField(g, np.full(4, 1.0 + 1.0j))
     assert l2_norm_squared(f) == pytest.approx(4 * 2.0 * 0.25)
-
-
-def test_l2_norm_mask():
-    g = Grid((4,), (1.0,))
-    f = ScalarField(g, [1.0, 2.0, 3.0, 4.0])
-    mask = np.array([True, False, False, True])
-    assert l2_norm_squared(f, mask) == pytest.approx(1.0 + 16.0)
-    with pytest.raises(ValueError):
-        l2_norm_squared(f, np.array([True, False]))
 
 
 # --- CSV round trips --------------------------------------------------------

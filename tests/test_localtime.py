@@ -114,11 +114,15 @@ def test_local_time_rejects_bad_args():
         local_time(ramp_tt(), math.inf)
     with pytest.raises(ValueError):
         local_time(ramp_tt(), 1.0, front_tol=-0.1)
+    with pytest.raises(ValueError, match="front_tol"):
+        LocalTimeField(Grid((4,), (1.0,)), np.zeros(4), 1.0, -0.1)
 
 
 def test_local_time_rejects_nan_front_tol():
     with pytest.raises(ValueError, match="front_tol"):
         local_time(ramp_tt(), 1.0, front_tol=math.nan)
+    with pytest.raises(ValueError, match="front_tol"):
+        LocalTimeField(Grid((4,), (1.0,)), np.zeros(4), 1.0, math.nan)
 
 
 def test_csv_format_golden():
@@ -163,3 +167,7 @@ def test_classification_consistent_with_theta(t, tol, seed):
     assert np.array_equal(
         lt.mask(RegionClass.PERTURBED), ~(on_front | before)
     )
+    # The constructor derives the same classes from theta and the tolerance.
+    direct = LocalTimeField(g, t - tt.t_P, t, tol)
+    assert np.array_equal(direct.classes, lt.classes)
+    assert not direct.classes.flags.writeable
