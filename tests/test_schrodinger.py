@@ -310,6 +310,29 @@ def test_pinned_1d_histories(name):
     assert hashlib.sha256(history.tobytes()).hexdigest()[:16] == digest
 
 
+# The same for a 2-D and a 3-D packet on grids whose axes differ in cell count
+# and spacing, so that a swapped stride or spacing changes the hash.  Each
+# step is BiCGSTAB (scipy 1.17.1) on the CSR matrix of A.
+PINNED_HISTORIES_ND = {
+    "2-D free": ((41, 37), None, "ffd6339f1655a6da"),
+    "2-D potential": ((41, 37), 7, "0b48602f0b9c77da"),
+    "3-D free": ((17, 19, 15), None, "7d63412d05d87d56"),
+    "3-D potential": ((17, 19, 15), 7, "a2d246e64a98a315"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES_ND))
+def test_pinned_nd_histories(name):
+    shape, seed, digest = PINNED_HISTORIES_ND[name]
+    g = Grid(shape, tuple(1.0 / (n - 1) for n in shape))
+    u = (np.zeros(shape) if seed is None
+         else np.random.default_rng(seed).uniform(-50.0, 50.0, shape))
+    prob = QuantumProblem(g, ScalarField(g, u), 1.0, 5e-4, NAT)
+    psi = gaussian_packet(g, (0.5,) * len(shape), 0.1, 10.0)
+    history = propagate_classical(psi, prob, 40).history
+    assert hashlib.sha256(history.tobytes()).hexdigest()[:16] == digest
+
+
 # --- history window management -------------------------------------------------
 
 def test_window_retention_and_times():
