@@ -296,14 +296,24 @@ _DISPERSION_COLUMNS = (
 )
 
 
+def _has_wavelength(particle: FreeParticle) -> FreeParticle:
+    """particle, whose wavenumber must not underflow to 0 (the table lists 1/k)."""
+    if particle.k == 0.0:
+        raise ValueError(f"the wavenumber underflows to 0 at speed {particle.speed!r} m/s")
+    return particle
+
+
 def cmd_dispersion(args: argparse.Namespace) -> int:
     v_p = math.inf if args.classical else args.vp
     if not args.voltage and not args.speed:
         raise ValueError("provide at least one --voltage or --speed")
 
-    particles = [(f"{voltage:g}", FreeParticle.electron_from_voltage(voltage))
-                 for voltage in args.voltage or ()]
-    particles += [("-", FreeParticle(CODATA2018.m_e, speed)) for speed in args.speed or ()]
+    with _flag("--voltage"):
+        particles = [(f"{v:g}", _has_wavelength(FreeParticle.electron_from_voltage(v)))
+                     for v in args.voltage or ()]
+    with _flag("--speed"):
+        particles += [("-", _has_wavelength(FreeParticle(CODATA2018.m_e, v)))
+                      for v in args.speed or ()]
 
     print(" ".join(f"{c:>14s}" for c in _DISPERSION_COLUMNS))
     for label, p in particles:

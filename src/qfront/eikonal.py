@@ -109,7 +109,8 @@ class TraveltimeField:
 
 
 def _slowness_per_cell(grid: Grid, speed: Speed) -> np.ndarray:
-    """1/v flattened per cell; rejects non-positive or non-finite speeds."""
+    """1/v flattened per cell; rejects non-positive or non-finite speeds and
+    speeds so small that 1/v overflows."""
     if isinstance(speed, ScalarField):
         _require_grid_shape("speed field", speed.grid.shape, grid.shape)
         v = speed.values.reshape(-1)
@@ -117,14 +118,20 @@ def _slowness_per_cell(grid: Grid, speed: Speed) -> np.ndarray:
         v = np.full(grid.n_cells, float(speed))
     if np.any(~np.isfinite(v)) or np.any(v <= 0.0):
         raise ValueError("speed must be positive and finite everywhere")
-    return 1.0 / v
+    with np.errstate(over="ignore"):
+        slowness = 1.0 / v
+    if not np.all(np.isfinite(slowness)):
+        raise ValueError(f"speed {float(v.min())!r} is so small that 1/speed overflows")
+    return slowness
 
 
 def _seed_cells(grid: Grid, source: SourceSpec, radius: float) -> dict:
     """Map multi-index -> distance to the source set, for cells within radius."""
     shape, spacing = grid.shape, grid.spacing
     dims = grid.dims
-    reach = [int(math.ceil(radius / spacing[a])) for a in range(dims)]
+    # Clamped to the grid, so that a huge radius or a tiny spacing cannot
+    # overflow the cell count (a reach of shape[a] already spans the axis).
+    reach = [int(math.ceil(min(radius / spacing[a], shape[a]))) for a in range(dims)]
     seeds: dict = {}
     for cell in source.cells:
         ranges = [range(max(0, cell[a] - reach[a]),

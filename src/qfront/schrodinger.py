@@ -7,9 +7,11 @@ Classical (instantaneous) evolution uses the Crank-Nicolson scheme
 with H = -hbar^2/(2m) Laplacian + U and fixed-zero boundary values.  With
 A = I + i*dt/(2*hbar) H the right-hand operator is 2I - A, so a step is the
 Cayley form psi_{n+1} = 2 A^-1 psi_n - psi_n: one solve with A and no
-second operator.  In 1-D A is tridiagonal, factored once by LAPACK zgttrf
-and solved by zgttrs each step (padded to 3 unknowns when smaller); in
-2-D and 3-D each step runs BiCGSTAB.  The scheme is unconditionally
+second operator.  A is kept as its diagonals: the main one and, for each
+axis, the two bands one stride along that axis away.  In 1-D these are
+A's three diagonals, factored once by LAPACK zgttrf and solved by zgttrs
+each step (padded to 3 unknowns when smaller); in 2-D and 3-D they form a
+sparse matrix and each step runs BiCGSTAB.  The scheme is unconditionally
 stable and, for real U, preserves the L2 norm to round-off.  The modified
 evolution is obtained from the classical one by evaluating each point at
 its own local time theta = t - t_P, where t_P is the arrival time of the
@@ -19,7 +21,6 @@ unperturbed value (zero for states that start as pure perturbations).
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -177,57 +178,63 @@ def _require_lapack_success(routine: str, info: int) -> None:
 class _Stepper:
     """Crank-Nicolson stepper on the interior cells of a 1-, 2- or 3-D grid.
 
-    H = (hbar^2/2m) L + diag(U) is built once, L being the Kronecker sum of
-    the per-axis second differences (axis 0 slowest, as in C order), and
-    only A = I + cH, c = i dt/2hbar, is kept.  Since I - cH = 2I - A, the
-    CN update A^-1 (I - cH) x equals 2y - x with A y = x, so each step is
-    one solve with A.  In 1-D, A is tridiagonal: its three diagonals are
-    factored once here with LAPACK zgttrf, and every step is one zgttrs
-    solve.  zgttrf takes at least 3 unknowns, so a smaller system is
-    padded to 3 with decoupled unit rows.  In 2-D and 3-D a sparse LU
-    fills in (a 40^3 factorisation takes about a minute), so each step
+    Only A = I + cH, c = i dt/2hbar, is built, from its diagonals over the
+    interior cells in C order (axis 0 slowest).  With hop_a = hbar^2/2m /
+    dx_a^2, the main diagonal is 1 + c (sum_a 2 hop_a + U), and each axis a
+    adds two bands at offsets +-stride_a holding -c hop_a, zero where the
+    neighbour would cross that axis's last layer.  Since I - cH = 2I - A,
+    the CN update A^-1 (I - cH) x equals 2y - x with A y = x, so each step
+    is one solve with A.  In 1-D the three bands are factored once here
+    with LAPACK zgttrf, and every step is one zgttrs solve.  zgttrf takes
+    at least 3 unknowns, so a smaller system is padded to 3 with decoupled
+    unit rows.  In 2-D and 3-D a sparse LU fills in (a 40^3 factorisation
+    takes about a minute), so the bands form a CSR matrix and each step
     runs BiCGSTAB started from x instead; its rtol bounds the relative
     error of y, and x' = 2y - x carries at most twice that error.  scipy
     is imported here, not with the module, so that importing qfront for
-    traveltimes, dispersion or fits does not pay for it.
+    traveltimes, dispersion or fits does not pay for it, and scipy.sparse
+    only in 2-D and 3-D.
     """
 
     def __init__(self, problem: QuantumProblem) -> None:
-        # scipy.linalg first: loaded from inside scipy.sparse.linalg it costs
-        # a fresh process about 27 ms more CPU (2.6k more page faults).
         import scipy.linalg
-        import scipy.sparse.linalg
 
         hbar = problem.constants.hbar
-        self._interior = tuple(slice(1, -1) for _ in problem.grid.shape)
+        spacing = problem.grid.spacing
+        self._interior = tuple(slice(1, -1) for _ in spacing)
         u = problem.potential.values[self._interior]
         self._shape_int = u.shape
-        second_differences = [
-            scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n_ax, n_ax))
-            / (dx * dx)
-            for n_ax, dx in zip(u.shape, problem.grid.spacing)
-        ]
-        lap = functools.reduce(
-            lambda slow, fast: scipy.sparse.kronsum(fast, slow, format="csr"),
-            second_differences,
-        )
-        h_mat = (hbar**2 / (2.0 * problem.mass)) * lap + scipy.sparse.diags(u.ravel())
+        # H by offset; A = I + cH band by band.  An axis of one interior
+        # layer has an all-zero band at the stride of the axis before it, so
+        # bands at one offset add.
+        kinetic = hbar**2 / (2.0 * problem.mass)
+        h_bands = {0: kinetic * sum(2.0 / (dx * dx) for dx in spacing) + u.ravel()}
+        for axis, dx in enumerate(spacing):
+            stride = math.prod(u.shape[axis + 1 :])
+            hop = np.full(u.shape, kinetic * (-1.0 / (dx * dx)))
+            hop[(slice(None),) * axis + (-1,)] = 0.0
+            band = h_bands.get(stride, 0.0) + hop.ravel()[:-stride]
+            h_bands[stride] = h_bands[-stride] = band
         c = 1j * problem.dt / (2.0 * hbar)
-        eye = scipy.sparse.identity(u.size, dtype=np.complex128, format="csr")
-        self._a = (eye + c * h_mat).tocsr()
+        bands = {k: (k == 0) + c * h for k, h in h_bands.items()}
         self._lu = None
         if u.ndim == 1:
             self._pad = max(3 - u.size, 0)
-            bands = [
-                np.pad(self._a.diagonal(k), (0, self._pad), constant_values=fill)
-                for k, fill in ((-1, 0.0), (0, 1.0), (1, 0.0))
-            ]
             gttrf, self._gttrs = scipy.linalg.lapack.get_lapack_funcs(
                 ("gttrf", "gttrs"), dtype=np.complex128
             )
-            *self._lu, info = gttrf(*bands)
+            *self._lu, info = gttrf(*(
+                np.pad(bands[k], (0, self._pad), constant_values=float(k == 0))
+                for k in (-1, 0, 1)
+            ))
             _require_lapack_success("zgttrf", info)
-        self._bicgstab = scipy.sparse.linalg.bicgstab
+        else:
+            import scipy.sparse.linalg
+
+            self._a = scipy.sparse.diags_array(
+                list(bands.values()), offsets=list(bands), format="csr"
+            )
+            self._bicgstab = scipy.sparse.linalg.bicgstab
 
     def step(self, values: np.ndarray, out: np.ndarray) -> None:
         x = values[self._interior].ravel()

@@ -972,6 +972,7 @@ USAGE_ERRORS = [
     (PROPAGATE + ["--gaussian-center", "a"], "--gaussian-center"),
     (EIKONAL + ["--speed", "0"], "--speed"),
     (EIKONAL + ["--speed-csv", "v.csv"], "--speed-csv"),  # as well as --speed
+    (EIKONAL + ["--speed", "1e-320"], "--speed"),  # 1/speed overflows
     (EIKONAL + ["--source-ball-radius", "nan"], "--source-ball-radius"),
     (EIKONAL + ["--shape", "4", "--verify-analytic"], "--verify-analytic"),  # no cell 5 away
     (["eikonal", "--shape", "16", "--spacing", "1", "--source", "3", "--out", "tt.csv",
@@ -997,6 +998,9 @@ USAGE_ERRORS = [
     (ELECTRON_1D + ["--dt", "2e-19", "--spacing", "1e-200"],  # 1/spacing^2 overflows
      "--shape/--spacing/--potential/--mass/--dt"),
     (["dispersion", "--vp", "1.3e8", "--voltage", "nan"], "--voltage"),
+    # The wavenumber underflows to 0, so the table would divide by it.
+    (["dispersion", "--vp", "1.3e8", "--voltage", "1e-320"], "--voltage"),
+    (["dispersion", "--vp", "1.3e8", "--speed", "1e-320"], "--speed"),
     (["fit", "--data", "missing.csv"], "--data"),
     (["fit", "--data", "one_record.csv"], "--data"),
     (["compare", "--out", "layers.csv", "--data", "one_record.csv"], "--data"),
@@ -1082,6 +1086,23 @@ def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, st
     run = _fresh_python(tmp_path, f"import sys; {statement}; "
                         "print('scipy.sparse' in sys.modules, 'numpy' in sys.modules)")
     assert run.stdout.splitlines()[-1] == "False False"
+
+
+@pytest.mark.parametrize("argv, loads_sparse", [
+    (["propagate", *GRID_1D, "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+      "--mass", "1", "--dt", "1e-4", "--n-steps", "10", "--out-prefix", "run"], False),
+    ([*MODIFIED_WITH_LOCALTIME, "--vp", "5"], False),
+    (["propagate", "--shape", "16,12", "--spacing", f"{1 / 15},{1 / 11}",
+      "--gaussian-center", "0.5,0.5", "--gaussian-width", "0.15", "--mass", "1",
+      "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"], True),
+], ids=["1-D", "1-D modified", "2-D"])
+def test_fresh_propagate_loads_scipy_sparse_only_beyond_1d(tmp_path, argv, loads_sparse):
+    # The 1-D stepper solves with LAPACK from scipy.linalg; only the 2-D and
+    # 3-D one, running BiCGSTAB on a sparse matrix, needs scipy.sparse.
+    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
+    run = _fresh_python(tmp_path, "import sys; from qfront.cli import main; "
+                        f"assert main({argv!r}) == 0; print('scipy.sparse' in sys.modules)")
+    assert run.stdout.splitlines()[-1] == str(loads_sparse)
 
 
 def test_fresh_process_resolves_every_public_name(tmp_path):

@@ -64,6 +64,33 @@ def test_rejects_speed_field_with_zero():
         solve_traveltime(g, SourceSpec([(0,)]), ScalarField(g, v))
 
 
+@pytest.mark.parametrize("field", [False, True])
+def test_rejects_speed_whose_reciprocal_overflows(field):
+    # Finite and positive, but 1/v is inf; warnings are errors under pytest,
+    # so an overflow warning would fail this too.
+    g = Grid((8,), (1.0,))
+    speed = 1e-320
+    if field:
+        v = np.ones(8)
+        v[3] = speed
+        speed = ScalarField(g, v)
+    with pytest.raises(ValueError, match=r"speed 1e-320 is so small that 1/speed overflows"):
+        solve_traveltime(g, SourceSpec([(0,)]), speed)
+
+
+@pytest.mark.parametrize("shape, spacing, cell, speed", [
+    ((16,), (1e-10,), (3,), 1.0),
+    ((7, 5), (1e-10, 2e-10), (2, 4), 2.0),
+])
+def test_huge_ball_radius_seeds_every_cell_at_its_distance(shape, spacing, cell, speed):
+    # radius / spacing overflows to inf; the reach is clamped to the grid.
+    g = Grid(shape, spacing)
+    tt = solve_traveltime(g, SourceSpec([cell]), speed, source_ball_radius=1e300)
+    index = np.indices(shape)
+    dist = np.sqrt(sum(((i - c) * h) ** 2 for i, c, h in zip(index, cell, spacing)))
+    np.testing.assert_array_equal(tt.t_P, dist * (1.0 / speed))
+
+
 def test_rejects_negative_ball_radius():
     g = Grid((8,), (1.0,))
     with pytest.raises(ValueError):

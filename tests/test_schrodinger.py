@@ -248,7 +248,9 @@ def test_constant_potential_shifts_eigenvalue():
     ((4,), (0.3,)),
     ((40,), (0.03,)),
     ((9, 12), (0.1, 0.07)),
+    ((3, 7), (0.1, 0.07)),
     ((6, 7, 8), (0.2, 0.15, 0.1)),
+    ((5, 3, 4), (0.2, 0.15, 0.1)),
 ])
 def test_cn_step_matches_dense_solve(shape, spacing):
     # H = -hbar^2/(2m) Laplacian + U on the interior cells, written out
