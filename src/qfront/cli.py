@@ -303,6 +303,13 @@ def _has_wavelength(particle: FreeParticle) -> FreeParticle:
     return particle
 
 
+def _four_decimals(value: float) -> str:
+    """value to 4 decimals, or as %.6e like the other columns where that
+    would not fit the table's 14-character column."""
+    text = f"{value:.4f}"
+    return text if len(text) <= 14 else f"{value:.6e}"
+
+
 def cmd_dispersion(args: argparse.Namespace) -> int:
     v_p = math.inf if args.classical else args.vp
     if not args.voltage and not args.speed:
@@ -326,7 +333,7 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
             f"{k_l:.6e}",
             f"{1.0 / p.k:.6e}",
             f"{1.0 / k_l:.6e}",
-            f"{1e10 / k_l:.4f}",
+            _four_decimals(1e10 / k_l),
             f"{p.phase_velocity:.6e}",
             f"{modified_phase_velocity(p.phase_velocity, v_p):.6e}",
             f"{p.group_velocity:.6e}",

@@ -110,7 +110,7 @@ class TraveltimeField:
 
 def _slowness_per_cell(grid: Grid, speed: Speed) -> np.ndarray:
     """1/v flattened per cell; rejects non-positive or non-finite speeds and
-    speeds so small that 1/v overflows."""
+    speeds so small that 1/v or its square overflows."""
     if isinstance(speed, ScalarField):
         _require_grid_shape("speed field", speed.grid.shape, grid.shape)
         v = speed.values.reshape(-1)
@@ -122,6 +122,11 @@ def _slowness_per_cell(grid: Grid, speed: Speed) -> np.ndarray:
         slowness = 1.0 / v
     if not np.all(np.isfinite(slowness)):
         raise ValueError(f"speed {float(v.min())!r} is so small that 1/speed overflows")
+    try:
+        float(slowness.max()) ** 2  # as the march squares it
+    except OverflowError:
+        raise ValueError(
+            f"speed {float(v.min())!r} is so small that (1/speed)**2 overflows") from None
     return slowness
 
 

@@ -21,7 +21,11 @@ unperturbed value (zero for states that start as pure perturbations).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -175,6 +179,37 @@ def _require_lapack_success(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
 
 
+def _zgttrf_zgttrs() -> tuple[Callable, Callable]:
+    """LAPACK zgttrf and zgttrs from scipy.linalg._flapack, scipy's f2py
+    LAPACK binding, loaded without importing scipy or scipy.linalg.
+
+    These are the objects get_lapack_funcs(("gttrf", "gttrs"),
+    dtype=complex128) returns.  The binding is taken from sys.modules if
+    scipy.linalg has loaded it, else loaded from its file in scipy's
+    directory, which find_spec("scipy") gives without importing scipy.
+    """
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        spec = importlib.util.find_spec("scipy")
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        (root,) = spec.submodule_search_locations
+        path = os.path.join(root, "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        if not os.path.isfile(path):
+            raise ImportError(f"scipy's LAPACK binding {path} is missing", name=name, path=path)
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(flapack)
+        # Creating a single-phase extension module files it in sys.modules.
+        # Left there without its package, it would be taken as is by a later
+        # import scipy.linalg, which would then lack the attribute _flapack;
+        # taken out, it is created again from CPython's extension cache,
+        # holding these same function objects.
+        sys.modules.pop(name, None)
+    return flapack.zgttrf, flapack.zgttrs
+
+
 class _Stepper:
     """Crank-Nicolson stepper on the interior cells of a 1-, 2- or 3-D grid.
 
@@ -191,14 +226,14 @@ class _Stepper:
     takes about a minute), so the bands form a CSR matrix and each step
     runs BiCGSTAB started from x instead; its rtol bounds the relative
     error of y, and x' = 2y - x carries at most twice that error.  scipy
-    is imported here, not with the module, so that importing qfront for
-    traveltimes, dispersion or fits does not pay for it, and scipy.sparse
-    only in 2-D and 3-D.
+    is loaded here, not with the module, so that importing qfront for
+    traveltimes, dispersion or fits does not pay for it.  1-D loads only
+    scipy's compiled LAPACK binding (_zgttrf_zgttrs): importing the
+    scipy.linalg package would add 0.3-0.4 s of CPU time and about 24 MiB
+    of memory to every run.  2-D and 3-D import scipy.sparse.linalg.
     """
 
     def __init__(self, problem: QuantumProblem) -> None:
-        import scipy.linalg
-
         hbar = problem.constants.hbar
         spacing = problem.grid.spacing
         self._interior = tuple(slice(1, -1) for _ in spacing)
@@ -220,9 +255,7 @@ class _Stepper:
         self._lu = None
         if u.ndim == 1:
             self._pad = max(3 - u.size, 0)
-            gttrf, self._gttrs = scipy.linalg.lapack.get_lapack_funcs(
-                ("gttrf", "gttrs"), dtype=np.complex128
-            )
+            gttrf, self._gttrs = _zgttrf_zgttrs()
             *self._lu, info = gttrf(*(
                 np.pad(bands[k], (0, self._pad), constant_values=float(k == 0))
                 for k in (-1, 0, 1)
@@ -520,11 +553,20 @@ def gaussian_packet(
         raise ValueError(f"center must be finite, got {center}")
     if not 0.0 < width < math.inf:
         raise ValueError(f"width must be positive and finite, got {width}")
+    try:
+        four_var = 4.0 * width**2
+    except OverflowError:
+        four_var = math.inf
+    if not 0.0 < four_var < math.inf:
+        raise ValueError(
+            f"4*width**2 must be positive and finite, got {four_var!r} at width {width!r}")
     if not math.isfinite(wavenumber):
         raise ValueError(f"wavenumber must be finite, got {wavenumber}")
     coords = grid.coordinate_arrays()
-    r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, center))
-    values = np.exp(-r2 / (4.0 * width**2)).astype(np.complex128)
+    # A squared distance that overflows is a cell where the packet is 0.
+    with np.errstate(over="ignore"):
+        r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, center))
+    values = np.exp(-r2 / four_var).astype(np.complex128)
     values = values * np.exp(2.0j * np.pi * wavenumber * coords[0])
     return _hard_wall_normalized(grid, values)
 

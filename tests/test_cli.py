@@ -29,6 +29,7 @@ from qfront.schrodinger import (
     gaussian_packet,
     propagate_classical,
 )
+from test_schrodinger import PINNED_HISTORIES_1D, PINNED_HISTORIES_ND
 
 GRID_1D = ["--shape", "64", "--spacing", str(1.0 / 63)]
 
@@ -724,6 +725,23 @@ def test_dispersion_table_54v(capsys):
     assert float(row["lambda_l_angstrom"]) == pytest.approx(1.6414, abs=2e-4)
 
 
+def test_dispersion_cells_fit_their_columns(capsys):
+    # A tiny wavenumber makes lambda_l_angstrom huge; printed to 4 decimals
+    # it would run to 150 digits, so it switches to %.6e like its neighbours.
+    assert main(["dispersion", "--vp", "1.3e8", "--voltage", "54", "--voltage", "1e-300",
+                 "--speed", "1e-3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(lines[0].split(), line.split())) for line in lines[1:]]
+    assert [row["lambda_l_angstrom"] for row in rows] == [
+        "1.6414", "1.226424e+151", "7.273895e+09"]
+    for line in lines[1:]:
+        assert len(line) == 12 * 14 + 11, line  # 12 cells, 11 separators
+    assert lines[1] == (
+        "            54   4.358355e+06   1.305714e+16   5.991776e+09   6.092215e+09"
+        "   1.668954e-10   1.641439e-10         1.6414   2.179177e+06   2.143250e+06"
+        "   4.358355e+06   4.216977e+06")
+
+
 def test_dispersion_classical_limit(capsys):
     code = main(["dispersion", "--classical", "--voltage", "54"])
     assert code == 0
@@ -973,6 +991,7 @@ USAGE_ERRORS = [
     (EIKONAL + ["--speed", "0"], "--speed"),
     (EIKONAL + ["--speed-csv", "v.csv"], "--speed-csv"),  # as well as --speed
     (EIKONAL + ["--speed", "1e-320"], "--speed"),  # 1/speed overflows
+    (EIKONAL + ["--speed", "1e-300"], "--speed"),  # (1/speed)**2 overflows
     (EIKONAL + ["--source-ball-radius", "nan"], "--source-ball-radius"),
     (EIKONAL + ["--shape", "4", "--verify-analytic"], "--verify-analytic"),  # no cell 5 away
     (["eikonal", "--shape", "16", "--spacing", "1", "--source", "3", "--out", "tt.csv",
@@ -983,6 +1002,11 @@ USAGE_ERRORS = [
     (PROPAGATE + ["--mass", "0"], "--mass"),
     (PROPAGATE + ["--gaussian-width", "0"], "--gaussian-width"),
     (PROPAGATE + ["--gaussian-carrier", "inf"], "--gaussian-carrier"),
+    (["propagate", "--shape", "64", "--spacing", "1e300", "--gaussian-center", "3e301",
+      "--gaussian-width", "4e300", "--dt", "1e-5", "--n-steps", "2", "--out-prefix", "r"],
+     "--gaussian-center/--gaussian-width"),  # 4 * width**2 overflows
+    (PROPAGATE + ["--gaussian-width", "1e-200"],
+     "--gaussian-center/--gaussian-width"),  # 4 * width**2 underflows to 0
     (PROPAGATE + ["--n-steps", "-3"], "--n-steps"),
     (PROPAGATE + ["--save-every", "-2"], "--save-every"),
     (PROPAGATE + ["--eval-time", "inf"], "--eval-time"),
@@ -1088,7 +1112,7 @@ def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, st
     assert run.stdout.splitlines()[-1] == "False False"
 
 
-@pytest.mark.parametrize("argv, loads_sparse", [
+@pytest.mark.parametrize("argv, loads_packages", [
     (["propagate", *GRID_1D, "--gaussian-center", "0.5", "--gaussian-width", "0.08",
       "--mass", "1", "--dt", "1e-4", "--n-steps", "10", "--out-prefix", "run"], False),
     ([*MODIFIED_WITH_LOCALTIME, "--vp", "5"], False),
@@ -1096,13 +1120,35 @@ def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, st
       "--gaussian-center", "0.5,0.5", "--gaussian-width", "0.15", "--mass", "1",
       "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"], True),
 ], ids=["1-D", "1-D modified", "2-D"])
-def test_fresh_propagate_loads_scipy_sparse_only_beyond_1d(tmp_path, argv, loads_sparse):
-    # The 1-D stepper solves with LAPACK from scipy.linalg; only the 2-D and
-    # 3-D one, running BiCGSTAB on a sparse matrix, needs scipy.sparse.
+def test_fresh_propagate_loads_scipy_sparse_only_beyond_1d(tmp_path, argv, loads_packages):
+    # The 1-D stepper loads scipy's LAPACK binding alone, not the scipy.linalg
+    # package; only the 2-D and 3-D one, running BiCGSTAB on a sparse matrix,
+    # imports scipy.sparse, and with it scipy.linalg.
     write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
     run = _fresh_python(tmp_path, "import sys; from qfront.cli import main; "
-                        f"assert main({argv!r}) == 0; print('scipy.sparse' in sys.modules)")
-    assert run.stdout.splitlines()[-1] == str(loads_sparse)
+                        f"assert main({argv!r}) == 0; "
+                        "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)")
+    assert run.stdout.splitlines()[-1] == f"{loads_packages} {loads_packages}"
+
+
+def test_fresh_1d_history_is_pinned_before_and_after_scipy_linalg(tmp_path):
+    # The 1-D stepper loads scipy's LAPACK binding from its file while
+    # scipy.linalg is not imported, and takes scipy.linalg's once it is; both
+    # give the pinned bits, and a 2-D run between them is unaffected.
+    run = _fresh_python(tmp_path, f"""if True:
+        import sys, warnings
+        warnings.simplefilter("error")
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        from test_schrodinger import pinned_1d_digest, pinned_nd_digest
+        print(pinned_1d_digest("potential"), "scipy.linalg" in sys.modules)
+        import scipy.linalg
+        print(pinned_nd_digest("2-D potential"))
+        print(pinned_1d_digest("potential"), scipy.linalg._flapack.__name__)""")
+    assert run.stdout.splitlines() == [
+        f"{PINNED_HISTORIES_1D['potential'][2]} False",
+        PINNED_HISTORIES_ND["2-D potential"][2],
+        f"{PINNED_HISTORIES_1D['potential'][2]} scipy.linalg._flapack",
+    ]
 
 
 def test_fresh_process_resolves_every_public_name(tmp_path):

@@ -66,16 +66,19 @@ def test_rejects_speed_field_with_zero():
 
 @pytest.mark.parametrize("field", [False, True])
 def test_rejects_speed_whose_reciprocal_overflows(field):
-    # Finite and positive, but 1/v is inf; warnings are errors under pytest,
-    # so an overflow warning would fail this too.
+    # Finite and positive, but 1/v is inf, or finite with a square that the
+    # march's float ** 2 cannot form; warnings are errors under pytest, so
+    # an overflow warning would fail this too.
     g = Grid((8,), (1.0,))
-    speed = 1e-320
-    if field:
-        v = np.ones(8)
-        v[3] = speed
-        speed = ScalarField(g, v)
-    with pytest.raises(ValueError, match=r"speed 1e-320 is so small that 1/speed overflows"):
-        solve_traveltime(g, SourceSpec([(0,)]), speed)
+    for v_min, overflows in ((1e-320, "1/speed"), (1e-300, r"\(1/speed\)\*\*2")):
+        speed = v_min
+        if field:
+            v = np.ones(8)
+            v[3] = v_min
+            speed = ScalarField(g, v)
+        message = rf"speed {v_min!r} is so small that {overflows} overflows"
+        with pytest.raises(ValueError, match=message):
+            solve_traveltime(g, SourceSpec([(0,)]), speed)
 
 
 @pytest.mark.parametrize("shape, spacing, cell, speed", [

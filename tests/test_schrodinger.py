@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -117,11 +120,21 @@ def test_grid_shape_checks_name_the_argument_and_both_shapes():
     ((math.nan,), 0.1, 0.0),
     ((math.inf,), 0.1, 0.0),
     ((0.5,), 0.1, math.nan),
+    ((0.5,), 1e154, 0.0),  # 4*width**2 overflows
+    ((0.5,), 1e-200, 0.0),  # 4*width**2 underflows to 0
 ])
 def test_gaussian_packet_rejects_non_finite_or_bad_parameters(center, width, wavenumber):
     g = Grid((32,), (1.0 / 31,))
     with pytest.raises(ValueError, match="center|width|wavenumber"):
         gaussian_packet(g, center, width, wavenumber)
+
+
+def test_gaussian_packet_is_zero_where_the_squared_distance_overflows():
+    # Warnings are errors under pytest, so an overflow warning fails this too.
+    g = Grid((64,), (1e300,))
+    packet = gaussian_packet(g, (3e301,), 1e150)
+    assert np.flatnonzero(packet.values).tolist() == [30]
+    assert l2_norm_squared(packet) == pytest.approx(1.0)
 
 
 def test_states_vanishing_on_the_interior_are_rejected():
@@ -301,15 +314,20 @@ PINNED_HISTORIES_1D = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES_1D))
-def test_pinned_1d_histories(name):
-    n, seed, digest = PINNED_HISTORIES_1D[name]
+def pinned_1d_digest(name):
+    """The history digest of the case PINNED_HISTORIES_1D[name], as run now."""
+    n, seed, _ = PINNED_HISTORIES_1D[name]
     g = Grid((n,), (1.0 / (n - 1),))
     u = np.zeros(n) if seed is None else np.random.default_rng(seed).uniform(-50.0, 50.0, n)
     prob = QuantumProblem(g, ScalarField(g, u), 1.0, 5e-4, NAT)
     psi = gaussian_packet(g, (0.5,), 0.2 if n < 8 else 0.08, 10.0)
     history = propagate_classical(psi, prob, 40).history
-    assert hashlib.sha256(history.tobytes()).hexdigest()[:16] == digest
+    return hashlib.sha256(history.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES_1D))
+def test_pinned_1d_histories(name):
+    assert pinned_1d_digest(name) == PINNED_HISTORIES_1D[name][2]
 
 
 # The same for a 2-D and a 3-D packet on grids whose axes differ in cell count
@@ -323,16 +341,32 @@ PINNED_HISTORIES_ND = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES_ND))
-def test_pinned_nd_histories(name):
-    shape, seed, digest = PINNED_HISTORIES_ND[name]
+def pinned_nd_digest(name):
+    """The history digest of the case PINNED_HISTORIES_ND[name], as run now."""
+    shape, seed, _ = PINNED_HISTORIES_ND[name]
     g = Grid(shape, tuple(1.0 / (n - 1) for n in shape))
     u = (np.zeros(shape) if seed is None
          else np.random.default_rng(seed).uniform(-50.0, 50.0, shape))
     prob = QuantumProblem(g, ScalarField(g, u), 1.0, 5e-4, NAT)
     psi = gaussian_packet(g, (0.5,) * len(shape), 0.1, 10.0)
     history = propagate_classical(psi, prob, 40).history
-    assert hashlib.sha256(history.tobytes()).hexdigest()[:16] == digest
+    return hashlib.sha256(history.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES_ND))
+def test_pinned_nd_histories(name):
+    assert pinned_nd_digest(name) == PINNED_HISTORIES_ND[name][2]
+
+
+def test_missing_lapack_binding_is_an_import_error_naming_its_path(tmp_path, monkeypatch):
+    # scipy found in a directory without linalg/_flapack*, and no binding loaded.
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    prob = free_problem(16)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        propagate_classical(gaussian_packet(prob.grid, (0.5,), 0.1), prob, 1)
 
 
 # --- history window management -------------------------------------------------
