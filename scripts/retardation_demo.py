@@ -49,10 +49,10 @@ def main(argv: list[str] | None = None) -> int:
         grid, ScalarField(grid, np.zeros(args.cells)), mass=1.0, dt=args.dt,
         constants=nat,
     )
-    mode1 = box_eigenmode(grid, (1,), mass=1.0, constants=nat)
-    mode2 = box_eigenmode(grid, (2,), mass=1.0, constants=nat)
+    mode1 = box_eigenmode(grid, (1,))
+    mode2 = box_eigenmode(grid, (2,))
     initial = ComplexField(
-        grid, (mode1.psi.values + mode2.psi.values) / math.sqrt(2.0)
+        grid, (mode1.values + mode2.values) / math.sqrt(2.0)
     )
     solution = propagate_classical(initial, problem, args.n_steps)
     t_eval = (args.n_steps - args.tau_steps) * args.dt

@@ -21,13 +21,11 @@ _EXPORTS = {
     "fields": ("Grid", "ScalarField", "ComplexField", "l2_norm_squared",
                "read_field_csv", "write_field_csv"),
     "eikonal": ("SourceSpec", "TraveltimeField", "solve_traveltime", "front_mask"),
-    "localtime": ("LocalTimeField", "RegionClass", "local_time",
-                  "infinite_speed_limit", "write_localtime_csv"),
-    "schrodinger": ("QuantumProblem", "ClassicalSolution", "StationaryState",
-                    "ConvergenceError", "HistoryWindowError", "step_classical",
-                    "propagate_classical", "evaluate_modified", "difference_estimate",
-                    "stationary_modified_wavefunction", "make_plane_wave",
-                    "gaussian_packet", "box_eigenmode"),
+    "localtime": ("LocalTimeField", "RegionClass", "local_time", "write_localtime_csv"),
+    "schrodinger": ("QuantumProblem", "ClassicalSolution", "ConvergenceError",
+                    "HistoryWindowError", "propagate_classical", "evaluate_modified",
+                    "difference_estimate", "make_plane_wave", "gaussian_packet",
+                    "box_eigenmode"),
     "dispersion": ("WavePhaseDecomposition", "FreeParticle", "WavelengthRegime",
                    "modified_wavenumber_general", "modified_wavenumber_free",
                    "modified_phase_velocity", "modified_group_velocity",

@@ -116,10 +116,12 @@ def _read_grid_field(path: str, grid: Grid, build: Callable):
 # --- eikonal ----------------------------------------------------------------
 
 def cmd_eikonal(args: argparse.Namespace) -> int:
-    from .eikonal import SourceSpec, cone_error, solve_traveltime
+    from .eikonal import SourceSpec, _require_spacing_in_range, cone_error, solve_traveltime
     from .fields import ScalarField, write_field_csv
 
     grid = _build_grid(args)
+    with _flag("--shape/--spacing/--origin"):
+        _require_spacing_in_range(grid)
     with _flag("--source"):
         source = SourceSpec(args.source)
         source.validate_against(grid)
@@ -155,7 +157,7 @@ def _initial_state(args: argparse.Namespace, grid: Grid) -> ComplexField:
             _initial_norm(state, grid)
         return state
     carrier = 0.0 if args.gaussian_carrier is None else args.gaussian_carrier
-    with _flag("--gaussian-center/--gaussian-width"):
+    with _flag("--gaussian-center/--gaussian-width/--gaussian-carrier"):
         return gaussian_packet(grid, args.gaussian_center, args.gaussian_width, carrier)
 
 
@@ -170,7 +172,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
     a8 = args.mode == "compare-a8"
     if args.n_steps < 2 * a8:
-        raise ValueError(f"--n-steps must be >= {2 * a8} in mode {args.mode}, got {args.n_steps}")
+        raise ValueError(f"--n-steps: must be >= {2 * a8} in mode {args.mode}, got {args.n_steps}")
     grid = _build_grid(args)
     if args.mode == "classical":
         if args.traveltime is not None:
@@ -217,7 +219,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     exact = args.mode != "modified"
     if not (a8 <= first and first + (weight > 0) <= last_step and not (exact and weight)):
         raise ValueError(
-            f"--eval-time must be a {'step ' * exact}time in [{a8 * args.dt}, "
+            f"--eval-time: must be a {'step ' * exact}time in [{a8 * args.dt}, "
             f"{last_step * args.dt}] s in mode {args.mode}, got {eval_time}"
         )
 

@@ -93,6 +93,7 @@ class FreeParticle:
 
         Non-relativistic: v = sqrt(2 e V / m_e), CODATA 2018 e and m_e.
         """
+        voltage = float(voltage)  # a numpy scalar would warn where 2 e V / m_e overflows
         if not 0.0 < voltage < math.inf:
             raise ValueError(f"voltage must be positive and finite, got {voltage}")
         v = math.sqrt(2.0 * CODATA2018.e_charge * voltage / CODATA2018.m_e)

@@ -81,8 +81,9 @@ class SourceSpec:
 
 @dataclass(frozen=True, eq=False)
 class TraveltimeField:
-    """Solved traveltime t_P per cell plus the speed it was solved with: a
-    speed > 0 (inf allowed), a ScalarField of them, or None if unknown."""
+    """Solved traveltime t_P per cell, finite and >= 0, plus the speed it was
+    solved with: a speed > 0 (inf allowed), a ScalarField of them, or None
+    if unknown."""
 
     grid: Grid
     t_P: np.ndarray = field(repr=False)
@@ -90,8 +91,8 @@ class TraveltimeField:
 
     def __post_init__(self):
         t_P = _as_grid_array(self.grid, self.t_P, np.float64)
-        if np.any(t_P < 0.0) or np.any(np.isnan(t_P)):
-            raise ValueError("t_P must be non-negative")
+        if np.any(t_P < 0.0) or not np.all(np.isfinite(t_P)):
+            raise ValueError("t_P must be non-negative and finite")
         object.__setattr__(self, "t_P", t_P)
         if isinstance(self.v_P, ScalarField):
             _require_grid_shape("v_P", self.v_P.grid.shape, self.grid.shape)
@@ -130,6 +131,21 @@ def _slowness_per_cell(grid: Grid, speed: Speed) -> np.ndarray:
     return slowness
 
 
+def _require_spacing_in_range(grid: Grid) -> None:
+    """Rejects spacings at which the march's weight 1/h**2 or the squared
+    grid extent, which bounds every squared seed distance, leaves the float
+    range.  A finite squared extent also keeps the default ball radius
+    8 * max(spacing) finite."""
+    for h in grid.spacing:
+        if not (h * h > 0.0 and 1.0 / (h * h) < math.inf):
+            raise ValueError(f"spacing {h!r} is so small that 1/spacing**2 overflows")
+    if not sum(((n - 1) * h) * ((n - 1) * h)
+               for n, h in zip(grid.shape, grid.spacing)) < math.inf:
+        raise ValueError(
+            f"the squared grid extent overflows at shape {grid.shape} "
+            f"and spacing {grid.spacing}")
+
+
 def _seed_cells(grid: Grid, source: SourceSpec, radius: float) -> dict:
     """Map multi-index -> distance to the source set, for cells within radius."""
     shape, spacing = grid.shape, grid.spacing
@@ -160,9 +176,11 @@ def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
     8 * max(spacing) for scalar speed and 0 for spatially varying speed,
     where straight-ray seeding would be inconsistent.  Returns t = 0
     exactly on source cells and finite values everywhere on a connected
-    grid.
+    grid; a spacing whose 1/h**2 or squared grid extent overflows, or a
+    march whose squared times overflow, raises ValueError.
     """
     source.validate_against(grid)
+    _require_spacing_in_range(grid)
     slowness = _slowness_per_cell(grid, speed)
     if source_ball_radius is None:
         if isinstance(speed, ScalarField):

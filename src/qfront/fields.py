@@ -77,6 +77,11 @@ class Grid:
             raise ValueError(f"spacing must be positive, got {spacing}")
         if not all(math.isfinite(o) for o in origin):
             raise ValueError(f"origin must be finite, got {origin}")
+        for axis, (n, h, o) in enumerate(zip(shape, spacing, origin)):
+            if not math.isfinite(o + h * (n - 1)):
+                raise ValueError(
+                    f"the last cell's coordinate {o!r} + {h!r} * {n - 1} overflows "
+                    f"on axis {axis}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)

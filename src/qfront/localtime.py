@@ -24,8 +24,6 @@ __all__ = [
     "RegionClass",
     "LocalTimeField",
     "local_time",
-    "infinite_speed_limit",
-    "default_front_tol",
     "write_localtime_csv",
 ]
 
@@ -59,42 +57,21 @@ class LocalTimeField:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "classes", classes)
 
-    def mask(self, region: RegionClass) -> np.ndarray:
-        return self.classes == region
-
-
-def default_front_tol(tt: TraveltimeField) -> float:
-    """Half the minimum cell-crossing time, min(spacing) / (2 v_P)."""
-    return min(tt.grid.spacing) / (2.0 * tt.min_speed())
-
 
 def local_time(tt: TraveltimeField, t: float,
                front_tol: Optional[float] = None) -> LocalTimeField:
     """theta = t - t_P cell-wise, classified against the front tolerance.
 
     ``front_tol`` defaults to half the minimum cell-crossing time of the
-    traveltime field.
+    traveltime field, min(spacing) / (2 v_P).
     """
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("global time must be finite")
     if front_tol is None:
-        front_tol = default_front_tol(tt)
+        front_tol = min(tt.grid.spacing) / (2.0 * tt.min_speed())
     return LocalTimeField(grid=tt.grid, theta=t - tt.t_P, global_time=t,
                           front_tol=front_tol)
-
-
-def infinite_speed_limit(grid: Grid, t: float,
-                         front_tol: float = 0.0) -> LocalTimeField:
-    """Local time when the front moves infinitely fast: theta = t everywhere.
-
-    Every cell is perturbed for t > 0 (front exactly at t = 0).  This is
-    ``local_time`` applied to an all-zero traveltime field.
-    """
-    if t < 0.0:
-        raise ValueError("time must be >= 0 in the infinite-speed limit")
-    zero = TraveltimeField(grid, np.zeros(grid.shape), math.inf)
-    return local_time(zero, t, front_tol)
 
 
 def write_localtime_csv(f: LocalTimeField, out: TextIO | str | os.PathLike) -> None:

@@ -38,14 +38,11 @@ from .fields import ComplexField, Grid, ScalarField, _require_grid_shape, l2_nor
 __all__ = [
     "QuantumProblem",
     "ClassicalSolution",
-    "StationaryState",
     "ConvergenceError",
     "HistoryWindowError",
-    "step_classical",
     "propagate_classical",
     "evaluate_modified",
     "difference_estimate",
-    "stationary_modified_wavefunction",
     "make_plane_wave",
     "gaussian_packet",
     "box_eigenmode",
@@ -67,11 +64,14 @@ def _step_weights(times, start_time: float, dt: float) -> tuple[np.ndarray, np.n
     """Step (as float) at or below each finite time of a run from start_time
     and the weight of the next step.  A time within _TIME_MATCH_RTOL * dt of
     a step snaps to it with weight 0, so snapshot hits read one row bit for bit."""
-    pos = (np.asarray(times, dtype=np.float64) - start_time) / dt
-    step = np.rint(pos)
-    hit = np.abs(pos - step) <= _TIME_MATCH_RTOL
-    step = np.where(hit, step, np.floor(pos))
-    return step, np.where(hit, 0.0, pos - step)
+    # A time so far from start_time that pos overflows is step +-inf, with a
+    # NaN weight, outside every window.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = (np.asarray(times, dtype=np.float64) - start_time) / dt
+        step = np.rint(pos)
+        hit = np.abs(pos - step) <= _TIME_MATCH_RTOL
+        step = np.where(hit, step, np.floor(pos))
+        return step, np.where(hit, 0.0, pos - step)
 
 
 class ConvergenceError(RuntimeError):
@@ -123,19 +123,6 @@ class QuantumProblem:
                 f"spacing={self.grid.spacing}; lower dt or the potential, or raise "
                 "mass or spacing"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class StationaryState:
-    """An energy eigenstate with its frequency nu = E/h."""
-
-    psi: ComplexField
-    energy: float
-    constants: PhysicalConstants = CODATA2018
-    nu: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", self.energy / self.constants.h)
 
 
 def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
@@ -286,12 +273,6 @@ class _Stepper:
                     "reduce dt or refine the grid"
                 )
         out[self._interior] = (2.0 * y - x).reshape(self._shape_int)
-
-
-def step_classical(state: ComplexField, problem: QuantumProblem) -> ComplexField:
-    """One CN step of problem.dt, time_stamp advanced by dt: the last state
-    of a one-step propagate_classical run, which checks the state."""
-    return propagate_classical(state, problem, 1).snapshots[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,25 +475,6 @@ def difference_estimate(
     return ScalarField(grid, actual), ScalarField(grid, predicted)
 
 
-def stationary_modified_wavefunction(
-    state: StationaryState,
-    traveltime: TraveltimeField,
-    t: float,
-) -> ComplexField:
-    """Retarded evolution of an energy eigenstate, evaluated analytically.
-
-    psi(x) exp(-2 pi i nu (t - t_P(x))) where the front has arrived,
-    exactly zero elsewhere.  Uses the closed-form phase instead of stored
-    snapshots, so it is exact for any t.
-    """
-    grid = state.psi.grid
-    _require_grid_shape("traveltime", traveltime.grid.shape, grid.shape)
-    theta = t - traveltime.t_P
-    phase = np.exp(-2.0j * np.pi * state.nu * theta)
-    values = np.where(theta >= 0.0, state.psi.values * phase, 0.0 + 0.0j)
-    return ComplexField(grid, values, t)
-
-
 def make_plane_wave(
     grid: Grid,
     nu: float,
@@ -562,6 +524,13 @@ def gaussian_packet(
             f"4*width**2 must be positive and finite, got {four_var!r} at width {width!r}")
     if not math.isfinite(wavenumber):
         raise ValueError(f"wavenumber must be finite, got {wavenumber}")
+    # The carrier phase 2*pi*wavenumber*x, as computed below, is largest in
+    # magnitude at an end of axis 0.
+    x_max = float(np.abs(grid.axis_coordinates(0)).max())
+    if not abs(2.0 * math.pi * wavenumber * x_max) < math.inf:
+        raise ValueError(
+            f"the carrier phase 2*pi*wavenumber*x overflows at wavenumber {wavenumber!r} "
+            f"and |x| up to {x_max!r}")
     coords = grid.coordinate_arrays()
     # A squared distance that overflows is a cell where the packet is 0.
     with np.errstate(over="ignore"):
@@ -571,20 +540,14 @@ def gaussian_packet(
     return _hard_wall_normalized(grid, values)
 
 
-def box_eigenmode(
-    grid: Grid,
-    mode_numbers: Sequence[int],
-    mass: float = CODATA2018.m_e,
-    constants: PhysicalConstants = CODATA2018,
-) -> StationaryState:
-    """A hard-wall box eigenstate on the grid, with its continuum energy.
+def box_eigenmode(grid: Grid, mode_numbers: Sequence[int]) -> ComplexField:
+    """A hard-wall box eigenstate on the grid, at unit L2 norm.
 
-    mode_numbers are the per-axis quantum numbers (1, 2, ...).  The box
-    spans the grid extent along each axis, so the state vanishes exactly
-    on the boundary cell layer.  The energy is the continuum eigenvalue
-    sum_a (n_a pi hbar / L_a)^2 / (2 m); the discrete operator's
-    eigenvalue differs at O(dx^2), which matters when comparing CN phases
-    against exp(-i E t / hbar).
+    mode_numbers are the per-axis quantum numbers (1, 2, ...).  The state
+    is the product over axes of sin(n_a pi (x_a - origin_a) / L_a), L_a the
+    grid extent along axis a, so it vanishes exactly on the boundary cell
+    layer.  It is an eigenvector of the discrete Laplacian the stepper
+    uses, whatever the mass.
     """
     mode_numbers = tuple(int(n) for n in mode_numbers)
     if len(mode_numbers) != grid.dims:
@@ -593,17 +556,12 @@ def box_eigenmode(
         )
     if any(n < 1 for n in mode_numbers):
         raise ValueError(f"mode numbers must be >= 1, got {mode_numbers}")
-    if not (mass > 0.0 and math.isfinite(mass)):
-        raise ValueError(f"mass must be positive and finite, got {mass}")
     coords = grid.coordinate_arrays()
     values = np.ones(grid.shape, dtype=np.complex128)
-    energy = 0.0
     for axis, n_mode in enumerate(mode_numbers):
         length = (grid.shape[axis] - 1) * grid.spacing[axis]
         rel = coords[axis] - grid.origin[axis]
         values = values * np.sin(n_mode * np.pi * rel / length)
-        energy += (n_mode * np.pi * constants.hbar / length) ** 2 / (2.0 * mass)
     # sin(n*pi) evaluates to ~1e-16, not 0; the clamp makes the hard-wall
     # precondition hold exactly.
-    psi = _hard_wall_normalized(grid, values)
-    return StationaryState(psi=psi, energy=energy, constants=constants)
+    return _hard_wall_normalized(grid, values)

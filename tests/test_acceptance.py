@@ -139,9 +139,9 @@ def test_criterion_5_difference_estimate():
     n, dt, steps = 512, 6.25e-6, 400
     grid = Grid((n,), (1.0 / (n - 1),))
     problem = QuantumProblem(grid, ScalarField(grid, np.zeros(n)), 1.0, dt, NAT)
-    m1 = box_eigenmode(grid, (1,), mass=1.0, constants=NAT)
-    m2 = box_eigenmode(grid, (2,), mass=1.0, constants=NAT)
-    psi0 = ComplexField(grid, (m1.psi.values + m2.psi.values) / math.sqrt(2.0))
+    m1 = box_eigenmode(grid, (1,))
+    m2 = box_eigenmode(grid, (2,))
+    psi0 = ComplexField(grid, (m1.values + m2.values) / math.sqrt(2.0))
     solution = propagate_classical(psi0, problem, steps)
     t_eval = 384 * dt
 

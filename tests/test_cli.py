@@ -647,7 +647,7 @@ def test_propagate_rejects_what_the_mode_cannot_run_before_any_step(
     if mode != "classical":
         argv += ["--traveltime", "tt.csv"]
     assert main(argv) == 2
-    assert f"error: {flag} must be " in capsys.readouterr().err
+    assert f"error: {flag}: must be " in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
 
 
@@ -978,6 +978,9 @@ ELECTRON_2D = ["propagate", "--shape", "64,64", "--spacing", "1e-11,1e-11",
                "--gaussian-center", "3e-10,3e-10", "--gaussian-width", "4e-11",
                "--n-steps", "3", "--out-prefix", "big"]
 
+GRID = "--shape/--spacing/--origin"
+PACKET = "--gaussian-center/--gaussian-width/--gaussian-carrier"
+
 # Usage errors: argv, and the flags the last line of stderr must name (the
 # usage text argparse prints above it names every flag).  A repeated flag
 # takes its last value; --source appends a cell.  Rows read the files that
@@ -993,6 +996,15 @@ USAGE_ERRORS = [
     (EIKONAL + ["--speed", "1e-320"], "--speed"),  # 1/speed overflows
     (EIKONAL + ["--speed", "1e-300"], "--speed"),  # (1/speed)**2 overflows
     (EIKONAL + ["--source-ball-radius", "nan"], "--source-ball-radius"),
+    (EIKONAL + ["--spacing", "5e-324"], GRID),  # 1/spacing**2 overflows
+    (EIKONAL + ["--spacing", "1e-320"], GRID),
+    (EIKONAL + ["--spacing", "1e-300"], GRID),  # spacing**2 underflows to 0
+    (EIKONAL + ["--spacing", "1e300"], GRID),  # the squared extent overflows
+    (["eikonal", "--shape", "16,16", "--spacing", "1e300,1e300", "--source", "3,3",
+      "--speed", "1", "--out", "tt.csv"], GRID),
+    (EIKONAL + ["--spacing", "1.7e308"], GRID),  # the extent overflows
+    # t_P squared overflows in the march beyond the seed ball, leaving t_P inf.
+    (EIKONAL + ["--spacing", "1e150", "--speed", "1e-100"], "--speed"),
     (EIKONAL + ["--shape", "4", "--verify-analytic"], "--verify-analytic"),  # no cell 5 away
     (["eikonal", "--shape", "16", "--spacing", "1", "--source", "3", "--out", "tt.csv",
       "--speed-csv", "ones.csv", "--verify-analytic"], "--verify-analytic"),
@@ -1004,12 +1016,23 @@ USAGE_ERRORS = [
     (PROPAGATE + ["--gaussian-carrier", "inf"], "--gaussian-carrier"),
     (["propagate", "--shape", "64", "--spacing", "1e300", "--gaussian-center", "3e301",
       "--gaussian-width", "4e300", "--dt", "1e-5", "--n-steps", "2", "--out-prefix", "r"],
-     "--gaussian-center/--gaussian-width"),  # 4 * width**2 overflows
-    (PROPAGATE + ["--gaussian-width", "1e-200"],
-     "--gaussian-center/--gaussian-width"),  # 4 * width**2 underflows to 0
+     PACKET),  # 4 * width**2 overflows
+    (PROPAGATE + ["--gaussian-width", "1e-200"], PACKET),  # 4 * width**2 underflows to 0
+    # The carrier phase 2*pi*wavenumber*x overflows.
+    (["propagate", "--shape", "64", "--gaussian-center", "3e301", "--gaussian-width", "1e150",
+      "--gaussian-carrier", "1e10", "--dt", "1e-5", "--n-steps", "2", "--out-prefix", "r",
+      "--spacing", "1e300"], PACKET),
+    (PROPAGATE + ["--gaussian-center", "1e300", "--gaussian-carrier", "1e10",
+                  "--origin", "1e300"], PACKET),
+    (PROPAGATE + ["--gaussian-center", "1.7e308", "--gaussian-carrier", "1",
+                  "--origin", "1.7e308"], PACKET),
+    (PROPAGATE + ["--gaussian-carrier", "1.7e308"], PACKET),
+    (PROPAGATE + ["--spacing", "1.7e308"], GRID),  # the cell coordinates overflow
     (PROPAGATE + ["--n-steps", "-3"], "--n-steps"),
     (PROPAGATE + ["--save-every", "-2"], "--save-every"),
     (PROPAGATE + ["--eval-time", "inf"], "--eval-time"),
+    (ELECTRON_1D + ["--dt", "2e-19", "--eval-time", "1e300"], "--eval-time"),  # its step overflows
+    (PROPAGATE + ["--mode", "compare-a8", "--traveltime", "inf_tt.csv"], "--traveltime"),
     # Flags the run would ignore.
     (PROPAGATE + ["--initial", "init.csv"], "--initial"),  # with --gaussian-center
     (PROPAGATE_INITIAL + ["--gaussian-width", "2"], "--gaussian-width"),
@@ -1029,6 +1052,7 @@ USAGE_ERRORS = [
     (["fit", "--data", "one_record.csv"], "--data"),
     (["compare", "--out", "layers.csv", "--data", "one_record.csv"], "--data"),
     (["fit", "--generate", "n=x"], "--generate"),
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e300"], "--generate"),  # speed overflows
     (["compare", "--use-bundled", "--out", "layers.csv", "--curve-points", "1"],
      "--curve-points"),
 ]
@@ -1042,6 +1066,8 @@ def write_usage_error_inputs(directory: Path) -> None:
                     directory / "nan_potential.csv")
     write_field_csv(ScalarField(Grid((16,), (1.0,)), np.ones(16)), directory / "ones.csv")
     write_field_csv(gaussian_packet(Grid((16,), (1.0,)), (8.0,), 2.0), directory / "init.csv")
+    unreached = np.where(np.arange(16) < 10, 0.0, math.inf)  # t_P inf on cells 10-15
+    write_field_csv(ScalarField(Grid((16,), (1.0,)), unreached), directory / "inf_tt.csv")
     (directory / "one_record.csv").write_text(f"{RECORDS_CSV_HEADER}\n54,1.66e-10\n")
 
 
@@ -1152,15 +1178,33 @@ def test_fresh_1d_history_is_pinned_before_and_after_scipy_linalg(tmp_path):
 
 
 def test_fresh_process_resolves_every_public_name(tmp_path):
+    # The parameter count covers every exported function, constructor and
+    # public method, self and cls excluded, so a new name or option changes it.
     run = _fresh_python(tmp_path, """if True:
+        import enum, inspect
         import qfront
         names = {}
         exec("from qfront import *", names)
+
+        def count(fn):
+            return sum(p not in ("self", "cls") for p in inspect.signature(fn).parameters)
+
+        params = 0
         for name in qfront.__all__:
-            assert names[name] is getattr(qfront, name), name
+            obj = names[name]
+            assert obj is getattr(qfront, name), name
+            if not inspect.isclass(obj):
+                params += count(obj) if callable(obj) else 0
+                continue
+            if not issubclass(obj, (enum.Enum, BaseException)):
+                params += count(obj)
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    params += count(member)
         assert not hasattr(qfront, "no_such_name")
-        print(len(qfront.__all__), qfront.solve_traveltime.__module__)""")
-    assert run.stdout.split() == ["47", "qfront.eikonal"]
+        print(len(qfront.__all__), params, qfront.solve_traveltime.__module__)""")
+    assert run.stdout.split() == ["43", "107", "qfront.eikonal"]
 
 
 def _fresh_python(cwd: Path, code: str) -> subprocess.CompletedProcess:

@@ -61,6 +61,16 @@ def test_electron_voltage_must_be_positive_and_finite(voltage):
         FreeParticle.electron_from_voltage(voltage)
 
 
+def test_electron_voltage_whose_speed_overflows_is_rejected_without_a_warning():
+    # synthesize_records passes numpy scalars, whose arithmetic warns on
+    # overflow; warnings are errors under pytest.
+    import numpy as np
+
+    for voltage in (1e300, np.float64(1e300)):
+        with pytest.raises(ValueError, match="speed must be non-negative and finite"):
+            FreeParticle.electron_from_voltage(voltage)
+
+
 # --- modified wavenumber ---------------------------------------------------------
 
 def test_modified_wavenumber_54v_oracle():

@@ -81,6 +81,34 @@ def test_rejects_speed_whose_reciprocal_overflows(field):
             solve_traveltime(g, SourceSpec([(0,)]), speed)
 
 
+@pytest.mark.parametrize("shape, spacing, message", [
+    ((16,), (5e-324,), "1/spacing\\*\\*2 overflows"),
+    ((16,), (1e-160,), "1/spacing\\*\\*2 overflows"),  # spacing**2 is subnormal
+    ((4, 4), (1.0, 1e-300), "1/spacing\\*\\*2 overflows"),  # spacing**2 underflows to 0
+    ((16,), (1e300,), "squared grid extent overflows"),
+    ((1000,), (1e153,), "squared grid extent overflows"),  # beyond the seed ball
+    ((2, 2), (1e154, 1e154), "squared grid extent overflows"),  # the sum over the axes
+])
+def test_rejects_spacing_out_of_the_float_range(shape, spacing, message):
+    g = Grid(shape, spacing)
+    with pytest.raises(ValueError, match=message):
+        solve_traveltime(g, SourceSpec([(0,) * len(shape)]), 1.0)
+
+
+def test_largest_spacing_in_range_solves():
+    # The squared extent 1e308 is finite, and so is every t_P.
+    tt = solve_traveltime(Grid((2,), (1e154,)), SourceSpec([(0,)]), 1.0)
+    assert tt.t_P.tolist() == [0.0, 1e154]
+
+
+def test_an_overflowing_march_is_rejected_not_written_as_inf():
+    # Beyond the seed ball the march squares t_P ~ 1e251, which overflows;
+    # the unreached cells stayed inf.
+    g = Grid((16,), (1e150,))
+    with pytest.raises(ValueError, match="t_P must be non-negative and finite"):
+        solve_traveltime(g, SourceSpec([(3,)]), 1e-100)
+
+
 @pytest.mark.parametrize("shape, spacing, cell, speed", [
     ((16,), (1e-10,), (3,), 1.0),
     ((7, 5), (1e-10, 2e-10), (2, 4), 2.0),
@@ -111,6 +139,13 @@ def test_traveltime_field_rejects_negative():
     g = Grid((4,), (1.0,))
     with pytest.raises(ValueError):
         TraveltimeField(g, np.array([0.0, 1.0, -0.5, 2.0]), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_traveltime_field_rejects_non_finite(bad):
+    g = Grid((4,), (1.0,))
+    with pytest.raises(ValueError, match="t_P must be non-negative and finite"):
+        TraveltimeField(g, np.array([0.0, 1.0, bad, 2.0]), 1.0)
 
 
 def test_traveltime_field_rejects_complex():

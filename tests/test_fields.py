@@ -71,6 +71,17 @@ def test_grid_rejects_non_finite_origin(origin):
         Grid((4, 4), (1.0, 1.0), origin)
 
 
+@pytest.mark.parametrize("shape, spacing, origin", [
+    ((64,), (1.7e308,), (0.0,)),
+    ((4, 3), (1.0, 1e308), (0.0, 0.0)),
+    ((2,), (1e308,), (1e308,)),
+])
+def test_grid_rejects_a_last_coordinate_that_overflows(shape, spacing, origin):
+    # coordinate_arrays would overflow to inf; warnings are errors under pytest.
+    with pytest.raises(ValueError, match="last cell's coordinate .* overflows"):
+        Grid(shape, spacing, origin)
+
+
 # --- fields -----------------------------------------------------------------
 
 def test_fields_copy_and_freeze():

@@ -10,12 +10,13 @@ import pytest
 import qfront.fields
 import qfront.fit
 import qfront.localtime
+from qfront.eikonal import TraveltimeField
 from qfront.fields import ComplexField, Grid, read_field_csv, write_field_csv
 from qfront.fit import fit_vp, read_records_csv, synthesize_records, write_fit_json
-from qfront.localtime import infinite_speed_limit, write_localtime_csv
+from qfront.localtime import local_time, write_localtime_csv
 
 FIELD = ComplexField(Grid((2, 2), (1.0, 1.0)), np.array([[1, 2j], [3, 4 + 4j]]))
-LOCAL_TIME = infinite_speed_limit(Grid((3,), (1.0,)), 1.0)
+LOCAL_TIME = local_time(TraveltimeField(Grid((3,), (1.0,)), np.zeros(3), np.inf), 1.0)
 FIT = fit_vp(synthesize_records(4, 1.3e8))
 
 WRITERS = {

@@ -11,8 +11,6 @@ from qfront.fields import Grid, ScalarField
 from qfront.localtime import (
     LocalTimeField,
     RegionClass,
-    default_front_tol,
-    infinite_speed_limit,
     local_time,
     write_localtime_csv,
 )
@@ -52,21 +50,21 @@ def test_front_band_is_inclusive():
 
 def test_mask_partition():
     lt = local_time(ramp_tt(), t=2.0, front_tol=0.5)
-    total = sum(lt.mask(r).astype(int) for r in RegionClass)
+    total = sum((lt.classes == r).astype(int) for r in RegionClass)
     assert np.all(total == 1)
 
 
 def test_default_front_tol_is_half_cell_crossing():
     g = Grid((8, 8), (0.5, 2.0))
     tt = TraveltimeField(g, np.zeros((8, 8)), v_P=4.0)
-    assert default_front_tol(tt) == 0.5 / (2.0 * 4.0)
+    assert local_time(tt, 1.0).front_tol == 0.5 / (2.0 * 4.0)
 
 
 def test_default_front_tol_uses_min_speed_of_field():
     g = Grid((4,), (1.0,))
     speed = ScalarField(g, [1.0, 0.5, 2.0, 1.0])
     tt = solve_traveltime(g, SourceSpec([(0,)]), speed)
-    assert default_front_tol(tt) == 1.0 / (2.0 * 0.5)
+    assert local_time(tt, 1.0).front_tol == 1.0 / (2.0 * 0.5)
 
 
 def test_default_front_tol_names_a_missing_speed():
@@ -75,38 +73,29 @@ def test_default_front_tol_names_a_missing_speed():
         local_time(tt, 1.0)
 
 
+def infinite_speed(shape, t):
+    """local_time when the front moves infinitely fast: t_P = 0 everywhere,
+    and the default front_tol min(spacing) / (2 v_P) is 0."""
+    g = Grid(shape, (1.0,) * len(shape))
+    return local_time(TraveltimeField(g, np.zeros(shape), math.inf), t)
+
+
 def test_infinite_speed_limit_all_perturbed():
-    g = Grid((3, 3), (1.0, 1.0))
-    lt = infinite_speed_limit(g, t=0.7)
+    lt = infinite_speed((3, 3), t=0.7)
     assert np.all(lt.theta == 0.7)
-    assert np.all(lt.mask(RegionClass.PERTURBED))
+    assert np.all(lt.classes == RegionClass.PERTURBED)
 
 
 def test_infinite_speed_limit_front_at_zero():
-    g = Grid((3,), (1.0,))
-    lt = infinite_speed_limit(g, t=0.0)
-    assert np.all(lt.mask(RegionClass.FRONT))
-
-
-def test_infinite_speed_limit_matches_zero_traveltime():
-    g = Grid((5,), (1.0,))
-    tt = TraveltimeField(g, np.zeros(5), v_P=1.0)
-    a = infinite_speed_limit(g, 0.3, front_tol=0.01)
-    b = local_time(tt, 0.3, front_tol=0.01)
-    assert np.array_equal(a.theta, b.theta)
-    assert np.array_equal(a.classes, b.classes)
-
-
-def test_infinite_speed_limit_rejects_negative_time():
-    g = Grid((3,), (1.0,))
-    with pytest.raises(ValueError):
-        infinite_speed_limit(g, -1.0)
+    lt = infinite_speed((3,), t=0.0)
+    assert lt.front_tol == 0.0
+    assert np.all(lt.classes == RegionClass.FRONT)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_infinite_speed_limit_rejects_non_finite_time(t):
     with pytest.raises(ValueError, match="finite"):
-        infinite_speed_limit(Grid((3,), (1.0,)), t)
+        infinite_speed((3,), t)
 
 
 def test_local_time_rejects_bad_args():
@@ -162,11 +151,9 @@ def test_classification_consistent_with_theta(t, tol, seed):
     assert np.array_equal(lt.theta, t - tt.t_P)
     on_front = np.abs(lt.theta) <= tol
     before = lt.theta < -tol
-    assert np.array_equal(lt.mask(RegionClass.FRONT), on_front)
-    assert np.array_equal(lt.mask(RegionClass.NON_PERTURBED), before)
-    assert np.array_equal(
-        lt.mask(RegionClass.PERTURBED), ~(on_front | before)
-    )
+    assert np.array_equal(lt.classes == RegionClass.FRONT, on_front)
+    assert np.array_equal(lt.classes == RegionClass.NON_PERTURBED, before)
+    assert np.array_equal(lt.classes == RegionClass.PERTURBED, ~(on_front | before))
     # The constructor derives the same classes from theta and the tolerance.
     direct = LocalTimeField(g, t - tt.t_P, t, tol)
     assert np.array_equal(direct.classes, lt.classes)

@@ -19,15 +19,12 @@ from qfront.schrodinger import (
     ClassicalSolution,
     HistoryWindowError,
     QuantumProblem,
-    StationaryState,
     box_eigenmode,
     difference_estimate,
     evaluate_modified,
     gaussian_packet,
     make_plane_wave,
     propagate_classical,
-    stationary_modified_wavefunction,
-    step_classical,
 )
 
 NAT = natural_units()
@@ -77,13 +74,13 @@ def test_step_requires_zero_boundary():
     prob = free_problem(16)
     state = ComplexField(prob.grid, np.ones(16))
     with pytest.raises(ValueError, match="boundary"):
-        step_classical(state, prob)
+        propagate_classical(state, prob, 1)
 
 
 def test_step_rejects_zero_norm_state():
     prob = free_problem(16)
     with pytest.raises(ValueError, match="zero norm"):
-        step_classical(ComplexField(prob.grid, np.zeros(16)), prob)
+        propagate_classical(ComplexField(prob.grid, np.zeros(16)), prob, 1)
 
 
 def test_step_requires_matching_grid():
@@ -91,7 +88,7 @@ def test_step_requires_matching_grid():
     other = Grid((17,), (1.0 / 16,))
     state = ComplexField(other, np.zeros(17))
     with pytest.raises(ValueError, match="grid"):
-        step_classical(state, prob)
+        propagate_classical(state, prob, 1)
 
 
 def test_grid_shape_checks_name_the_argument_and_both_shapes():
@@ -99,12 +96,10 @@ def test_grid_shape_checks_name_the_argument_and_both_shapes():
     other = Grid((17,), (1.0 / 16,))
     sol = propagate_classical(gaussian_packet(prob.grid, (0.5,), 0.1), prob, 2)
     tt = TraveltimeField(other, np.zeros(17))
-    mode = box_eigenmode(prob.grid, (1,), mass=1.0, constants=NAT)
     calls = [
         ("potential", lambda: QuantumProblem(prob.grid, ScalarField(other, np.zeros(17)), 1.0, 1.0)),
-        ("state", lambda: step_classical(ComplexField(other, np.zeros(17)), prob)),
+        ("state", lambda: propagate_classical(ComplexField(other, np.zeros(17)), prob, 1)),
         ("traveltime", lambda: evaluate_modified(sol, tt, 0.0)),
-        ("traveltime", lambda: stationary_modified_wavefunction(mode, tt, 0.0)),
     ]
     for name, call in calls:
         with pytest.raises(ValueError, match=rf"^{name} shape \(17,\) does not "
@@ -122,6 +117,7 @@ def test_grid_shape_checks_name_the_argument_and_both_shapes():
     ((0.5,), 0.1, math.nan),
     ((0.5,), 1e154, 0.0),  # 4*width**2 overflows
     ((0.5,), 1e-200, 0.0),  # 4*width**2 underflows to 0
+    ((0.5,), 0.1, 1.7e308),  # the carrier phase 2*pi*wavenumber*x overflows
 ])
 def test_gaussian_packet_rejects_non_finite_or_bad_parameters(center, width, wavenumber):
     g = Grid((32,), (1.0 / 31,))
@@ -166,10 +162,9 @@ def test_step_and_propagate_reject_non_finite_state(shape, bad):
     values = gaussian_packet(g, tuple(0.5 for _ in shape), 0.2).values.copy()
     values[(3,) * len(shape)] = bad
     state = ComplexField(g, values)
-    with pytest.raises(ValueError, match="non-finite"):
-        step_classical(state, prob)
-    with pytest.raises(ValueError, match="non-finite"):
-        propagate_classical(state, prob, 3)
+    for n_steps in (1, 3):
+        with pytest.raises(ValueError, match="non-finite"):
+            propagate_classical(state, prob, n_steps)
 
 
 # --- classical propagation oracles --------------------------------------------
@@ -187,14 +182,14 @@ def test_eigenmode_amplification_matches_discrete_eigenvalue():
     # hard-wall box the discrete eigenvalue is known in closed form.
     n, m = 256, 3
     prob = free_problem(n)
-    mode = box_eigenmode(prob.grid, (m,), mass=1.0, constants=NAT)
+    mode = box_eigenmode(prob.grid, (m,))
     dx = prob.grid.spacing[0]
     e_disc = (NAT.hbar**2 / 2.0) * (2.0 - 2.0 * math.cos(m * math.pi / (n - 1))) / dx**2
     z = 1j * e_disc * prob.dt / (2.0 * NAT.hbar)
     lam = (1.0 - z) / (1.0 + z)
-    stepped = step_classical(mode.psi, prob)
-    interior = np.abs(mode.psi.values) > 1e-3
-    ratio = stepped.values[interior] / mode.psi.values[interior]
+    stepped = propagate_classical(mode, prob, 1).snapshots[-1]
+    interior = np.abs(mode.values) > 1e-3
+    ratio = stepped.values[interior] / mode.values[interior]
     assert np.max(np.abs(ratio - lam)) < 1e-12
     assert abs(abs(lam) - 1.0) < 1e-15  # the scheme is exactly unitary per mode
 
@@ -225,16 +220,16 @@ def test_unitarity_2d():
 def test_eigenmode_amplification_2d():
     g = Grid((33, 33), (1.0 / 32, 1.0 / 32))
     prob = QuantumProblem(g, ScalarField(g, np.zeros((33, 33))), 1.0, 1e-4, NAT)
-    mode = box_eigenmode(g, (1, 2), mass=1.0, constants=NAT)
+    mode = box_eigenmode(g, (1, 2))
     e_disc = sum(
         (NAT.hbar**2 / 2.0) * (2.0 - 2.0 * math.cos(m * math.pi / 32)) / g.spacing[a] ** 2
         for a, m in enumerate((1, 2))
     )
     z = 1j * e_disc * prob.dt / (2.0 * NAT.hbar)
     lam = (1.0 - z) / (1.0 + z)
-    stepped = step_classical(mode.psi, prob)
-    interior = np.abs(mode.psi.values) > 1e-3
-    ratio = stepped.values[interior] / mode.psi.values[interior]
+    stepped = propagate_classical(mode, prob, 1).snapshots[-1]
+    interior = np.abs(mode.values) > 1e-3
+    ratio = stepped.values[interior] / mode.values[interior]
     # The iterative solve converges to 1e-13, looser than the 1-D direct path.
     assert np.max(np.abs(ratio - lam)) < 1e-10
 
@@ -245,14 +240,14 @@ def test_constant_potential_shifts_eigenvalue():
     n, m, u0 = 64, 2, 3.7
     g = Grid((n,), (1.0 / (n - 1),))
     prob = QuantumProblem(g, ScalarField(g, np.full(n, u0)), 1.0, 1e-4, NAT)
-    mode = box_eigenmode(g, (m,), mass=1.0, constants=NAT)
+    mode = box_eigenmode(g, (m,))
     dx = g.spacing[0]
     e_disc = (NAT.hbar**2 / 2.0) * (2.0 - 2.0 * math.cos(m * math.pi / (n - 1))) / dx**2
     z = 1j * (e_disc + u0) * prob.dt / (2.0 * NAT.hbar)
     lam = (1.0 - z) / (1.0 + z)
-    stepped = step_classical(mode.psi, prob)
-    interior = np.abs(mode.psi.values) > 1e-3
-    ratio = stepped.values[interior] / mode.psi.values[interior]
+    stepped = propagate_classical(mode, prob, 1).snapshots[-1]
+    interior = np.abs(mode.values) > 1e-3
+    ratio = stepped.values[interior] / mode.values[interior]
     assert np.max(np.abs(ratio - lam)) < 1e-12
 
 
@@ -294,7 +289,7 @@ def test_cn_step_matches_dense_solve(shape, spacing):
     x = np.array([values[cell] for cell in cells])
     expected = np.linalg.solve(eye + c * h, (eye - c * h) @ x)
 
-    stepped = step_classical(ComplexField(g, values), prob).values.copy()
+    stepped = propagate_classical(ComplexField(g, values), prob, 1).snapshots[-1].values.copy()
     got = np.array([stepped[cell] for cell in cells])
     assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
     stepped[interior] = 0.0
@@ -522,6 +517,17 @@ def test_windowed_run_is_the_tail_of_the_full_run_property(n_steps, window, two_
     assert np.array_equal(evaluate_modified(tail, tt, t_end).values, expected.values)
 
 
+def test_retarded_lookups_reject_a_time_whose_step_overflows():
+    # (t - start_time) / dt overflows; warnings are errors under pytest.
+    prob = free_problem(32)
+    sol = propagate_classical(gaussian_packet(prob.grid, (0.5,), 0.1), prob, 4)
+    tt = TraveltimeField(prob.grid, np.zeros(32), 1.0)
+    for lookup in (sol.snapshot_at, lambda t: evaluate_modified(sol, tt, t),
+                   lambda t: difference_estimate(sol, tt, t)):
+        with pytest.raises(HistoryWindowError, match="retained window"):
+            lookup(1.7e308)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_retarded_lookups_reject_non_finite_time(t):
     prob = free_problem(32)
@@ -631,9 +637,9 @@ def test_snapshot_hits_are_exact_property(mult):
 def two_mode_solution(n=256, dt=1.25e-5, steps=150):
     g = Grid((n,), (1.0 / (n - 1),))
     prob = QuantumProblem(g, ScalarField(g, np.zeros(n)), 1.0, dt, NAT)
-    m1 = box_eigenmode(g, (1,), mass=1.0, constants=NAT)
-    m2 = box_eigenmode(g, (2,), mass=1.0, constants=NAT)
-    psi0 = ComplexField(g, (m1.psi.values + m2.psi.values) / math.sqrt(2.0))
+    m1 = box_eigenmode(g, (1,))
+    m2 = box_eigenmode(g, (2,))
+    psi0 = ComplexField(g, (m1.values + m2.values) / math.sqrt(2.0))
     return propagate_classical(psi0, prob, steps)
 
 
@@ -660,8 +666,8 @@ def test_single_mode_magnitude_cancels_to_third_order():
     n, dt, steps = 256, 1.25e-5, 150
     g = Grid((n,), (1.0 / (n - 1),))
     prob = QuantumProblem(g, ScalarField(g, np.zeros(n)), 1.0, dt, NAT)
-    m1 = box_eigenmode(g, (1,), mass=1.0, constants=NAT)
-    sol = propagate_classical(m1.psi, prob, steps)
+    m1 = box_eigenmode(g, (1,))
+    sol = propagate_classical(m1, prob, steps)
     t_eval = 120 * dt
     ratio = residual_at(sol, 16, t_eval) / residual_at(sol, 8, t_eval)
     assert 6.5 < ratio < 9.5
@@ -699,25 +705,7 @@ def test_difference_estimate_needs_interior_snapshot():
         difference_estimate(sol, tt, 10.4 * sol.problem.dt)
 
 
-# --- stationary states and plane waves ---------------------------------------------
-
-def test_stationary_state_frequency():
-    g = Grid((32,), (1.0 / 31,))
-    mode = box_eigenmode(g, (2,), mass=1.0, constants=NAT)
-    assert mode.nu == mode.energy / NAT.h
-
-
-def test_stationary_modified_gating_and_phase():
-    g = Grid((5,), (1.0,))
-    psi = ComplexField(g, np.ones(5))
-    state = StationaryState(psi, energy=NAT.h * 1.0, constants=NAT)  # nu = 1
-    tt = TraveltimeField(g, np.array([0.0, 0.25, 0.5, 2.0, 3.0]), 1.0)
-    out = stationary_modified_wavefunction(state, tt, t=0.75)
-    # theta = [0.75, 0.5, 0.25, -1.25, -2.25]
-    assert out.values[3] == 0.0 and out.values[4] == 0.0
-    np.testing.assert_allclose(out.values[1], np.exp(-2j * np.pi * 0.5), rtol=1e-15)
-    np.testing.assert_allclose(np.abs(out.values[:3]), 1.0, rtol=1e-15)
-
+# --- plane waves ---------------------------------------------------------------
 
 def test_make_plane_wave_values():
     g = Grid((5,), (0.25,))
