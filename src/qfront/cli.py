@@ -30,6 +30,9 @@ from .dispersion import (
     modified_wavenumber_free,
 )
 from .fit import (
+    _design_arrays,
+    _mean_square,
+    _residuals,
     derive_kinematics,
     fit_vp,
     model_curves,
@@ -102,12 +105,12 @@ def _require_input_path(path: str) -> None:
 
 
 def _read_grid_field(path: str, grid: Grid, build: Callable):
-    """build(grid, values), e.g. ScalarField, on the field CSV at path read on
-    the grid of --shape."""
+    """build(grid, values), e.g. ScalarField, on the values of the field CSV
+    at path, which must have the shape of grid."""
     from .fields import read_field_csv
 
     _require_input_path(path)
-    raw = read_field_csv(path, spacing=grid.spacing, origin=grid.origin)
+    raw = read_field_csv(path)
     if raw.grid.shape != grid.shape:
         raise ValueError(f"file shape {raw.grid.shape} does not match --shape {grid.shape}")
     return build(grid, raw.values)
@@ -324,9 +327,10 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
         particles += [("-", _has_wavelength(FreeParticle(CODATA2018.m_e, v)))
                       for v in args.speed or ()]
 
+    with _flag("--vp"):
+        k_ls = [modified_wavenumber_free(p, v_p) for _, p in particles]
     print(" ".join(f"{c:>14s}" for c in _DISPERSION_COLUMNS))
-    for label, p in particles:
-        k_l = modified_wavenumber_free(p, v_p)
+    for (label, p), k_l in zip(particles, k_ls):
         row = (
             label,
             f"{p.speed:.6e}",
@@ -386,8 +390,9 @@ def _fit_records(args: argparse.Namespace):
         return records, fit_vp(records)
 
 
-def _write_layers(path: str, records, result, curve_points: int) -> None:
-    """Layered CSV at path: the records as points, then curves A and B."""
+def _write_layers(path: str, records, v_P: float, curve_points: int) -> None:
+    """Layered CSV at path: the records as points, then curves A and B, the
+    latter at v_P."""
     rows = ["layer,v_m_per_s,k_inv_m"]
     vs = []
     for rec in records:
@@ -396,8 +401,7 @@ def _write_layers(path: str, records, result, curve_points: int) -> None:
         rows.append(f"points,{v:.17g},{k_exp:.17g}")
     stop = 1.05 * max(vs)
     step = stop / (curve_points - 1)  # the points of np.linspace(0, stop, curve_points)
-    curves = model_curves([i * step for i in range(curve_points - 1)] + [stop],
-                          result.v_p_fitted)
+    curves = model_curves([i * step for i in range(curve_points - 1)] + [stop], v_P)
     rows.extend(f"curveA,{v:.17g},{k_cl:.17g}" for v, k_cl, _ in curves)
     rows.extend(f"curveB,{v:.17g},{k_mod:.17g}" for v, _, k_mod in curves)
     with _text_file(path, "w") as fh:
@@ -424,31 +428,33 @@ def cmd_fit(args: argparse.Namespace) -> int:
         write_fit_json(result, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     if args.curves:
-        _write_layers(args.curves, records, result, args.curve_points)
+        _write_layers(args.curves, records, result.v_p_fitted, args.curve_points)
         print(f"wrote {args.curves}", file=sys.stderr)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     records, result = _fit_records(args)
-    if args.vp is not None:
-        from dataclasses import replace
-
-        result = replace(
-            result, v_p_fitted=args.vp, clamped_to_classical=math.isinf(args.vp)
-        )
-    if math.isinf(result.v_p_fitted):
+    if args.vp is None and result.clamped_to_classical:
         raise ValueError(
             "fit clamped to the classical limit; pass a finite --vp to "
             "draw curve B anyway"
         )
-    _write_layers(args.out, records, result, args.curve_points)
+    # The curves cannot overflow where the fit's variances and this one are finite.
+    v_p, variance = result.v_p_fitted, result.variance_modified
+    if args.vp is not None:
+        v_p = args.vp
+        with _flag("--vp"):
+            variance = _mean_square(_residuals(*_design_arrays(records), 1.0 / v_p))
+    _write_layers(args.out, records, v_p, args.curve_points)
     print(f"wrote {args.out}")
-    ratio = result.variance_classical / result.variance_modified
+    # A model that fits exactly, or nearly, has no finite ratio to print.
+    ratio = result.variance_classical / variance if variance else math.inf
+    ratio_text = f"{ratio:.3f}" if ratio < math.inf else f"> {sys.float_info.max:.5e}"
     print(
-        f"v_P = {result.v_p_fitted:.5e} m/s; variance modified = "
-        f"{result.variance_modified:.5e} 1/m^2, classical = "
-        f"{result.variance_classical:.5e} 1/m^2 (ratio {ratio:.3f})"
+        f"v_P = {v_p:.5e} m/s; variance modified = "
+        f"{variance:.5e} 1/m^2, classical = "
+        f"{result.variance_classical:.5e} 1/m^2 (ratio {ratio_text})"
     )
     return 0
 
@@ -584,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="one CSV with data points and both model curves"
     )
     _add_records_flags(p)
-    p.add_argument("--vp", type=_FRONT_SPEED, default=None,
-                   help="draw curve B at this v_P instead of the fitted one")
+    p.add_argument("--vp", type=_POSITIVE_FINITE, default=None,
+                   help="draw curve B at this v_P (m/s) instead of the fitted one")
     p.add_argument("--out", required=True, help="output layered CSV path")
     p.set_defaults(func=cmd_compare)
 

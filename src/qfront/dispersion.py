@@ -67,7 +67,7 @@ class WavePhaseDecomposition:
 @dataclass(frozen=True)
 class FreeParticle:
     """A free particle and its matter-wave parameters nu = mv^2/2h, k = mv/h
-    (CODATA 2018 h)."""
+    (CODATA 2018 h), which must be finite."""
 
     mass: float
     speed: float
@@ -86,6 +86,9 @@ class FreeParticle:
         v = self.speed
         object.__setattr__(self, "nu", self.mass * (v * v) / (2.0 * h))
         object.__setattr__(self, "k", self.mass * self.speed / h)
+        if not (self.nu < math.inf and self.k < math.inf):
+            raise ValueError(
+                f"nu = {self.nu!r} Hz or k = {self.k!r} 1/m overflows at speed {v!r} m/s")
 
     @classmethod
     def electron_from_voltage(cls, voltage: float) -> "FreeParticle":
@@ -97,7 +100,11 @@ class FreeParticle:
         if not 0.0 < voltage < math.inf:
             raise ValueError(f"voltage must be positive and finite, got {voltage}")
         v = math.sqrt(2.0 * CODATA2018.e_charge * voltage / CODATA2018.m_e)
-        return cls(mass=CODATA2018.m_e, speed=v)
+        try:
+            return cls(mass=CODATA2018.m_e, speed=v)
+        except ValueError:  # the mass is valid and v >= 0, so only an overflow fails
+            raise ValueError(
+                f"the electron's speed, nu or k overflows at voltage {voltage!r} V") from None
 
     @property
     def phase_velocity(self) -> float:
@@ -137,20 +144,23 @@ def modified_wavenumber_free(p: FreeParticle, v_P: float) -> float:
     """
     if not v_P > 0.0:
         raise ValueError(f"v_P must be positive (inf allowed), got {v_P}")
-    return p.k * (1.0 + p.speed / (2.0 * v_P))
+    k_l = p.k * (1.0 + p.speed / (2.0 * v_P))
+    if k_l == math.inf:
+        raise ValueError(f"k_l overflows at speed {p.speed!r} m/s and v_P = {v_P!r} m/s")
+    return k_l
 
 
 def _harmonic_composition(v: float, v_P: float, name: str) -> float:
-    """1/v_l = 1/v + 1/v_P, exact in the limits v -> inf and v_P -> inf."""
+    """1/v_l = 1/v + 1/v_P, exact in the limits v -> inf and v_P -> inf.
+
+    Evaluated as lo / (1 + lo/hi) with lo <= hi, which cannot overflow:
+    the result lies between lo/2 and lo."""
     if not v > 0.0:
         raise ValueError(f"{name} must be positive, got {v}")
     if not v_P > 0.0:
         raise ValueError(f"v_P must be positive (inf allowed), got {v_P}")
-    if math.isinf(v_P):
-        return v
-    if math.isinf(v):
-        return v_P
-    return v * v_P / (v + v_P)
+    lo, hi = sorted((v, v_P))
+    return lo if math.isinf(hi) else lo / (1.0 + lo / hi)
 
 
 def modified_phase_velocity(v_ph: float, v_P: float) -> float:

@@ -264,6 +264,11 @@ def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
                 heappush(heap, (cand, nb))
 
     t_P = np.asarray(known, dtype=np.float64).reshape(padded)[interior]
+    if not np.all(np.isfinite(t_P)):  # every cell is reached, so only overflow leaves inf
+        slowest = float(np.min(speed.values)) if isinstance(speed, ScalarField) else speed
+        raise ValueError(
+            f"the squared traveltimes overflow in the upwind update at spacing "
+            f"{grid.spacing} and slowest speed {slowest!r} m/s")
     return TraveltimeField(grid=grid, t_P=t_P, v_P=speed)
 
 

@@ -188,15 +188,14 @@ def write_field_csv(f: ComplexField | ScalarField, out: TextIO | str | os.PathLi
         _write_cell_rows(out, f.grid, ["value_re"], (f"{v:.17g}" for v in flat))
 
 
-def read_field_csv(src: TextIO | str | os.PathLike,
-                   spacing: Optional[Sequence[float]] = None,
-                   origin: Optional[Sequence[float]] = None) -> ComplexField | ScalarField:
+def read_field_csv(src: TextIO | str | os.PathLike) -> ComplexField | ScalarField:
     """Read a field CSV written by :func:`write_field_csv`.
 
-    The CSV stores only indices and values; grid geometry is supplied by the
-    caller (defaults: unit spacing, zero origin).  The shape is inferred from
-    the largest index per axis.  Returns a ComplexField (time stamp 0) when
-    a value_im column is present, else a ScalarField.
+    The CSV stores only indices and values, so the field lies on the unit
+    grid (spacing 1, origin 0) of the shape inferred from the largest index
+    per axis; a caller that knows the geometry rebuilds the field on its
+    own grid of that shape.  Returns a ComplexField (time stamp 0) when a
+    value_im column is present, else a ScalarField.
     """
     with _text_file(src, "r") as handle:
         header = handle.readline().strip()
@@ -239,9 +238,7 @@ def read_field_csv(src: TextIO | str | os.PathLike,
     if n != int(np.prod(shape)):
         raise ValueError(f"field CSV holds {n} cells, "
                          f"expected {int(np.prod(shape))} for shape {shape}")
-    grid = Grid(shape,
-                spacing if spacing is not None else (1.0,) * dims,
-                origin)
+    grid = Grid(shape, (1.0,) * dims)
     dtype = np.complex128 if is_complex else np.float64
     arr = np.empty(shape, dtype=dtype)
     # n distinct in-range rows cover all n cells, so no np.empty value survives.

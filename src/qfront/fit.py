@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 from .constants import CODATA2018
@@ -64,22 +64,27 @@ class FitResult:
     """Outcome of the front-speed fit.
 
     v_p_fitted is math.inf when the data prefer the classical model
-    (beta clamped to zero); clamped_to_classical records that case.
-    Variances are mean squared wavenumber residuals in 1/m^2.
+    (beta clamped to zero); clamped_to_classical records that case and
+    n_records counts the residuals (both derived, not set).  Variances
+    are mean squared wavenumber residuals in 1/m^2.
     """
 
     v_p_fitted: float
     variance_modified: float
     variance_classical: float
     residuals: tuple[float, ...]
-    n_records: int
-    clamped_to_classical: bool
+    n_records: int = field(init=False)
+    clamped_to_classical: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n_records != len(self.residuals):
+        object.__setattr__(self, "n_records", len(self.residuals))
+        object.__setattr__(self, "clamped_to_classical", math.isinf(self.v_p_fitted))
+        if not self.v_p_fitted > 0.0:
             raise ValueError(
-                f"n_records={self.n_records} but {len(self.residuals)} residuals"
-            )
+                f"v_p_fitted must be positive (inf allowed), got {self.v_p_fitted}")
+        for name in ("variance_modified", "variance_classical"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # Nesting: the classical model is the beta = 0 point of the
         # modified family, so the fitted variance cannot exceed the
         # classical one (tiny slack for round-off).
@@ -105,6 +110,23 @@ def _design_arrays(records: Sequence[DiffractionRecord]) -> tuple[list[float], l
     return a, r
 
 
+def _residuals(a: Sequence[float], r: Sequence[float], beta: float) -> list[float]:
+    """Wavenumber residuals r_i - a_i beta of the model at beta = 1/v_P."""
+    return [y - x * beta for x, y in zip(a, r)]
+
+
+def _mean_square(residuals: Sequence[float]) -> float:
+    """math.fsum of the squared residuals over their count; a mean that
+    leaves the float range raises ValueError."""
+    try:
+        mean = math.fsum(e * e for e in residuals) / len(residuals)
+    except OverflowError:  # finite squares whose sum overflows
+        mean = math.inf
+    if not mean < math.inf:
+        raise ValueError("the mean squared wavenumber residual overflows")
+    return mean
+
+
 def fit_vp(records: Sequence[DiffractionRecord]) -> FitResult:
     """Closed-form least-squares fit of the front speed over beta = 1/v_P >= 0.
 
@@ -113,22 +135,23 @@ def fit_vp(records: Sequence[DiffractionRecord]) -> FitResult:
     if len(records) < 2:
         raise ValueError(f"need at least 2 records to fit, got {len(records)}")
     a, r = _design_arrays(records)
-    beta = math.fsum(x * y for x, y in zip(a, r)) / math.fsum(x * x for x in a)
+    try:
+        sum_ar = math.fsum(x * y for x, y in zip(a, r))
+        sum_aa = math.fsum(x * x for x in a)
+    except (OverflowError, ValueError):  # finite terms that overflow, or inf - inf
+        sum_ar = sum_aa = math.inf
+    beta = sum_ar / sum_aa if 0.0 < sum_aa < math.inf else math.inf
+    if not abs(beta) < math.inf:
+        raise ValueError("the least-squares sums over the records overflow or underflow")
     clamped = beta <= 0.0
     if clamped:
         beta = 0.0
-    residuals = [y - x * beta for x, y in zip(a, r)]
-    variance_modified = math.fsum(e * e for e in residuals) / len(records)
-    variance_classical = math.fsum(y * y for y in r) / len(records)
-    if clamped:
-        variance_modified = variance_classical
+    residuals = _residuals(a, r, beta)
     return FitResult(
         v_p_fitted=math.inf if clamped else 1.0 / beta,
-        variance_modified=variance_modified,
-        variance_classical=variance_classical,
+        variance_modified=_mean_square(residuals),
+        variance_classical=_mean_square(r),
         residuals=tuple(float(x) for x in residuals),
-        n_records=len(records),
-        clamped_to_classical=clamped,
     )
 
 
@@ -228,7 +251,10 @@ def synthesize_records(
             raise ValueError(
                 f"voltage_range must satisfy 0 < lo < hi, got {voltage_range}"
             )
-        voltages = np.linspace(lo, hi, n_records)
+        # Only the last point, (n - 1) * step, can overflow, and linspace
+        # then sets it to hi.
+        with np.errstate(over="ignore"):
+            voltages = np.linspace(lo, hi, n_records)
     elif len(voltages) < 2:
         raise ValueError(f"need at least 2 voltages, got {len(voltages)}")
     if not v_p_true > 0.0:

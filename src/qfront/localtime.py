@@ -13,7 +13,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -58,20 +58,16 @@ class LocalTimeField:
         object.__setattr__(self, "classes", classes)
 
 
-def local_time(tt: TraveltimeField, t: float,
-               front_tol: Optional[float] = None) -> LocalTimeField:
-    """theta = t - t_P cell-wise, classified against the front tolerance.
-
-    ``front_tol`` defaults to half the minimum cell-crossing time of the
-    traveltime field, min(spacing) / (2 v_P).
+def local_time(tt: TraveltimeField, t: float) -> LocalTimeField:
+    """theta = t - t_P cell-wise, classified against a front band of half
+    the minimum cell-crossing time of the traveltime field,
+    front_tol = min(spacing) / (2 v_P).
     """
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("global time must be finite")
-    if front_tol is None:
-        front_tol = min(tt.grid.spacing) / (2.0 * tt.min_speed())
     return LocalTimeField(grid=tt.grid, theta=t - tt.t_P, global_time=t,
-                          front_tol=front_tol)
+                          front_tol=min(tt.grid.spacing) / (2.0 * tt.min_speed()))
 
 
 def write_localtime_csv(f: LocalTimeField, out: TextIO | str | os.PathLike) -> None:

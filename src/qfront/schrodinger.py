@@ -111,12 +111,12 @@ class QuantumProblem:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        # Bounds |cH| entrywise: the diagonal is c*(hbar^2/2m * sum 2/dx^2 + U).
+        # Bounds |cH| entrywise: the diagonal is c*(hbar^2/2m * sum 2/dx^2 + U),
+        # in the stepper's order of operations.
         hbar = self.constants.hbar
         with np.errstate(all="ignore"):
-            kinetic = hbar**2 / (2.0 * self.mass) / np.square(self.grid.spacing)
-            bound = self.dt / (2.0 * hbar) * (
-                2.0 * kinetic.sum() + np.abs(self.potential.values).max())
+            kinetic = hbar**2 / (2.0 * self.mass) * np.sum(2.0 / np.square(self.grid.spacing))
+            bound = self.dt / (2.0 * hbar) * (kinetic + np.abs(self.potential.values).max())
         if not np.isfinite(bound):
             raise ValueError(
                 f"c*H = i*dt*H/(2*hbar) overflows at dt={self.dt}, mass={self.mass}, "
@@ -532,10 +532,11 @@ def gaussian_packet(
             f"the carrier phase 2*pi*wavenumber*x overflows at wavenumber {wavenumber!r} "
             f"and |x| up to {x_max!r}")
     coords = grid.coordinate_arrays()
-    # A squared distance that overflows is a cell where the packet is 0.
+    # A squared distance, or its ratio to 4*width**2, that overflows is a
+    # cell where the packet is 0.
     with np.errstate(over="ignore"):
         r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, center))
-    values = np.exp(-r2 / four_var).astype(np.complex128)
+        values = np.exp(-r2 / four_var).astype(np.complex128)
     values = values * np.exp(2.0j * np.pi * wavenumber * coords[0])
     return _hard_wall_normalized(grid, values)
 

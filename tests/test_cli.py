@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import shlex
 import stat
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +21,10 @@ import qfront
 import qfront.schrodinger
 from qfront.cli import build_parser, main
 from qfront.constants import CODATA2018
+from qfront.dispersion import FreeParticle
 from qfront.eikonal import TraveltimeField
 from qfront.fields import ComplexField, Grid, ScalarField, read_field_csv, write_field_csv
-from qfront.fit import RECORDS_CSV_HEADER, synthesize_records
+from qfront.fit import RECORDS_CSV_HEADER, read_records_csv, synthesize_records
 from qfront.schrodinger import (
     ConvergenceError,
     HistoryWindowError,
@@ -56,7 +61,7 @@ def test_eikonal_writes_field_and_summary(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"wrote {out}" in captured.out
     assert "t_P range" in captured.out
-    field = read_field_csv(str(out), spacing=(1.0, 1.0))
+    field = read_field_csv(str(out))
     assert field.grid.shape == (51, 51)
     assert field.values[25, 25] == 0.0
     assert np.all(np.isfinite(field.values))
@@ -68,8 +73,8 @@ def test_eikonal_speed_scales_traveltimes(tmp_path):
             "--source", "15,15"]
     assert main(base + ["--speed", "1.0", "--out", str(out1)]) == 0
     assert main(base + ["--speed", "2.0", "--out", str(out2)]) == 0
-    t1 = read_field_csv(str(out1), spacing=(1.0, 1.0)).values
-    t2 = read_field_csv(str(out2), spacing=(1.0, 1.0)).values
+    t1 = read_field_csv(str(out1)).values
+    t2 = read_field_csv(str(out2)).values
     np.testing.assert_array_equal(t2, t1 / 2.0)
 
 
@@ -346,9 +351,7 @@ def test_propagate_compare_a8_outputs(tmp_path):
     )
     assert code == 0
     for suffix in ("actual", "predicted"):
-        field = read_field_csv(
-            str(tmp_path / f"a8_{suffix}.csv"), spacing=(1.0 / 63,)
-        )
+        field = read_field_csv(str(tmp_path / f"a8_{suffix}.csv"))
         assert not np.iscomplexobj(field.values)
         assert np.all(field.values >= 0.0)
 
@@ -407,6 +410,23 @@ def test_propagate_field_inputs_check_shape_and_path(tmp_path, capsys, flag):
     missing = tmp_path / "missing.csv"
     assert main(base + [flag, str(missing)]) == 2
     assert f"{flag}: no such file: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spacing, file_shape", [
+    ("1", (4, 4)),  # a 2-D file for a 1-D grid
+    ("1e307", (20,)),  # 20 cells at this spacing would overflow the last coordinate
+])
+def test_a_field_input_of_another_shape_reports_the_shape_mismatch(tmp_path, capsys,
+                                                                    spacing, file_shape):
+    potential = tmp_path / "u.csv"
+    write_field_csv(ScalarField(Grid(file_shape, (1.0,) * len(file_shape)),
+                                np.zeros(file_shape)), potential)
+    assert main(["propagate", "--shape", "16", "--spacing", spacing, "--potential",
+                 str(potential), "--gaussian-center", "8", "--gaussian-width", "2",
+                 "--dt", "1e-4", "--n-steps", "2", "--out-prefix", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --potential: file shape {file_shape} does not match --shape (16,)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.csv"]
 
 
 def test_eikonal_speed_csv_checks_shape(tmp_path, capsys):
@@ -868,6 +888,23 @@ def test_fit_generate_rejects_bad_noise(capsys, noise):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("pair", ["vP", "foo=1"])
+def test_fit_generate_rejects_a_pair_that_is_not_a_key_value(capsys, pair):
+    assert main(["fit", "--generate", "n=5", pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --generate: expected key=value with key in "
+                            f"vP/n/seed/noise/vmin/vmax, got '{pair}'\n")
+    assert captured.out == ""
+
+
+def test_fit_curves_writes_the_layers_compare_writes(tmp_path, capsys):
+    generate = ["--generate", "vP=1.3e8", "n=12", "noise=0.01", "seed=3"]
+    assert main(["fit", *generate, "--curves", str(tmp_path / "curves.csv")]) == 0
+    assert capsys.readouterr().err == f"wrote {tmp_path / 'curves.csv'}\n"
+    assert main(["compare", *generate, "--out", str(tmp_path / "layers.csv")]) == 0
+    assert (tmp_path / "curves.csv").read_bytes() == (tmp_path / "layers.csv").read_bytes()
+
+
 @pytest.mark.parametrize("subcommand", ["fit", "compare"])
 @pytest.mark.parametrize("points", ["0", "1", "-3", "2.5"])
 def test_curve_points_must_be_a_positive_integer(tmp_path, capsys, subcommand, points):
@@ -927,6 +964,44 @@ def test_compare_layers_and_summary(tmp_path, capsys):
         assert float(kb) >= float(ka)
 
 
+BUNDLED_SUMMARY = ("v_P = 1.30042e+08 m/s; variance modified = 1.68486e+17 1/m^2, "
+                   "classical = 3.82261e+17 1/m^2 (ratio 2.269)")
+
+
+def _model_variance(records, v_p):
+    """Mean squared wavenumber residual of the model at v_p, by numpy."""
+    electrons = [FreeParticle.electron_from_voltage(rec.voltage) for rec in records]
+    k_exp = np.array([1.0 / rec.wavelength_exp for rec in records])
+    k_model = np.array([e.k + e.nu / v_p for e in electrons])
+    return float(np.mean((k_exp - k_model) ** 2))
+
+
+@pytest.mark.parametrize("vp", ["1e7", "5e8"])
+def test_compare_vp_reports_the_model_it_draws(tmp_path, capsys, vp):
+    # The summary gives the variance of curve B's model at --vp, not the fit's.
+    bundled = read_records_csv(Path(qfront.__file__).parent / "data" / "davisson_germer.csv")
+    variance, classical = _model_variance(bundled, float(vp)), _model_variance(bundled, math.inf)
+    assert main(["compare", "--use-bundled", "--vp", vp,
+                 "--out", str(tmp_path / "layers.csv")]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith(f"v_P = {float(vp):.5e} m/s; variance modified = "
+                              f"{variance:.5e} 1/m^2, classical = {classical:.5e} 1/m^2")
+    assert float(summary.split("ratio ")[1][:-1]) == pytest.approx(classical / variance,
+                                                                   abs=6e-4)
+    # Without --vp the line is the fit's, as it always was.
+    assert main(["compare", "--use-bundled", "--out", str(tmp_path / "layers.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == BUNDLED_SUMMARY
+
+
+def test_compare_exact_fit_prints_no_infinite_ratio(tmp_path, capsys):
+    # Two noiseless records at 1e8 m/s leave every residual exactly 0.
+    assert main(["compare", "--generate", "vP=1e8", "n=2",
+                 "--out", str(tmp_path / "layers.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "variance modified = 0.00000e+00 1/m^2, classical = 1.05503e+18 1/m^2 "
+        "(ratio > 1.79769e+308)")
+
+
 def test_compare_clamped_needs_explicit_vp(tmp_path, capsys):
     data = tmp_path / "classical.csv"
     records = synthesize_records(10, math.inf, seed=4)
@@ -942,6 +1017,11 @@ def test_compare_clamped_needs_explicit_vp(tmp_path, capsys):
         ["compare", "--data", str(data), "--vp", "1.3e8", "--out", str(out)]
     ) == 0
     assert out.exists()
+    # The modified model at --vp, not the clamped fit's classical variance.
+    summary = capsys.readouterr().out.splitlines()[-1]
+    variance = _model_variance(read_records_csv(data), 1.3e8)
+    assert f"variance modified = {variance:.5e} 1/m^2" in summary
+    assert summary.count(f"{variance:.5e}") == 1
 
 
 # --- help and usage ----------------------------------------------------------------
@@ -1053,6 +1133,23 @@ USAGE_ERRORS = [
     (["compare", "--out", "layers.csv", "--data", "one_record.csv"], "--data"),
     (["fit", "--generate", "n=x"], "--generate"),
     (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e300"], "--generate"),  # speed overflows
+    # nu = eV/h overflows from about 7.4e293 V, before the speed does.
+    (["dispersion", "--vp", "1.3e8", "--voltage", "1e295"], "--voltage"),
+    (["dispersion", "--vp", "1.3e8", "--speed", "1e295"], "--speed"),
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e295"], "--generate"),
+    # np.linspace overflows in (n - 1) * step before it sets the last point.
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1.7976931348623157e+308"], "--generate"),
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e295", "--curves", "c.csv"], "--generate"),
+    (["fit", "--data", "big_voltage.csv"], "--data"),
+    (["fit", "--generate", "vP=1e-150", "n=8"], "--generate"),  # the squared residuals overflow
+    # The sum of nu**2 underflows to 0, or the sums overflow.
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmin=1e-200", "vmax=1e-199"], "--generate"),
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmin=1e139", "vmax=1e140"], "--generate"),
+    (["dispersion", "--vp", "1e-300", "--voltage", "54"], "--vp"),  # k_l overflows
+    (["compare", "--use-bundled", "--out", "layers.csv", "--vp", "1e-300"], "--vp"),
+    (["compare", "--use-bundled", "--out", "layers.csv", "--vp", "inf"], "--vp"),
+    # 2/spacing**2 overflows in the stepper, though hbar**2/(2m)/spacing**2 does not.
+    (PROPAGATE + ["--spacing", "1e-155"], "--shape/--spacing/--potential/--mass/--dt"),
     (["compare", "--use-bundled", "--out", "layers.csv", "--curve-points", "1"],
      "--curve-points"),
 ]
@@ -1069,6 +1166,8 @@ def write_usage_error_inputs(directory: Path) -> None:
     unreached = np.where(np.arange(16) < 10, 0.0, math.inf)  # t_P inf on cells 10-15
     write_field_csv(ScalarField(Grid((16,), (1.0,)), unreached), directory / "inf_tt.csv")
     (directory / "one_record.csv").write_text(f"{RECORDS_CSV_HEADER}\n54,1.66e-10\n")
+    (directory / "big_voltage.csv").write_text(
+        f"{RECORDS_CSV_HEADER}\n54,1.66e-10\n1e295,1e-300\n")
 
 
 @pytest.mark.parametrize("argv, flag", USAGE_ERRORS,
@@ -1081,6 +1180,59 @@ def test_usage_error_names_its_flag_and_writes_nothing(tmp_path, monkeypatch, ca
     assert main(argv) == 2
     assert f" {flag}: " in capsys.readouterr().err.splitlines()[-1]
     assert sorted(os.listdir(tmp_path)) == inputs
+
+
+# Each numeric flag, or --generate key, on a base command of 16 cells and 2
+# steps, at extreme finite values: the baseline probe's six, three more, and
+# any finite float.
+FLAG_BASES = [
+    (EIKONAL, ["--spacing", "--origin", "--speed", "--source-ball-radius"]),
+    (PROPAGATE, ["--spacing", "--origin", "--gaussian-center", "--gaussian-width",
+                 "--gaussian-carrier", "--mass", "--dt", "--eval-time"]),
+    (PROPAGATE + ["--mode", "modified", "--traveltime", "ramp_tt.csv", "--vp", "1",
+                  "--localtime-out", "lt.csv"],
+     ["--spacing", "--origin", "--gaussian-center", "--gaussian-width", "--gaussian-carrier",
+      "--mass", "--dt", "--eval-time", "--vp"]),
+    (["dispersion", "--vp", "1.3e8", "--voltage", "54", "--speed", "4e6"],
+     ["--voltage", "--speed", "--vp"]),
+    (["compare", "--use-bundled", "--out", "layers.csv"], ["--vp"]),
+    (["fit", "--out", "fit.json", "--curves", "curves.csv", "--generate", "vP=1.3e8", "n=8"],
+     ["vP=", "n=", "seed=", "noise=", "vmin=", "vmax="]),
+]
+FLAG_CASES = [(base, flag) for base, flags in FLAG_BASES for flag in flags]
+EXTREMES = [5e-324, 1e-320, 1e-300, -0.0, 1e300, 1.7e308, 1e-150, 1e150, 1e295]
+NON_FINITE_TEXT = re.compile(r"(?i)\b(inf|infinity|nan)\b")
+
+
+@settings(max_examples=150)
+@given(case=st.sampled_from(FLAG_CASES),
+       value=st.sampled_from(EXTREMES) | st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_flag_value_exits_0_or_2_and_writes_only_finite_numbers(case, value):
+    # A repeated flag takes its last value, and --voltage/--speed add a row.
+    base, flag = case
+    argv = [*base, f"{flag}{value!r}"] if flag.endswith("=") else [*base, flag, repr(value)]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            ramp = ScalarField(Grid((16,), (1.0,)), np.arange(16) * 1e-5)
+            write_field_csv(ramp, "ramp_tt.csv")
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv)
+            written = sorted(set(os.listdir()) - {"ramp_tt.csv"})
+            texts = [Path(name).read_text() for name in written]
+        finally:
+            os.chdir(cwd)
+    if code == 2:
+        assert re.search(r"(error: |argument )--[a-z]", err.getvalue().splitlines()[-1]), argv
+        assert written == [], argv
+    else:
+        assert code == 0, (argv, err.getvalue())
+        for name, text in zip(["stdout", *written], [out.getvalue(), *texts]):
+            assert not NON_FINITE_TEXT.search(text), (argv, name)
 
 
 def readme_commands() -> list[list[str]]:
@@ -1204,7 +1356,7 @@ def test_fresh_process_resolves_every_public_name(tmp_path):
                     params += count(member)
         assert not hasattr(qfront, "no_such_name")
         print(len(qfront.__all__), params, qfront.solve_traveltime.__module__)""")
-    assert run.stdout.split() == ["43", "107", "qfront.eikonal"]
+    assert run.stdout.split() == ["43", "102", "qfront.eikonal"]
 
 
 def _fresh_python(cwd: Path, code: str) -> subprocess.CompletedProcess:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +56,12 @@ def test_free_particle_validation():
         FreeParticle.electron_from_voltage(-5.0)
 
 
+@pytest.mark.parametrize("speed", [1e295, 1.7e308])  # nu overflows; so does k at 1.7e308
+def test_free_particle_rejects_a_speed_whose_nu_or_k_overflows(speed):
+    with pytest.raises(ValueError, match=re.escape(f"overflows at speed {speed!r} m/s")):
+        FreeParticle(CODATA2018.m_e, speed)
+
+
 @pytest.mark.parametrize("voltage", [math.nan, math.inf, 0.0, -1.0])
 def test_electron_voltage_must_be_positive_and_finite(voltage):
     with pytest.raises(ValueError, match="voltage must be positive and finite"):
@@ -63,11 +70,13 @@ def test_electron_voltage_must_be_positive_and_finite(voltage):
 
 def test_electron_voltage_whose_speed_overflows_is_rejected_without_a_warning():
     # synthesize_records passes numpy scalars, whose arithmetic warns on
-    # overflow; warnings are errors under pytest.
+    # overflow; warnings are errors under pytest.  At 1e295 V the speed is
+    # finite but nu = m v^2 / 2h is not.
     import numpy as np
 
-    for voltage in (1e300, np.float64(1e300)):
-        with pytest.raises(ValueError, match="speed must be non-negative and finite"):
+    for voltage in (1e300, np.float64(1e300), 1e295):
+        message = f"overflows at voltage {float(voltage)!r} V"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             FreeParticle.electron_from_voltage(voltage)
 
 
@@ -204,6 +213,26 @@ def test_group_velocity_matches_finite_difference():
 def test_modified_group_below_both_inputs():
     out = modified_group_velocity(3.0e6, V_P)
     assert out < 3.0e6 and out < V_P
+
+
+@given(v=st.floats(min_value=5e-324, allow_infinity=False),
+       v_p=st.floats(min_value=5e-324, allow_infinity=False))
+def test_composed_velocity_lies_between_half_and_all_of_the_slower_input(v, v_p):
+    # v * v_P / (v + v_P) overflowed once v * v_P passed the float range.
+    for compose in (modified_phase_velocity, modified_group_velocity):
+        assert min(v, v_p) / 2.0 <= compose(v, v_p) <= min(v, v_p)
+
+
+def test_composition_at_the_largest_front_speed_is_classical():
+    p = FreeParticle.electron_from_voltage(54.0)
+    assert modified_phase_velocity(p.phase_velocity, 1.7e308) == p.phase_velocity
+    assert modified_group_velocity(p.group_velocity, 1.7e308) == p.group_velocity
+
+
+def test_modified_wavenumber_that_overflows_is_rejected():
+    p = FreeParticle.electron_from_voltage(54.0)
+    with pytest.raises(ValueError, match="k_l overflows at speed .* and v_P = 1e-300 m/s"):
+        modified_wavenumber_free(p, 1e-300)
 
 
 def test_velocity_validation():

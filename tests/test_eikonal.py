@@ -102,10 +102,11 @@ def test_largest_spacing_in_range_solves():
 
 
 def test_an_overflowing_march_is_rejected_not_written_as_inf():
-    # Beyond the seed ball the march squares t_P ~ 1e251, which overflows;
-    # the unreached cells stayed inf.
+    # Beyond the seed ball the march squares t_P ~ 1e251, which overflows
+    # and leaves those cells at inf.
     g = Grid((16,), (1e150,))
-    with pytest.raises(ValueError, match="t_P must be non-negative and finite"):
+    with pytest.raises(ValueError, match=r"squared traveltimes overflow in the upwind "
+                       r"update at spacing \(1e\+150,\) and slowest speed 1e-100 m/s"):
         solve_traveltime(g, SourceSpec([(3,)]), 1e-100)
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -153,9 +154,9 @@ def test_csv_roundtrip_complex_exact():
     buf = io.StringIO()
     write_field_csv(f, buf)
     buf.seek(0)
-    back = read_field_csv(buf, spacing=g.spacing, origin=g.origin)
+    back = read_field_csv(buf)
     assert isinstance(back, ComplexField)
-    assert back.grid == g
+    assert back.grid == Grid((3, 2), (1.0, 1.0))  # the unit grid of the file's shape
     assert np.array_equal(back.values, f.values)  # 17 sig digits: bit exact
 
 
@@ -194,6 +195,23 @@ TWO_AXES = "index_axis0,index_axis1,value_re\n"
 def test_csv_rejects_bad_indices(text, line, what):
     with pytest.raises(ValueError, match=f"line {line}: .*{what}"):
         read_field_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "empty field CSV"),
+    (ONE_AXIS, "field CSV holds no cells"),
+    (ONE_AXIS + "\n\n", "field CSV holds no cells"),
+    (TWO_AXES + "0,0,1.0\n1,1,2.0\n",
+     re.escape("field CSV holds 2 cells, expected 4 for shape (2, 2)")),
+])
+def test_csv_rejects_empty_or_incomplete_files(text, match):
+    with pytest.raises(ValueError, match=match):
+        read_field_csv(io.StringIO(text))
+
+
+def test_csv_skips_blank_lines():
+    back = read_field_csv(io.StringIO(ONE_AXIS + "0,1.5\n\n1,-2\n\n"))
+    assert back.values.tolist() == [1.5, -2.0]
 
 
 @pytest.mark.parametrize("text, line, token", [

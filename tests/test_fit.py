@@ -99,6 +99,18 @@ def test_fit_requires_two_records():
         fit_vp([DiffractionRecord(54.0, 1.67e-10)])
 
 
+@pytest.mark.parametrize("v_p, voltages, match", [
+    # sum(nu**2) underflows to 0, or sum(nu * r) overflows in fsum.
+    (V_P_TRUE, (1e-200, 2e-200), "sums over the records overflow or underflow"),
+    (V_P_TRUE, (1e139, 1e140), "sums over the records overflow or underflow"),
+    # The classical residuals, about 1e160, square past the float range.
+    (1e-150, (30.0, 600.0), "mean squared wavenumber residual overflows"),
+])
+def test_fit_rejects_records_whose_sums_leave_the_float_range(v_p, voltages, match):
+    with pytest.raises(ValueError, match=match):
+        fit_vp(synthesize_records(0, v_p, voltages=voltages))
+
+
 def test_fit_determinism():
     records = synthesize_records(16, V_P_TRUE, noise_relative=0.02, seed=9)
     a = fit_vp(records)
@@ -173,23 +185,29 @@ def test_bundled_fit_is_bit_identical_to_the_numpy_formula():
 
 def test_fit_result_rejects_broken_nesting():
     with pytest.raises(ValueError, match="nests"):
-        FitResult(
-            v_p_fitted=1e8,
-            variance_modified=2.0,
-            variance_classical=1.0,
-            residuals=(0.0,),
-            n_records=1,
-            clamped_to_classical=False,
-        )
-    with pytest.raises(ValueError, match="residuals"):
-        FitResult(
-            v_p_fitted=1e8,
-            variance_modified=1.0,
-            variance_classical=2.0,
-            residuals=(0.0,),
-            n_records=3,
-            clamped_to_classical=False,
-        )
+        FitResult(v_p_fitted=1e8, variance_modified=2.0, variance_classical=1.0,
+                  residuals=(0.0,))
+
+
+@pytest.mark.parametrize("v_p, clamped", [(1e8, False), (math.inf, True)])
+def test_fit_result_derives_its_count_and_clamp_flag(v_p, clamped):
+    result = FitResult(v_p, 1.0, 2.0, (0.5, -0.5, 1.0))
+    assert (result.n_records, result.clamped_to_classical) == (3, clamped)
+    with pytest.raises(TypeError):
+        FitResult(v_p, 1.0, 2.0, (0.5,), n_records=1)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("v_p_fitted", math.nan, "v_p_fitted must be positive"),
+    ("v_p_fitted", 0.0, "v_p_fitted must be positive"),
+    ("variance_modified", math.nan, "variance_modified must be finite"),
+    ("variance_classical", math.inf, "variance_classical must be finite"),
+])
+def test_fit_result_rejects_nan_speed_and_non_finite_variances(field, value, match):
+    args = {"v_p_fitted": 1e8, "variance_modified": 1.0, "variance_classical": 2.0,
+            "residuals": (0.0,), field: value}
+    with pytest.raises(ValueError, match=match):
+        FitResult(**args)
 
 
 # --- model curves ------------------------------------------------------------------
@@ -242,6 +260,11 @@ def test_synthesize_validation():
         synthesize_records(5, -1.0)
     with pytest.raises(ValueError, match="noise_relative"):
         synthesize_records(5, V_P_TRUE, noise_relative=-0.1)
+    with pytest.raises(ValueError, match="at least 2 voltages, got 1"):
+        synthesize_records(0, V_P_TRUE, voltages=[54.0])
+    # 1 + 10 z <= 0 for a standard normal z <= -0.1, which seed 0 draws.
+    with pytest.raises(ValueError, match="noise drove a wavenumber non-positive"):
+        synthesize_records(5, V_P_TRUE, noise_relative=10.0, seed=0)
 
 
 @pytest.mark.parametrize("noise", [math.nan, math.inf])

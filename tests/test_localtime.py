@@ -17,12 +17,13 @@ from qfront.localtime import (
 
 
 def ramp_tt():
+    """t_P = 0, 1, 2, 3 at v_P = 1 on unit cells: local_time's band is 0.5."""
     g = Grid((4,), (1.0,))
     return TraveltimeField(g, np.array([0.0, 1.0, 2.0, 3.0]), v_P=1.0)
 
 
 def test_three_way_classification():
-    lt = local_time(ramp_tt(), t=2.0, front_tol=0.5)
+    lt = local_time(ramp_tt(), t=2.0)
     np.testing.assert_allclose(lt.theta, [2.0, 1.0, 0.0, -1.0])
     assert list(lt.classes) == [
         RegionClass.PERTURBED,
@@ -34,7 +35,7 @@ def test_three_way_classification():
 
 
 def test_classes_are_read_only_codes():
-    lt = local_time(ramp_tt(), t=2.0, front_tol=0.5)
+    lt = local_time(ramp_tt(), t=2.0)
     assert lt.classes.dtype == np.uint8 and not lt.classes.flags.writeable
     assert lt.classes.tolist() == [2, 2, 1, 0]
     assert [RegionClass(c).name for c in lt.classes] == [
@@ -43,13 +44,13 @@ def test_classes_are_read_only_codes():
 
 def test_front_band_is_inclusive():
     # |theta| exactly equal to the tolerance still counts as front.
-    lt = local_time(ramp_tt(), t=1.5, front_tol=0.5)
+    lt = local_time(ramp_tt(), t=1.5)
     assert lt.classes[1] == RegionClass.FRONT  # theta = +0.5
     assert lt.classes[2] == RegionClass.FRONT  # theta = -0.5
 
 
 def test_mask_partition():
-    lt = local_time(ramp_tt(), t=2.0, front_tol=0.5)
+    lt = local_time(ramp_tt(), t=2.0)
     total = sum((lt.classes == r).astype(int) for r in RegionClass)
     assert np.all(total == 1)
 
@@ -101,15 +102,11 @@ def test_infinite_speed_limit_rejects_non_finite_time(t):
 def test_local_time_rejects_bad_args():
     with pytest.raises(ValueError):
         local_time(ramp_tt(), math.inf)
-    with pytest.raises(ValueError):
-        local_time(ramp_tt(), 1.0, front_tol=-0.1)
     with pytest.raises(ValueError, match="front_tol"):
         LocalTimeField(Grid((4,), (1.0,)), np.zeros(4), 1.0, -0.1)
 
 
 def test_local_time_rejects_nan_front_tol():
-    with pytest.raises(ValueError, match="front_tol"):
-        local_time(ramp_tt(), 1.0, front_tol=math.nan)
     with pytest.raises(ValueError, match="front_tol"):
         LocalTimeField(Grid((4,), (1.0,)), np.zeros(4), 1.0, math.nan)
 
@@ -117,7 +114,7 @@ def test_local_time_rejects_nan_front_tol():
 def test_csv_format_golden():
     g = Grid((2, 2), (1.0, 1.0))
     tt = TraveltimeField(g, np.array([[0.0, 1.0], [1.0, 2.0]]), v_P=1.0)
-    lt = local_time(tt, t=1.0, front_tol=0.25)
+    lt = local_time(tt, t=1.0)
     buf = io.StringIO()
     write_localtime_csv(lt, buf)
     assert buf.getvalue() == (
@@ -130,7 +127,7 @@ def test_csv_format_golden():
 
 
 def test_csv_file_write(tmp_path):
-    lt = local_time(ramp_tt(), 2.0, front_tol=0.5)
+    lt = local_time(ramp_tt(), 2.0)
     path = str(tmp_path / "lt.csv")
     write_localtime_csv(lt, path)
     text = Path(path).read_bytes()
@@ -147,14 +144,14 @@ def test_classification_consistent_with_theta(t, tol, seed):
     g = Grid((6, 5), (1.0, 1.0))
     rng = np.random.default_rng(seed)
     tt = TraveltimeField(g, rng.uniform(0.0, 8.0, (6, 5)), v_P=1.0)
-    lt = local_time(tt, t, front_tol=tol)
-    assert np.array_equal(lt.theta, t - tt.t_P)
+    lt = LocalTimeField(g, t - tt.t_P, t, tol)
     on_front = np.abs(lt.theta) <= tol
     before = lt.theta < -tol
     assert np.array_equal(lt.classes == RegionClass.FRONT, on_front)
     assert np.array_equal(lt.classes == RegionClass.NON_PERTURBED, before)
     assert np.array_equal(lt.classes == RegionClass.PERTURBED, ~(on_front | before))
-    # The constructor derives the same classes from theta and the tolerance.
-    direct = LocalTimeField(g, t - tt.t_P, t, tol)
-    assert np.array_equal(direct.classes, lt.classes)
-    assert not direct.classes.flags.writeable
+    assert not lt.classes.flags.writeable
+    # local_time builds the same field at its band, 1 / (2 * 1).
+    derived = local_time(tt, t)
+    assert np.array_equal(derived.theta, t - tt.t_P)
+    assert np.array_equal(derived.classes, LocalTimeField(g, t - tt.t_P, t, 0.5).classes)

@@ -118,6 +118,7 @@ def test_grid_shape_checks_name_the_argument_and_both_shapes():
     ((0.5,), 1e154, 0.0),  # 4*width**2 overflows
     ((0.5,), 1e-200, 0.0),  # 4*width**2 underflows to 0
     ((0.5,), 0.1, 1.7e308),  # the carrier phase 2*pi*wavenumber*x overflows
+    ((0.5, 0.5), 0.1, 0.0),  # a 2-D center on a 1-D grid
 ])
 def test_gaussian_packet_rejects_non_finite_or_bad_parameters(center, width, wavenumber):
     g = Grid((32,), (1.0 / 31,))
@@ -133,6 +134,13 @@ def test_gaussian_packet_is_zero_where_the_squared_distance_overflows():
     assert l2_norm_squared(packet) == pytest.approx(1.0)
 
 
+def test_gaussian_packet_is_zero_where_the_distance_over_4_width_squared_overflows():
+    # 4 * width**2 = 4e-308 is finite, but (x - 8)**2 / 4e-308 overflows off the centre.
+    packet = gaussian_packet(Grid((16,), (1.0,)), (8.0,), 1e-154)
+    assert np.flatnonzero(packet.values).tolist() == [8]
+    assert l2_norm_squared(packet) == pytest.approx(1.0)
+
+
 def test_states_vanishing_on_the_interior_are_rejected():
     g = Grid((16,), (1.0,))
     with pytest.raises(ValueError, match="vanishes"):
@@ -145,6 +153,40 @@ def test_solution_rejects_history_off_the_grid():
         ClassicalSolution(prob, np.zeros((2, 17), dtype=complex), initial_norm=1.0)
     with pytest.raises(ValueError, match="history shape"):
         ClassicalSolution(prob, np.zeros(16, dtype=complex), initial_norm=1.0)
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"initial_norm": 0.0}, "initial_norm must be positive and finite"),
+    ({"initial_norm": math.inf}, "initial_norm must be positive and finite"),
+    ({"first_step": -1}, "first_step must be >= 0"),
+    ({"start_time": math.nan}, "start_time finite"),
+])
+def test_solution_rejects_bad_norm_first_step_or_start_time(changes, match):
+    prob = free_problem(16)
+    args = {"initial_norm": 1.0, **changes}
+    with pytest.raises(ValueError, match=match):
+        ClassicalSolution(prob, np.zeros((2, 16), dtype=complex), **args)
+
+
+@pytest.mark.parametrize("n_steps, window, match", [
+    (-1, None, "n_steps must be non-negative"),
+    (3, 1, "history_window must be at least 2"),
+])
+def test_propagate_rejects_negative_steps_or_a_window_below_2(n_steps, window, match):
+    prob = free_problem(16)
+    initial = gaussian_packet(prob.grid, (0.5,), 0.1)
+    with pytest.raises(ValueError, match=match):
+        propagate_classical(initial, prob, n_steps, history_window=window)
+
+
+@pytest.mark.parametrize("modes, match", [
+    ((1,), "1 mode numbers for a 2-d grid"),
+    ((1, 2, 3), "3 mode numbers for a 2-d grid"),
+    ((1, 0), "mode numbers must be >= 1"),
+])
+def test_box_eigenmode_rejects_wrong_or_non_positive_modes(modes, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        box_eigenmode(Grid((8, 8), (1.0, 1.0)), modes)
 
 
 def test_propagate_rejects_zero_state():
