@@ -203,7 +203,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     else:
         potential = ScalarField(grid, np.zeros(grid.shape))
 
-    # QuantumProblem checks shape and potential, and bounds c*H by all five flags.
+    # QuantumProblem checks shape and potential, and that its CN operator is finite.
     with _flag("--shape/--spacing/--potential/--mass/--dt"):
         problem = QuantumProblem(grid, potential, args.mass, args.dt)
     initial = _initial_state(args, grid)
@@ -308,10 +308,10 @@ def _has_wavelength(particle: FreeParticle) -> FreeParticle:
     return particle
 
 
-def _four_decimals(value: float) -> str:
-    """value to 4 decimals, or as %.6e like the other columns where that
-    would not fit the table's 14-character column."""
-    text = f"{value:.4f}"
+def _fixed(value: float, decimals: int) -> str:
+    """value to the given decimals, or as %.6e where that would not fit 14
+    characters, the width of a dispersion table column."""
+    text = f"{value:.{decimals}f}"
     return text if len(text) <= 14 else f"{value:.6e}"
 
 
@@ -339,7 +339,7 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
             f"{k_l:.6e}",
             f"{1.0 / p.k:.6e}",
             f"{1.0 / k_l:.6e}",
-            _four_decimals(1e10 / k_l),
+            _fixed(1e10 / k_l, 4),
             f"{p.phase_velocity:.6e}",
             f"{modified_phase_velocity(p.phase_velocity, v_p):.6e}",
             f"{p.group_velocity:.6e}",
@@ -450,7 +450,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}")
     # A model that fits exactly, or nearly, has no finite ratio to print.
     ratio = result.variance_classical / variance if variance else math.inf
-    ratio_text = f"{ratio:.3f}" if ratio < math.inf else f"> {sys.float_info.max:.5e}"
+    ratio_text = _fixed(ratio, 3) if ratio < math.inf else f"> {sys.float_info.max:.5e}"
     print(
         f"v_P = {v_p:.5e} m/s; variance modified = "
         f"{variance:.5e} 1/m^2, classical = "

@@ -82,12 +82,12 @@ class SourceSpec:
 @dataclass(frozen=True, eq=False)
 class TraveltimeField:
     """Solved traveltime t_P per cell, finite and >= 0, plus the speed it was
-    solved with: a speed > 0 (inf allowed), a ScalarField of them, or None
-    if unknown."""
+    solved with: a speed > 0 (inf allowed), a ScalarField of them, or None,
+    the default, if unknown."""
 
     grid: Grid
     t_P: np.ndarray = field(repr=False)
-    v_P: Optional[Speed] = 1.0
+    v_P: Optional[Speed] = None
 
     def __post_init__(self):
         t_P = _as_grid_array(self.grid, self.t_P, np.float64)

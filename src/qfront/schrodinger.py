@@ -7,16 +7,14 @@ Classical (instantaneous) evolution uses the Crank-Nicolson scheme
 with H = -hbar^2/(2m) Laplacian + U and fixed-zero boundary values.  With
 A = I + i*dt/(2*hbar) H the right-hand operator is 2I - A, so a step is the
 Cayley form psi_{n+1} = 2 A^-1 psi_n - psi_n: one solve with A and no
-second operator.  A is kept as its diagonals: the main one and, for each
-axis, the two bands one stride along that axis away.  In 1-D these are
-A's three diagonals, factored once by LAPACK zgttrf and solved by zgttrs
-each step (padded to 3 unknowns when smaller); in 2-D and 3-D they form a
-sparse matrix and each step runs BiCGSTAB.  The scheme is unconditionally
-stable and, for real U, preserves the L2 norm to round-off.  The modified
-evolution is obtained from the classical one by evaluating each point at
-its own local time theta = t - t_P, where t_P is the arrival time of the
-perturbation front; points the front has not yet reached hold the
-unperturbed value (zero for states that start as pure perturbations).
+second operator.  In 1-D A is factored once by LAPACK zgttrf and solved
+by zgttrs each step; in 2-D and 3-D it is a sparse matrix and each step
+runs BiCGSTAB.  The scheme is unconditionally stable and, for real U,
+preserves the L2 norm to round-off.  The modified evolution is obtained
+from the classical one by evaluating each point at its own local time
+theta = t - t_P, where t_P is the arrival time of the perturbation front;
+points the front has not yet reached hold the unperturbed value (zero
+for states that start as pure perturbations).
 """
 
 from __future__ import annotations
@@ -90,7 +88,8 @@ class QuantumProblem:
     values are clamped to zero (hard-wall box), so any state fed to the
     stepper must vanish on the outermost cell layer.  Every axis needs at
     least 3 cells, so that it has an interior cell, and every entry of the
-    stepper's operator c*H, c = i*dt/(2*hbar), must be finite.
+    stepper's operator A = I + c*H, c = i*dt/(2*hbar), as _operator_bands
+    builds it, must be finite.
     """
 
     grid: Grid
@@ -111,13 +110,9 @@ class QuantumProblem:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        # Bounds |cH| entrywise: the diagonal is c*(hbar^2/2m * sum 2/dx^2 + U),
-        # in the stepper's order of operations.
-        hbar = self.constants.hbar
         with np.errstate(all="ignore"):
-            kinetic = hbar**2 / (2.0 * self.mass) * np.sum(2.0 / np.square(self.grid.spacing))
-            bound = self.dt / (2.0 * hbar) * (kinetic + np.abs(self.potential.values).max())
-        if not np.isfinite(bound):
+            finite = all(np.isfinite(b).all() for b in _operator_bands(self).values())
+        if not finite:
             raise ValueError(
                 f"c*H = i*dt*H/(2*hbar) overflows at dt={self.dt}, mass={self.mass}, "
                 f"spacing={self.grid.spacing}; lower dt or the potential, or raise "
@@ -197,71 +192,75 @@ def _zgttrf_zgttrs() -> tuple[Callable, Callable]:
     return flapack.zgttrf, flapack.zgttrs
 
 
-class _Stepper:
-    """Crank-Nicolson stepper on the interior cells of a 1-, 2- or 3-D grid.
+def _operator_bands(problem: QuantumProblem) -> dict[int, np.ndarray]:
+    """A = I + cH, c = i dt/2hbar, over the interior cells in C order (axis
+    0 slowest), as its diagonals by offset.
 
-    Only A = I + cH, c = i dt/2hbar, is built, from its diagonals over the
-    interior cells in C order (axis 0 slowest).  With hop_a = hbar^2/2m /
-    dx_a^2, the main diagonal is 1 + c (sum_a 2 hop_a + U), and each axis a
-    adds two bands at offsets +-stride_a holding -c hop_a, zero where the
-    neighbour would cross that axis's last layer.  Since I - cH = 2I - A,
-    the CN update A^-1 (I - cH) x equals 2y - x with A y = x, so each step
-    is one solve with A.  In 1-D the three bands are factored once here
-    with LAPACK zgttrf, and every step is one zgttrs solve.  zgttrf takes
-    at least 3 unknowns, so a smaller system is padded to 3 with decoupled
-    unit rows.  In 2-D and 3-D a sparse LU fills in (a 40^3 factorisation
-    takes about a minute), so the bands form a CSR matrix and each step
-    runs BiCGSTAB started from x instead; its rtol bounds the relative
-    error of y, and x' = 2y - x carries at most twice that error.  scipy
-    is loaded here, not with the module, so that importing qfront for
-    traveltimes, dispersion or fits does not pay for it.  1-D loads only
-    scipy's compiled LAPACK binding (_zgttrf_zgttrs): importing the
-    scipy.linalg package would add 0.3-0.4 s of CPU time and about 24 MiB
-    of memory to every run.  2-D and 3-D import scipy.sparse.linalg.
+    With hop_a = hbar^2/2m / dx_a^2, the main diagonal is 1 + c (sum_a 2
+    hop_a + U), and each axis a adds two bands at offsets +-stride_a holding
+    -c hop_a, zero where the neighbour would cross that axis's last layer.
+    An axis of one interior layer has an all-zero band at the stride of the
+    axis before it, so bands at one offset add.  The spacings are numpy
+    floats, so a 1/dx^2 that overflows is inf, not ZeroDivisionError.
+    """
+    hbar = problem.constants.hbar
+    spacing = np.asarray(problem.grid.spacing)
+    u = problem.potential.values[tuple(slice(1, -1) for _ in spacing)]
+    kinetic = hbar**2 / (2.0 * problem.mass)
+    h_bands = {0: kinetic * sum(2.0 / (dx * dx) for dx in spacing) + u.ravel()}
+    for axis, dx in enumerate(spacing):
+        stride = math.prod(u.shape[axis + 1 :])
+        hop = np.full(u.shape, kinetic * (-1.0 / (dx * dx)))
+        hop[(slice(None),) * axis + (-1,)] = 0.0
+        band = h_bands.get(stride, 0.0) + hop.ravel()[:-stride]
+        h_bands[stride] = h_bands[-stride] = band
+    c = 1j * problem.dt / (2.0 * hbar)
+    return {k: (k == 0) + c * h for k, h in h_bands.items()}
+
+
+class _Stepper:
+    """Crank-Nicolson stepper on a 1-, 2- or 3-D grid.
+
+    Since I - cH = 2I - A, the CN update A^-1 (I - cH) x equals 2y - x with
+    A y = x, so each step is one solve with A (_operator_bands).  In 1-D,
+    with the two wall cells added as decoupled unit rows (x and y are 0
+    there), A is factored once here by LAPACK zgttrf and each step is one
+    zgttrs solve of the whole line.  In 2-D and 3-D a sparse LU fills in (a
+    40^3 factorisation takes about a minute), so A is a CSR matrix over the
+    interior cells and each step runs BiCGSTAB started from x; its rtol
+    bounds the relative error of y, and x' = 2y - x carries at most twice
+    that error.  scipy is loaded here, not with the module, so that
+    importing qfront for traveltimes, dispersion or fits does not pay for
+    it.  1-D loads only scipy's compiled LAPACK binding (_zgttrf_zgttrs):
+    the scipy.linalg package would add 0.3-0.4 s of CPU time and about 24
+    MiB of memory to every run.  2-D and 3-D import scipy.sparse.linalg.
     """
 
     def __init__(self, problem: QuantumProblem) -> None:
-        hbar = problem.constants.hbar
-        spacing = problem.grid.spacing
-        self._interior = tuple(slice(1, -1) for _ in spacing)
-        u = problem.potential.values[self._interior]
-        self._shape_int = u.shape
-        # H by offset; A = I + cH band by band.  An axis of one interior
-        # layer has an all-zero band at the stride of the axis before it, so
-        # bands at one offset add.
-        kinetic = hbar**2 / (2.0 * problem.mass)
-        h_bands = {0: kinetic * sum(2.0 / (dx * dx) for dx in spacing) + u.ravel()}
-        for axis, dx in enumerate(spacing):
-            stride = math.prod(u.shape[axis + 1 :])
-            hop = np.full(u.shape, kinetic * (-1.0 / (dx * dx)))
-            hop[(slice(None),) * axis + (-1,)] = 0.0
-            band = h_bands.get(stride, 0.0) + hop.ravel()[:-stride]
-            h_bands[stride] = h_bands[-stride] = band
-        c = 1j * problem.dt / (2.0 * hbar)
-        bands = {k: (k == 0) + c * h for k, h in h_bands.items()}
+        bands = _operator_bands(problem)
         self._lu = None
-        if u.ndim == 1:
-            self._pad = max(3 - u.size, 0)
+        if problem.grid.dims == 1:
+            self._cells = (slice(None),)
             gttrf, self._gttrs = _zgttrf_zgttrs()
             *self._lu, info = gttrf(*(
-                np.pad(bands[k], (0, self._pad), constant_values=float(k == 0))
-                for k in (-1, 0, 1)
+                np.pad(bands[k], 1, constant_values=float(k == 0)) for k in (-1, 0, 1)
             ))
             _require_lapack_success("zgttrf", info)
         else:
             import scipy.sparse.linalg
 
+            self._cells = tuple(slice(1, -1) for _ in problem.grid.shape)
             self._a = scipy.sparse.diags_array(
                 list(bands.values()), offsets=list(bands), format="csr"
             )
             self._bicgstab = scipy.sparse.linalg.bicgstab
 
     def step(self, values: np.ndarray, out: np.ndarray) -> None:
-        x = values[self._interior].ravel()
+        cells = values[self._cells]
+        x = cells.ravel()
         if self._lu is not None:
-            y, info = self._gttrs(*self._lu, np.pad(x, (0, self._pad)) if self._pad else x)
+            y, info = self._gttrs(*self._lu, x)
             _require_lapack_success("zgttrs", info)
-            y = y[: x.size]
         else:
             y, info = self._bicgstab(
                 self._a, x, x0=x, rtol=_BICGSTAB_RTOL, atol=0.0, maxiter=_BICGSTAB_MAXITER
@@ -272,7 +271,7 @@ class _Stepper:
                     f"within {_BICGSTAB_MAXITER} iterations (info={info}); "
                     "reduce dt or refine the grid"
                 )
-        out[self._interior] = (2.0 * y - x).reshape(self._shape_int)
+        out[self._cells] = (2.0 * y - x).reshape(cells.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,20 +523,18 @@ def gaussian_packet(
             f"4*width**2 must be positive and finite, got {four_var!r} at width {width!r}")
     if not math.isfinite(wavenumber):
         raise ValueError(f"wavenumber must be finite, got {wavenumber}")
-    # The carrier phase 2*pi*wavenumber*x, as computed below, is largest in
-    # magnitude at an end of axis 0.
-    x_max = float(np.abs(grid.axis_coordinates(0)).max())
-    if not abs(2.0 * math.pi * wavenumber * x_max) < math.inf:
-        raise ValueError(
-            f"the carrier phase 2*pi*wavenumber*x overflows at wavenumber {wavenumber!r} "
-            f"and |x| up to {x_max!r}")
     coords = grid.coordinate_arrays()
     # A squared distance, or its ratio to 4*width**2, that overflows is a
-    # cell where the packet is 0.
-    with np.errstate(over="ignore"):
+    # cell where the packet is 0.  A carrier phase that overflows (NaN at
+    # x = 0 once 2*pi*wavenumber is inf) is rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
         r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, center))
         values = np.exp(-r2 / four_var).astype(np.complex128)
-    values = values * np.exp(2.0j * np.pi * wavenumber * coords[0])
+        phase = 2.0 * np.pi * wavenumber * coords[0]
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(
+            f"the carrier phase 2*pi*wavenumber*x overflows at wavenumber {wavenumber!r}")
+    values = values * np.exp(1j * phase)
     return _hard_wall_normalized(grid, values)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -1002,6 +1003,14 @@ def test_compare_exact_fit_prints_no_infinite_ratio(tmp_path, capsys):
         "(ratio > 1.79769e+308)")
 
 
+def test_compare_ratio_too_wide_for_three_decimals_is_exponential(tmp_path, capsys):
+    # Two noiseless records at 1.3e8 m/s fit all but exactly, so the classical
+    # variance is about 3e31 times the modified one: 36 characters at %.3f.
+    assert main(["compare", "--generate", "vP=1.3e8", "n=2",
+                 "--out", str(tmp_path / "layers.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("(ratio 3.327224e+31)")
+
+
 def test_compare_clamped_needs_explicit_vp(tmp_path, capsys):
     data = tmp_path / "classical.csv"
     records = synthesize_records(10, math.inf, seed=4)
@@ -1242,6 +1251,34 @@ def readme_commands() -> list[list[str]]:
             if line.startswith("qfront ")]
 
 
+# sha256 prefixes of every file the README commands write, run in order in an
+# empty directory, and of their joined stdout.  The t_P march and the 1-D
+# Crank-Nicolson solve (LAPACK zgttrf/zgttrs) feed these bytes; they were
+# computed with numpy 2.4.6 and scipy 1.17.1, the versions CI pins.
+README_DIGESTS = {
+    "fit.json": "f5397c8fdd454f07",
+    "layers.csv": "a703fef4af6222f5",
+    "lt.csv": "36ac6584ee315658",
+    "records.csv": "a02b223edd383432",
+    "run_manifest.json": "425ed92dcc8a4211",
+    "run_state.csv": "7cc7d6c8dc83f96c",
+    "runmod_manifest.json": "cafeccd113677c6d",
+    "runmod_state.csv": "ff63240167826905",
+    "tt.csv": "e8c55b6f04484b53",
+    "tt1d.csv": "abf8439e36d486f5",
+    "stdout": "0b47eb7633c76575",
+}
+
+
+def readme_digests(directory: Path, stdout: str) -> dict[str, str]:
+    """A table like README_DIGESTS for the files now in directory and for stdout."""
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    digests = {path.name: digest(path.read_bytes()) for path in directory.iterdir()}
+    return {**digests, "stdout": digest(stdout.encode())}
+
+
 def test_readme_has_commands_of_every_subcommand():
     assert {argv[0] for argv in readme_commands()} == {
         "eikonal", "propagate", "dispersion", "fit", "compare"}
@@ -1258,11 +1295,14 @@ def test_readme_command_parses(argv):
 
 
 def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
-    # Each command may read what an earlier one wrote, as a reader would run them.
+    # Each command may read what an earlier one wrote, as a reader would run
+    # them, and every byte they write or print is pinned.
     monkeypatch.chdir(tmp_path)
+    stdout = []
     for argv in readme_commands():
         assert main(argv) == 0, f"README command failed: qfront {' '.join(argv)}"
-        capsys.readouterr()
+        stdout.append(capsys.readouterr().out)
+    assert readme_digests(tmp_path, "".join(stdout)) == README_DIGESTS
 
 
 # --- imports -----------------------------------------------------------------------

@@ -74,6 +74,14 @@ def test_default_front_tol_names_a_missing_speed():
         local_time(tt, 1.0)
 
 
+def test_traveltime_field_without_a_speed_carries_none():
+    # No front speed is invented: local_time needs one for its band.
+    tt = TraveltimeField(Grid((4,), (1.0,)), np.zeros(4))
+    assert tt.v_P is None
+    with pytest.raises(ValueError, match="carries no front speed"):
+        local_time(tt, 1.0)
+
+
 def infinite_speed(shape, t):
     """local_time when the front moves infinitely fast: t_P = 0 everywhere,
     and the default front_tol min(spacing) / (2 v_P) is 0."""

@@ -70,6 +70,18 @@ def test_problem_rejects_an_operator_that_overflows(name, value):
         problem(**{name: value})
 
 
+def test_problem_ignores_a_potential_on_the_walls_only():
+    # The wall layer never enters H, so a potential that would overflow c*H
+    # there leaves every entry of A finite, and the run stays finite and unitary.
+    g = Grid((16,), (0.1,))
+    u = np.zeros(16)
+    u[[0, -1]] = 1e308
+    prob = QuantumProblem(g, ScalarField(g, u), 1.0, 4.0, NAT)
+    solution = propagate_classical(gaussian_packet(g, (0.75,), 0.2, 1.0), prob, 3)
+    assert np.all(np.isfinite(solution.history))
+    assert solution.norm_drift() <= 1e-12
+
+
 def test_step_requires_zero_boundary():
     prob = free_problem(16)
     state = ComplexField(prob.grid, np.ones(16))
@@ -347,7 +359,9 @@ PINNED_HISTORIES_1D = {
     "free": (257, None, "964c36fbd7228d1d"),
     "potential": (257, 7, "a235c3d979d4e604"),
     "3-cell": (3, 7, "e98644a7d5a60547"),
+    "3-cell free": (3, None, "675c41540df6c7df"),
     "4-cell": (4, None, "217fc3add9338225"),
+    "4-cell potential": (4, 7, "0709cfa6e1cff1e6"),
 }
 
 
