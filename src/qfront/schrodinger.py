@@ -8,8 +8,8 @@ with H = -hbar^2/(2m) Laplacian + U and fixed-zero boundary values.  With
 A = I + i*dt/(2*hbar) H the right-hand operator is 2I - A, so a step is the
 Cayley form psi_{n+1} = 2 A^-1 psi_n - psi_n: one solve with A and no
 second operator.  In 1-D A is factored once by LAPACK zgttrf and solved
-by zgttrs each step; in 2-D and 3-D it is a sparse matrix and each step
-runs BiCGSTAB.  The scheme is unconditionally stable and, for real U,
+by zgttrs each step; in 2-D and 3-D each step runs BiCGSTAB on A's
+diagonals.  The scheme is unconditionally stable and, for real U,
 preserves the L2 norm to round-off.  The modified evolution is obtained
 from the classical one by evaluating each point at its own local time
 theta = t - t_P, where t_P is the arrival time of the perturbation front;
@@ -225,15 +225,15 @@ class _Stepper:
     A y = x, so each step is one solve with A (_operator_bands).  In 1-D,
     with the two wall cells added as decoupled unit rows (x and y are 0
     there), A is factored once here by LAPACK zgttrf and each step is one
-    zgttrs solve of the whole line.  In 2-D and 3-D a sparse LU fills in (a
-    40^3 factorisation takes about a minute), so A is a CSR matrix over the
-    interior cells and each step runs BiCGSTAB started from x; its rtol
-    bounds the relative error of y, and x' = 2y - x carries at most twice
-    that error.  scipy is loaded here, not with the module, so that
-    importing qfront for traveltimes, dispersion or fits does not pay for
-    it.  1-D loads only scipy's compiled LAPACK binding (_zgttrf_zgttrs):
-    the scipy.linalg package would add 0.3-0.4 s of CPU time and about 24
-    MiB of memory to every run.  2-D and 3-D import scipy.sparse.linalg.
+    zgttrs solve of the whole line.  1-D loads only scipy's compiled LAPACK
+    binding (_zgttrf_zgttrs): the scipy.linalg package would add 0.3-0.4 s
+    of CPU time and about 24 MiB of memory to every run.  In 2-D and 3-D a
+    sparse LU fills in (a 40^3 factorisation takes about a minute), so each
+    step runs BiCGSTAB on the same bands, started from x; its rtol bounds
+    the relative error of y, and x' = 2y - x carries at most twice that
+    error.  The solve takes its reductions with np.einsum and never calls
+    BLAS, whose summation order changes with the CPU kernel and the thread
+    count, so the bits of a run depend on neither.
     """
 
     def __init__(self, problem: QuantumProblem) -> None:
@@ -247,13 +247,67 @@ class _Stepper:
             ))
             _require_lapack_success("zgttrf", info)
         else:
-            import scipy.sparse.linalg
-
             self._cells = tuple(slice(1, -1) for _ in problem.grid.shape)
-            self._a = scipy.sparse.diags_array(
-                list(bands.values()), offsets=list(bands), format="csr"
-            )
-            self._bicgstab = scipy.sparse.linalg.bicgstab
+            self._diagonal = bands.pop(0)
+            # Band k > 0 holds A[i, i+k] and band -k A[i+k, i] (diags order).
+            self._off = [(b, slice(k, None), slice(None, -k)) if k > 0
+                         else (b, slice(None, k), slice(-k, None)) for k, b in bands.items()]
+            self._work = np.empty((7, self._diagonal.size), dtype=np.complex128)
+
+    def _matvec(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out = A x; uses the last work vector."""
+        tmp = self._work[-1]
+        np.multiply(self._diagonal, x, out=out)
+        for band, src, dst in self._off:
+            np.multiply(band, x[src], out=tmp[: band.size])
+            out[dst] += tmp[: band.size]
+
+    def _bicgstab(self, b: np.ndarray) -> np.ndarray:
+        """y with |b - A y| < _BICGSTAB_RTOL |b|, into a work vector: scipy's
+        BiCGSTAB recurrence, started from y = b, with in-place axpys."""
+        x, r, rt, p, v, t, tmp = self._work
+        atol = _BICGSTAB_RTOL * _norm(b)
+        x[:] = b
+        if atol == 0.0:
+            return x
+        self._matvec(x, r)
+        np.subtract(b, r, out=r)
+        np.conjugate(r, out=rt)
+        p[:] = v[:] = 0.0  # with these the first update sets p = r
+        rho_prev = alpha = omega = 1.0
+        tiny = np.finfo(np.complex128).eps ** 2  # scipy's rho and omega breakdown bound
+        info = _BICGSTAB_MAXITER
+        for _ in range(_BICGSTAB_MAXITER):
+            if _norm(r) < atol:
+                return x
+            rho = _dot(rt, r)
+            if abs(rho) < tiny or abs(omega) < tiny:
+                info = -10 if abs(rho) < tiny else -11
+                break
+            p -= np.multiply(v, omega, out=tmp)
+            p *= (rho / rho_prev) * (alpha / omega)
+            p += r
+            self._matvec(p, v)
+            rv = _dot(rt, v)
+            if rv == 0.0:
+                info = -11
+                break
+            alpha = rho / rv
+            r -= np.multiply(v, alpha, out=tmp)  # r is now scipy's s
+            x += np.multiply(p, alpha, out=tmp)
+            if _norm(r) < atol:
+                return x
+            self._matvec(r, t)
+            t_conj = np.conjugate(t, out=tmp)
+            omega = _dot(t_conj, r) / _dot(t_conj, t)
+            x += np.multiply(r, omega, out=tmp)
+            r -= np.multiply(t, omega, out=tmp)
+            rho_prev = rho
+        raise ConvergenceError(
+            f"BiCGSTAB failed to converge to rtol={_BICGSTAB_RTOL} "
+            f"within {_BICGSTAB_MAXITER} iterations (info={info}); "
+            "reduce dt or refine the grid"
+        )
 
     def step(self, values: np.ndarray, out: np.ndarray) -> None:
         cells = values[self._cells]
@@ -262,16 +316,19 @@ class _Stepper:
             y, info = self._gttrs(*self._lu, x)
             _require_lapack_success("zgttrs", info)
         else:
-            y, info = self._bicgstab(
-                self._a, x, x0=x, rtol=_BICGSTAB_RTOL, atol=0.0, maxiter=_BICGSTAB_MAXITER
-            )
-            if info != 0:
-                raise ConvergenceError(
-                    f"BiCGSTAB failed to converge to rtol={_BICGSTAB_RTOL} "
-                    f"within {_BICGSTAB_MAXITER} iterations (info={info}); "
-                    "reduce dt or refine the grid"
-                )
+            y = self._bicgstab(x)
         out[self._cells] = (2.0 * y - x).reshape(cells.shape)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> complex:
+    """sum_i a_i b_i by numpy's own loop, not BLAS."""
+    return np.einsum("i,i->", a, b)
+
+
+def _norm(a: np.ndarray) -> float:
+    """The 2-norm of a complex vector by numpy's own loop, not BLAS."""
+    f = a.view(np.float64)
+    return math.sqrt(np.einsum("i,i->", f, f))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1320,9 +1320,10 @@ def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
     "from qfront.cli import main; assert main(['fit', '--data', 'missing.csv']) == 2",
 ])
 def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, statement):
-    # Only the grid commands need numpy, and only the Crank-Nicolson stepper
-    # scipy; importing qfront, tabulating dispersion or fitting records pays
-    # for neither, which pytest, having numpy loaded, would not show.
+    # Only the grid commands need numpy, and only the 1-D Crank-Nicolson
+    # stepper scipy; importing qfront, tabulating dispersion or fitting
+    # records pays for neither, which pytest, having numpy loaded, would not
+    # show.
     bundled = Path(qfront.__file__).parent / "data" / "davisson_germer.csv"
     (tmp_path / "records.csv").write_bytes(bundled.read_bytes())
     run = _fresh_python(tmp_path, f"import sys; {statement}; "
@@ -1330,23 +1331,38 @@ def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, st
     assert run.stdout.splitlines()[-1] == "False False"
 
 
-@pytest.mark.parametrize("argv, loads_packages", [
-    (["propagate", *GRID_1D, "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-      "--mass", "1", "--dt", "1e-4", "--n-steps", "10", "--out-prefix", "run"], False),
-    ([*MODIFIED_WITH_LOCALTIME, "--vp", "5"], False),
-    (["propagate", "--shape", "16,12", "--spacing", f"{1 / 15},{1 / 11}",
-      "--gaussian-center", "0.5,0.5", "--gaussian-width", "0.15", "--mass", "1",
-      "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"], True),
-], ids=["1-D", "1-D modified", "2-D"])
-def test_fresh_propagate_loads_scipy_sparse_only_beyond_1d(tmp_path, argv, loads_packages):
+@pytest.mark.parametrize("argv", [
+    ["propagate", *GRID_1D, "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+     "--mass", "1", "--dt", "1e-4", "--n-steps", "10", "--out-prefix", "run"],
+    [*MODIFIED_WITH_LOCALTIME, "--vp", "5"],
+    ["propagate", "--shape", "16,12", "--spacing", f"{1 / 15},{1 / 11}",
+     "--gaussian-center", "0.5,0.5", "--gaussian-width", "0.15", "--mass", "1",
+     "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"],
+    ["propagate", "--shape", "9,8,7", "--spacing", f"{1 / 8},{1 / 7},{1 / 6}",
+     "--gaussian-center", "0.5,0.5,0.5", "--gaussian-width", "0.15", "--mass", "1",
+     "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"],
+], ids=["1-D", "1-D modified", "2-D", "3-D"])
+def test_fresh_propagate_leaves_scipy_sparse_and_linalg_unloaded(tmp_path, argv):
     # The 1-D stepper loads scipy's LAPACK binding alone, not the scipy.linalg
-    # package; only the 2-D and 3-D one, running BiCGSTAB on a sparse matrix,
-    # imports scipy.sparse, and with it scipy.linalg.
+    # package, and the 2-D and 3-D one runs its BiCGSTAB in numpy.
     write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
     run = _fresh_python(tmp_path, "import sys; from qfront.cli import main; "
                         f"assert main({argv!r}) == 0; "
                         "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)")
-    assert run.stdout.splitlines()[-1] == f"{loads_packages} {loads_packages}"
+    assert run.stdout.splitlines()[-1] == "False False"
+
+
+def test_fresh_2d_history_is_the_same_at_1_and_2_blas_threads(tmp_path):
+    # At 128^2 a BLAS level-1 reduction splits its sum between threads, so a
+    # solve that called BLAS would give other bits at 2 threads than at 1.
+    code = f"""if True:
+        import sys
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        from test_schrodinger import nd_digest
+        print(nd_digest((128, 128), 7, n_steps=10))"""
+    digests = [_fresh_python(tmp_path, code, OPENBLAS_NUM_THREADS=str(n)).stdout.split()[-1]
+               for n in (1, 2)]
+    assert digests[0] == digests[1]
 
 
 def test_fresh_1d_history_is_pinned_before_and_after_scipy_linalg(tmp_path):
@@ -1399,10 +1415,11 @@ def test_fresh_process_resolves_every_public_name(tmp_path):
     assert run.stdout.split() == ["43", "102", "qfront.eikonal"]
 
 
-def _fresh_python(cwd: Path, code: str) -> subprocess.CompletedProcess:
-    """code run by a new interpreter in cwd, importing qfront from this tree."""
+def _fresh_python(cwd: Path, code: str, **env: str) -> subprocess.CompletedProcess:
+    """code run by a new interpreter in cwd, importing qfront from this tree,
+    with env added to the environment."""
     src = str(Path(qfront.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": path},
+                          env={**os.environ, "PYTHONPATH": path, **env},
                           capture_output=True, text=True, check=True)

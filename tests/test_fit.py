@@ -148,12 +148,14 @@ BUNDLED = read_records_csv(Path(qfront.fit.__file__).parent / "data" / "davisson
 
 
 def _numpy_fit(records):
-    """(v_P, variance_modified, variance_classical, residuals, r) by np.dot
-    and np.mean, r_i = k_exp,i - k_i being the classical residuals."""
+    """(v_P, variance_modified, variance_classical, residuals, r) by np.sum
+    and np.mean, r_i = k_exp,i - k_i being the classical residuals.  These
+    are numpy's own pairwise sums: np.dot would call BLAS, whose summation
+    order, and so the last bit of beta, changes with the CPU kernel."""
     electrons = [FreeParticle.electron_from_voltage(rec.voltage) for rec in records]
     a = np.array([e.nu for e in electrons])
     r = np.array([1.0 / rec.wavelength_exp - e.k for rec, e in zip(records, electrons)])
-    beta = max(float(np.dot(a, r) / np.dot(a, a)), 0.0)
+    beta = max(float(np.sum(a * r) / np.sum(a * a)), 0.0)
     residuals = r - a * beta
     v_p = math.inf if beta == 0.0 else 1.0 / beta
     return v_p, float(np.mean(residuals**2)), float(np.mean(r**2)), residuals, r

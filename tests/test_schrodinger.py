@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qfront.constants import natural_units
+from qfront import schrodinger
+from qfront.constants import CODATA2018, natural_units
 from qfront.eikonal import TraveltimeField
 from qfront.fields import ComplexField, Grid, ScalarField, l2_norm_squared
 from qfront.schrodinger import (
     ClassicalSolution,
+    ConvergenceError,
     HistoryWindowError,
     QuantumProblem,
     box_eigenmode,
@@ -383,30 +385,48 @@ def test_pinned_1d_histories(name):
 
 # The same for a 2-D and a 3-D packet on grids whose axes differ in cell count
 # and spacing, so that a swapped stride or spacing changes the hash.  Each
-# step is BiCGSTAB (scipy 1.17.1) on the CSR matrix of A.
+# step is the stepper's own BiCGSTAB on the bands of A, whose reductions are
+# numpy einsums, so the bits hold under any BLAS kernel and thread count.
 PINNED_HISTORIES_ND = {
-    "2-D free": ((41, 37), None, "ffd6339f1655a6da"),
-    "2-D potential": ((41, 37), 7, "0b48602f0b9c77da"),
-    "3-D free": ((17, 19, 15), None, "7d63412d05d87d56"),
-    "3-D potential": ((17, 19, 15), 7, "a2d246e64a98a315"),
+    "2-D free": ((41, 37), None, "fdddd052fb93ceb9"),
+    "2-D potential": ((41, 37), 7, "4462a4f8638b314a"),
+    "3-D free": ((17, 19, 15), None, "ebaf25306f76e0e1"),
+    "3-D potential": ((17, 19, 15), 7, "e93ef9a3e247d35d"),
 }
 
 
-def pinned_nd_digest(name):
-    """The history digest of the case PINNED_HISTORIES_ND[name], as run now."""
-    shape, seed, _ = PINNED_HISTORIES_ND[name]
+def nd_digest(shape, seed, n_steps=40):
+    """The history digest of a packet on shape (natural units, dt 5e-4) in a
+    zero potential or one drawn uniform(-50, 50) from default_rng(seed)."""
     g = Grid(shape, tuple(1.0 / (n - 1) for n in shape))
     u = (np.zeros(shape) if seed is None
          else np.random.default_rng(seed).uniform(-50.0, 50.0, shape))
     prob = QuantumProblem(g, ScalarField(g, u), 1.0, 5e-4, NAT)
     psi = gaussian_packet(g, (0.5,) * len(shape), 0.1, 10.0)
-    history = propagate_classical(psi, prob, 40).history
+    history = propagate_classical(psi, prob, n_steps).history
     return hashlib.sha256(history.tobytes()).hexdigest()[:16]
+
+
+def pinned_nd_digest(name):
+    """The history digest of the case PINNED_HISTORIES_ND[name], as run now."""
+    shape, seed, _ = PINNED_HISTORIES_ND[name]
+    return nd_digest(shape, seed)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_HISTORIES_ND))
 def test_pinned_nd_histories(name):
     assert pinned_nd_digest(name) == PINNED_HISTORIES_ND[name][2]
+
+
+def test_bicgstab_out_of_iterations_raises_convergence_error(monkeypatch):
+    # An electron packet on a 2-D grid takes many iterations a step, not one.
+    monkeypatch.setattr(schrodinger, "_BICGSTAB_MAXITER", 1)
+    dx = 1e-9 / 127
+    g = Grid((48, 48), (dx, dx))
+    prob = QuantumProblem(g, ScalarField(g, np.zeros(g.shape)), CODATA2018.m_e, 2e-19)
+    psi = gaussian_packet(g, (24 * dx, 24 * dx), 8e-11, 1e10)
+    with pytest.raises(ConvergenceError, match=r"within 1 iterations \(info=1\)"):
+        propagate_classical(psi, prob, 1)
 
 
 def test_missing_lapack_binding_is_an_import_error_naming_its_path(tmp_path, monkeypatch):
