@@ -8,13 +8,13 @@ with H = -hbar^2/(2m) Laplacian + U and fixed-zero boundary values.  With
 A = I + i*dt/(2*hbar) H the right-hand operator is 2I - A, so a step is the
 Cayley form psi_{n+1} = 2 A^-1 psi_n - psi_n: one solve with A and no
 second operator.  In 1-D A is factored once by LAPACK zgttrf and solved
-by zgttrs each step; in 2-D and 3-D each step runs BiCGSTAB on A's
-diagonals.  The scheme is unconditionally stable and, for real U,
-preserves the L2 norm to round-off.  The modified evolution is obtained
-from the classical one by evaluating each point at its own local time
-theta = t - t_P, where t_P is the arrival time of the perturbation front;
-points the front has not yet reached hold the unperturbed value (zero
-for states that start as pure perturbations).
+by zgttrs each step; in 2-D and 3-D each step runs conjugate orthogonal
+CG (COCG) on A's diagonals.  The scheme is unconditionally stable and,
+for real U, preserves the L2 norm to round-off.  The modified evolution
+is obtained from the classical one by evaluating each point at its own
+local time theta = t - t_P, where t_P is the arrival time of the
+perturbation front; points the front has not yet reached hold the
+unperturbed value (zero for states that start as pure perturbations).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ __all__ = [
 # far below the CN truncation error so the solver never dominates the
 # error budget; 500 iterations is generous for the diagonally dominant
 # systems CN produces at practical dt.
-_BICGSTAB_RTOL = 1e-13
-_BICGSTAB_MAXITER = 500
+_SOLVE_RTOL = 1e-13
+_SOLVE_MAXITER = 500
 
 # A time within _TIME_MATCH_RTOL * dt of a whole step is that step's
 # snapshot time (absorbs round-off in t, t_P and the step times).
@@ -229,11 +229,12 @@ class _Stepper:
     binding (_zgttrf_zgttrs): the scipy.linalg package would add 0.3-0.4 s
     of CPU time and about 24 MiB of memory to every run.  In 2-D and 3-D a
     sparse LU fills in (a 40^3 factorisation takes about a minute), so each
-    step runs BiCGSTAB on the same bands, started from x; its rtol bounds
-    the relative error of y, and x' = 2y - x carries at most twice that
-    error.  The solve takes its reductions with np.einsum and never calls
-    BLAS, whose summation order changes with the CPU kernel and the thread
-    count, so the bits of a run depend on neither.
+    step runs COCG (_cocg) on the same bands, started from x.  A = A^T, as H
+    is real symmetric, and A is normal with eigenvalues 1 + i dt lambda/2hbar,
+    lambda real, so |A^-1| <= 1: y errs by at most the tracked residual,
+    rtol |x|, and x' = 2y - x by 2 rtol |x|.  The solve reduces with
+    np.einsum and never calls BLAS, whose summation order changes with the
+    CPU kernel and the thread count, so the bits of a run depend on neither.
     """
 
     def __init__(self, problem: QuantumProblem) -> None:
@@ -252,7 +253,7 @@ class _Stepper:
             # Band k > 0 holds A[i, i+k] and band -k A[i+k, i] (diags order).
             self._off = [(b, slice(k, None), slice(None, -k)) if k > 0
                          else (b, slice(None, k), slice(-k, None)) for k, b in bands.items()]
-            self._work = np.empty((7, self._diagonal.size), dtype=np.complex128)
+            self._work = np.empty((5, self._diagonal.size), dtype=np.complex128)
 
     def _matvec(self, x: np.ndarray, out: np.ndarray) -> None:
         """out = A x; uses the last work vector."""
@@ -262,52 +263,34 @@ class _Stepper:
             np.multiply(band, x[src], out=tmp[: band.size])
             out[dst] += tmp[: band.size]
 
-    def _bicgstab(self, b: np.ndarray) -> np.ndarray:
-        """y with |b - A y| < _BICGSTAB_RTOL |b|, into a work vector: scipy's
-        BiCGSTAB recurrence, started from y = b, with in-place axpys."""
-        x, r, rt, p, v, t, tmp = self._work
-        atol = _BICGSTAB_RTOL * _norm(b)
+    def _cocg(self, b: np.ndarray) -> np.ndarray:
+        """y with |b - A y| <= _SOLVE_RTOL |b|, into a work vector: conjugate
+        orthogonal CG (CG in the bilinear form u^T v, as A^T = A), started
+        from y = b, with in-place axpys.  The error's info is the iteration
+        it stopped in, below _SOLVE_MAXITER only on a breakdown."""
+        x, r, p, q, tmp = self._work
+        atol = _SOLVE_RTOL * _norm(b)
         x[:] = b
-        if atol == 0.0:
-            return x
         self._matvec(x, r)
         np.subtract(b, r, out=r)
-        np.conjugate(r, out=rt)
-        p[:] = v[:] = 0.0  # with these the first update sets p = r
-        rho_prev = alpha = omega = 1.0
-        tiny = np.finfo(np.complex128).eps ** 2  # scipy's rho and omega breakdown bound
-        info = _BICGSTAB_MAXITER
-        for _ in range(_BICGSTAB_MAXITER):
-            if _norm(r) < atol:
+        p[:] = r
+        rho = _dot(r, r)
+        for k in range(_SOLVE_MAXITER):
+            if _norm(r) <= atol:
                 return x
-            rho = _dot(rt, r)
-            if abs(rho) < tiny or abs(omega) < tiny:
-                info = -10 if abs(rho) < tiny else -11
+            self._matvec(p, q)
+            mu = _dot(p, q)
+            if rho == 0.0 or mu == 0.0:
                 break
-            p -= np.multiply(v, omega, out=tmp)
-            p *= (rho / rho_prev) * (alpha / omega)
-            p += r
-            self._matvec(p, v)
-            rv = _dot(rt, v)
-            if rv == 0.0:
-                info = -11
-                break
-            alpha = rho / rv
-            r -= np.multiply(v, alpha, out=tmp)  # r is now scipy's s
+            alpha = rho / mu
             x += np.multiply(p, alpha, out=tmp)
-            if _norm(r) < atol:
-                return x
-            self._matvec(r, t)
-            t_conj = np.conjugate(t, out=tmp)
-            omega = _dot(t_conj, r) / _dot(t_conj, t)
-            x += np.multiply(r, omega, out=tmp)
-            r -= np.multiply(t, omega, out=tmp)
-            rho_prev = rho
+            r -= np.multiply(q, alpha, out=tmp)
+            rho, rho_prev = _dot(r, r), rho
+            p *= rho / rho_prev
+            p += r
         raise ConvergenceError(
-            f"BiCGSTAB failed to converge to rtol={_BICGSTAB_RTOL} "
-            f"within {_BICGSTAB_MAXITER} iterations (info={info}); "
-            "reduce dt or refine the grid"
-        )
+            f"COCG failed to converge to rtol={_SOLVE_RTOL} within {_SOLVE_MAXITER} "
+            f"iterations (info={k + 1}); reduce dt or refine the grid")
 
     def step(self, values: np.ndarray, out: np.ndarray) -> None:
         cells = values[self._cells]
@@ -316,7 +299,7 @@ class _Stepper:
             y, info = self._gttrs(*self._lu, x)
             _require_lapack_success("zgttrs", info)
         else:
-            y = self._bicgstab(x)
+            y = self._cocg(x)
         out[self._cells] = (2.0 * y - x).reshape(cells.shape)
 
 

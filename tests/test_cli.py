@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy._core import _multiarray_umath
 
 import qfront
 import qfront.schrodinger
@@ -1344,7 +1345,7 @@ def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, st
 ], ids=["1-D", "1-D modified", "2-D", "3-D"])
 def test_fresh_propagate_leaves_scipy_sparse_and_linalg_unloaded(tmp_path, argv):
     # The 1-D stepper loads scipy's LAPACK binding alone, not the scipy.linalg
-    # package, and the 2-D and 3-D one runs its BiCGSTAB in numpy.
+    # package, and the 2-D and 3-D one runs its COCG in numpy.
     write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
     run = _fresh_python(tmp_path, "import sys; from qfront.cli import main; "
                         f"assert main({argv!r}) == 0; "
@@ -1363,6 +1364,25 @@ def test_fresh_2d_history_is_the_same_at_1_and_2_blas_threads(tmp_path):
     digests = [_fresh_python(tmp_path, code, OPENBLAS_NUM_THREADS=str(n)).stdout.split()[-1]
                for n in (1, 2)]
     assert digests[0] == digests[1]
+
+
+def test_fresh_2d_history_is_the_same_without_numpy_avx512_loops(tmp_path):
+    # numpy's AVX-512 np.exp gives other bits than its AVX2 one, so the pinned
+    # N-D packets are built without numpy loops, and the solve's einsum
+    # reductions do not move: a CPU without AVX-512 gets the pinned bits.
+    avx512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    present = [f for f in avx512 if _multiarray_umath.__cpu_features__[f]]
+    code = f"""if True:
+        import sys
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        from numpy._core._multiarray_umath import __cpu_features__
+        from test_schrodinger import pinned_nd_digest
+        print(pinned_nd_digest("2-D potential"), *(f for f in {avx512!r} if __cpu_features__[f]))"""
+    default = _fresh_python(tmp_path, code).stdout.split()
+    off = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *present])
+    disabled = _fresh_python(tmp_path, code, NPY_DISABLE_CPU_FEATURES=off).stdout.split()
+    assert default[1:] == present
+    assert disabled == default[:1]
 
 
 def test_fresh_1d_history_is_pinned_before_and_after_scipy_linalg(tmp_path):
