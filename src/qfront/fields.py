@@ -92,11 +92,11 @@ class Grid:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Cell centre coordinates along one axis."""

@@ -19,6 +19,8 @@ unperturbed value (zero for states that start as pure perturbations).
 
 from __future__ import annotations
 
+import cmath
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -87,9 +89,9 @@ class QuantumProblem:
     The potential is in joules on the same grid as the states; boundary
     values are clamped to zero (hard-wall box), so any state fed to the
     stepper must vanish on the outermost cell layer.  Every axis needs at
-    least 3 cells, so that it has an interior cell, and every entry of the
-    stepper's operator A = I + c*H, c = i*dt/(2*hbar), as _operator_bands
-    builds it, must be finite.
+    least 3 cells, so that it has an interior cell.  The cell volume and its
+    reciprocal must be finite and nonzero, and every entry of the operator
+    A = I + c*H, c = i*dt/(2*hbar), as _operator_bands builds it, finite.
     """
 
     grid: Grid
@@ -110,9 +112,8 @@ class QuantumProblem:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        with np.errstate(all="ignore"):
-            finite = all(np.isfinite(b).all() for b in _operator_bands(self).values())
-        if not finite:
+        _require_cell_volume(self.grid)
+        if not all(np.isfinite(b).all() for b in _operator_bands(self).values()):
             raise ValueError(
                 f"c*H = i*dt*H/(2*hbar) overflows at dt={self.dt}, mass={self.mass}, "
                 f"spacing={self.grid.spacing}; lower dt or the potential, or raise "
@@ -120,10 +121,12 @@ class QuantumProblem:
             )
 
 
-def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
-    mask = np.ones(shape, dtype=bool)
-    mask[tuple(slice(1, -1) for _ in shape)] = False
-    return mask
+def _require_cell_volume(grid: Grid) -> None:
+    """Reject a grid on which no state of unit norm is finite."""
+    volume = grid.cell_volume
+    if not (0.0 < volume < math.inf and 1.0 / volume < math.inf):
+        raise ValueError(f"the cell volume {volume!r} of spacing {grid.spacing} or its "
+                         "reciprocal is not positive and finite")
 
 
 def _require_finite(name: str, values: np.ndarray) -> None:
@@ -136,7 +139,9 @@ def _initial_norm(state: ComplexField, grid: Grid) -> float:
     zero on the boundary cell layer and of nonzero norm."""
     _require_grid_shape("state", state.grid.shape, grid.shape)
     _require_finite("state", state.values)
-    if np.any(state.values[_boundary_mask(grid.shape)] != 0.0):
+    walls = np.ones(grid.shape, dtype=bool)
+    walls[tuple(slice(1, -1) for _ in grid.shape)] = False
+    if np.any(state.values[walls] != 0.0):
         raise ValueError(
             "state does not vanish on the boundary cell layer; the stepper "
             "assumes hard-wall (fixed zero) boundaries"
@@ -147,13 +152,21 @@ def _initial_norm(state: ComplexField, grid: Grid) -> float:
     return norm
 
 
-def _hard_wall_normalized(grid: Grid, values: np.ndarray) -> ComplexField:
-    """values, zeroed in place on the boundary cell layer, at unit L2 norm."""
-    values[_boundary_mask(grid.shape)] = 0.0
-    norm = math.sqrt(l2_norm_squared(ComplexField(grid, values)))
-    if norm == 0.0:
-        raise ValueError("state vanishes on the grid interior")
-    return ComplexField(grid, values / norm)
+def _product_state(grid: Grid, factors: Sequence[Sequence[complex]]) -> ComplexField:
+    """prod_a factors[a][i_a - 1], factors[a] being Python numbers for the
+    interior cells of axis a, at unit L2 norm and exactly +0.0 on the walls.
+    Each list is scaled to unit norm along its axis (math.fsum), and numpy
+    forms only the products, so no numpy SIMD loop touches a factor's bits."""
+    _require_cell_volume(grid)
+    scaled = []
+    for f, h in zip(factors, grid.spacing):
+        norm = math.sqrt(math.fsum(abs(v) ** 2 for v in f) * h)
+        if norm == 0.0:
+            raise ValueError("state vanishes on the grid interior")
+        scaled.append(np.array([v / norm for v in f]))
+    values = np.zeros(grid.shape, dtype=np.complex128)
+    values[tuple(slice(1, -1) for _ in grid.shape)] = functools.reduce(np.multiply.outer, scaled)
+    return ComplexField(grid, values)
 
 
 def _require_lapack_success(routine: str, info: int) -> None:
@@ -201,21 +214,23 @@ def _operator_bands(problem: QuantumProblem) -> dict[int, np.ndarray]:
     -c hop_a, zero where the neighbour would cross that axis's last layer.
     An axis of one interior layer has an all-zero band at the stride of the
     axis before it, so bands at one offset add.  The spacings are numpy
-    floats, so a 1/dx^2 that overflows is inf, not ZeroDivisionError.
+    floats and warnings are off, so a dx^2 or 1/dx^2 that overflows is inf,
+    not an error: QuantumProblem checks the bands for finiteness.
     """
     hbar = problem.constants.hbar
     spacing = np.asarray(problem.grid.spacing)
     u = problem.potential.values[tuple(slice(1, -1) for _ in spacing)]
     kinetic = hbar**2 / (2.0 * problem.mass)
-    h_bands = {0: kinetic * sum(2.0 / (dx * dx) for dx in spacing) + u.ravel()}
-    for axis, dx in enumerate(spacing):
-        stride = math.prod(u.shape[axis + 1 :])
-        hop = np.full(u.shape, kinetic * (-1.0 / (dx * dx)))
-        hop[(slice(None),) * axis + (-1,)] = 0.0
-        band = h_bands.get(stride, 0.0) + hop.ravel()[:-stride]
-        h_bands[stride] = h_bands[-stride] = band
-    c = 1j * problem.dt / (2.0 * hbar)
-    return {k: (k == 0) + c * h for k, h in h_bands.items()}
+    with np.errstate(all="ignore"):
+        h_bands = {0: kinetic * sum(2.0 / (dx * dx) for dx in spacing) + u.ravel()}
+        for axis, dx in enumerate(spacing):
+            stride = math.prod(u.shape[axis + 1 :])
+            hop = np.full(u.shape, kinetic * (-1.0 / (dx * dx)))
+            hop[(slice(None),) * axis + (-1,)] = 0.0
+            band = h_bands.get(stride, 0.0) + hop.ravel()[:-stride]
+            h_bands[stride] = h_bands[-stride] = band
+        c = 1j * problem.dt / (2.0 * hbar)
+        return {k: (k == 0) + c * h for k, h in h_bands.items()}
 
 
 class _Stepper:
@@ -437,10 +452,12 @@ def propagate_classical(
     initial_norm = _initial_norm(initial, problem.grid)
     rows = n_steps + 1 if history_window is None else min(history_window, n_steps + 1)
     first = n_steps + 1 - rows
-    # Zero-filled: the stepper writes interiors only, so boundaries stay 0.
+    # Zero-filled, and the stepper and this copy write interiors only, so every
+    # wall is +0.0, even in a reused row of an initial state with -0.0 walls.
     # Step k goes to row (k - first) % rows, so the kept steps end oldest first.
     history = np.zeros((rows, *problem.grid.shape), dtype=np.complex128)
-    history[-first % rows] = initial.values
+    interior = tuple(slice(1, -1) for _ in problem.grid.shape)
+    history[-first % rows][interior] = initial.values[interior]
     stepper = _Stepper(problem)
     for k in range(n_steps + 1):
         row = history[(k - first) % rows]
@@ -540,66 +557,46 @@ def gaussian_packet(
     """A normalized Gaussian wave packet with a plane-wave carrier.
 
     width is the position-space standard deviation; wavenumber is the
-    carrier in cycles per unit length along axis 0.  The boundary
-    cell layer is zeroed so the packet is a valid hard-wall initial state;
-    keep the packet several widths away from the walls for that clamp to
-    be negligible.
+    carrier in cycles per unit length along axis 0.  The packet is zero on
+    the boundary cell layer, so it is a valid hard-wall initial state; keep
+    it several widths away from the walls for that clamp to be negligible.
+    exp(-|x - c|^2 / 4 width^2) is the product over axes of exp(-z^2), z =
+    (x_a - c_a) / width / 2, and the carrier exp(2 pi i wavenumber x_0)
+    depends on axis 0 alone, so each is a per-axis libm factor
+    (_product_state).  A z that overflows is a cell where the packet is 0.
     """
     center = tuple(float(c) for c in center)
     if len(center) != grid.dims:
-        raise ValueError(
-            f"center has {len(center)} components for a {grid.dims}-d grid"
-        )
+        raise ValueError(f"center has {len(center)} components for a {grid.dims}-d grid")
     if not all(math.isfinite(c) for c in center):
         raise ValueError(f"center must be finite, got {center}")
     if not 0.0 < width < math.inf:
         raise ValueError(f"width must be positive and finite, got {width}")
-    try:
-        four_var = 4.0 * width**2
-    except OverflowError:
-        four_var = math.inf
-    if not 0.0 < four_var < math.inf:
-        raise ValueError(
-            f"4*width**2 must be positive and finite, got {four_var!r} at width {width!r}")
     if not math.isfinite(wavenumber):
         raise ValueError(f"wavenumber must be finite, got {wavenumber}")
-    coords = grid.coordinate_arrays()
-    # A squared distance, or its ratio to 4*width**2, that overflows is a
-    # cell where the packet is 0.  A carrier phase that overflows (NaN at
-    # x = 0 once 2*pi*wavenumber is inf) is rejected.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, center))
-        values = np.exp(-r2 / four_var).astype(np.complex128)
-        phase = 2.0 * np.pi * wavenumber * coords[0]
-    if not np.all(np.isfinite(phase)):
+    axes = [grid.axis_coordinates(a)[1:-1].tolist() for a in range(grid.dims)]
+    factors = [[math.exp(-(z * z)) for z in ((x - c) / width / 2.0 for x in xs)]
+               for xs, c in zip(axes, center)]
+    phases = [2.0 * math.pi * wavenumber * x for x in axes[0]]
+    if not all(math.isfinite(p) for p in phases):
         raise ValueError(
             f"the carrier phase 2*pi*wavenumber*x overflows at wavenumber {wavenumber!r}")
-    values = values * np.exp(1j * phase)
-    return _hard_wall_normalized(grid, values)
+    factors[0] = [g * cmath.exp(1j * p) for g, p in zip(factors[0], phases)]
+    return _product_state(grid, factors)
 
 
 def box_eigenmode(grid: Grid, mode_numbers: Sequence[int]) -> ComplexField:
     """A hard-wall box eigenstate on the grid, at unit L2 norm.
 
     mode_numbers are the per-axis quantum numbers (1, 2, ...).  The state
-    is the product over axes of sin(n_a pi (x_a - origin_a) / L_a), L_a the
-    grid extent along axis a, so it vanishes exactly on the boundary cell
-    layer.  It is an eigenvector of the discrete Laplacian the stepper
-    uses, whatever the mass.
+    is the product over axes of sin(m_a pi i_a / (n_a - 1)) at cell index
+    i_a of n_a, so it is exactly zero on the boundary cell layer.  It is an
+    eigenvector of the discrete Laplacian the stepper uses, whatever the mass.
     """
     mode_numbers = tuple(int(n) for n in mode_numbers)
     if len(mode_numbers) != grid.dims:
-        raise ValueError(
-            f"{len(mode_numbers)} mode numbers for a {grid.dims}-d grid"
-        )
+        raise ValueError(f"{len(mode_numbers)} mode numbers for a {grid.dims}-d grid")
     if any(n < 1 for n in mode_numbers):
         raise ValueError(f"mode numbers must be >= 1, got {mode_numbers}")
-    coords = grid.coordinate_arrays()
-    values = np.ones(grid.shape, dtype=np.complex128)
-    for axis, n_mode in enumerate(mode_numbers):
-        length = (grid.shape[axis] - 1) * grid.spacing[axis]
-        rel = coords[axis] - grid.origin[axis]
-        values = values * np.sin(n_mode * np.pi * rel / length)
-    # sin(n*pi) evaluates to ~1e-16, not 0; the clamp makes the hard-wall
-    # precondition hold exactly.
-    return _hard_wall_normalized(grid, values)
+    return _product_state(grid, [[math.sin(m * math.pi * i / (n - 1)) for i in range(1, n - 1)]
+                                 for m, n in zip(mode_numbers, grid.shape)])

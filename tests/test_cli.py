@@ -1104,10 +1104,6 @@ USAGE_ERRORS = [
     (PROPAGATE + ["--mass", "0"], "--mass"),
     (PROPAGATE + ["--gaussian-width", "0"], "--gaussian-width"),
     (PROPAGATE + ["--gaussian-carrier", "inf"], "--gaussian-carrier"),
-    (["propagate", "--shape", "64", "--spacing", "1e300", "--gaussian-center", "3e301",
-      "--gaussian-width", "4e300", "--dt", "1e-5", "--n-steps", "2", "--out-prefix", "r"],
-     PACKET),  # 4 * width**2 overflows
-    (PROPAGATE + ["--gaussian-width", "1e-200"], PACKET),  # 4 * width**2 underflows to 0
     # The carrier phase 2*pi*wavenumber*x overflows.
     (["propagate", "--shape", "64", "--gaussian-center", "3e301", "--gaussian-width", "1e150",
       "--gaussian-carrier", "1e10", "--dt", "1e-5", "--n-steps", "2", "--out-prefix", "r",
@@ -1158,6 +1154,13 @@ USAGE_ERRORS = [
     (["dispersion", "--vp", "1e-300", "--voltage", "54"], "--vp"),  # k_l overflows
     (["compare", "--use-bundled", "--out", "layers.csv", "--vp", "1e-300"], "--vp"),
     (["compare", "--use-bundled", "--out", "layers.csv", "--vp", "inf"], "--vp"),
+    # The cell volume overflows, or underflows to 0.
+    (["propagate", "--shape", "16,16", "--gaussian-center", "7e160,7e160", "--gaussian-width",
+      "1e150", "--dt", "1e-19", "--n-steps", "2", "--out-prefix", "r",
+      "--spacing", "1e160,1e160"], "--shape/--spacing/--potential/--mass/--dt"),
+    (["propagate", "--shape", "16,16,16", "--gaussian-center", "8e-110,8e-110,8e-110",
+      "--gaussian-width", "2e-110", "--dt", "1e-300", "--n-steps", "2", "--out-prefix", "r",
+      "--spacing", "1e-110,1e-110,1e-110"], "--shape/--spacing/--potential/--mass/--dt"),
     # 2/spacing**2 overflows in the stepper, though hbar**2/(2m)/spacing**2 does not.
     (PROPAGATE + ["--spacing", "1e-155"], "--shape/--spacing/--potential/--mass/--dt"),
     (["compare", "--use-bundled", "--out", "layers.csv", "--curve-points", "1"],
@@ -1253,21 +1256,22 @@ def readme_commands() -> list[list[str]]:
 
 
 # sha256 prefixes of every file the README commands write, run in order in an
-# empty directory, and of their joined stdout.  The t_P march and the 1-D
-# Crank-Nicolson solve (LAPACK zgttrf/zgttrs) feed these bytes; they were
-# computed with numpy 2.4.6 and scipy 1.17.1, the versions CI pins.
+# empty directory, and of their joined stdout.  The t_P march, the packet's
+# libm factors and the 1-D Crank-Nicolson solve (LAPACK zgttrf/zgttrs) feed
+# these bytes, which do not move with numpy's AVX-512 loops disabled; they
+# were computed with numpy 2.4.6 and scipy 1.17.1, the versions CI pins.
 README_DIGESTS = {
     "fit.json": "f5397c8fdd454f07",
     "layers.csv": "a703fef4af6222f5",
     "lt.csv": "36ac6584ee315658",
     "records.csv": "a02b223edd383432",
-    "run_manifest.json": "425ed92dcc8a4211",
-    "run_state.csv": "7cc7d6c8dc83f96c",
-    "runmod_manifest.json": "cafeccd113677c6d",
-    "runmod_state.csv": "ff63240167826905",
+    "run_manifest.json": "f3a4065073a872a0",
+    "run_state.csv": "367922f64cce9a78",
+    "runmod_manifest.json": "567581180b0b10a5",
+    "runmod_state.csv": "10cd2e4be91519a3",
     "tt.csv": "e8c55b6f04484b53",
     "tt1d.csv": "abf8439e36d486f5",
-    "stdout": "0b47eb7633c76575",
+    "stdout": "e5ad956b7f3dd2ee",
 }
 
 
@@ -1366,23 +1370,24 @@ def test_fresh_2d_history_is_the_same_at_1_and_2_blas_threads(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_fresh_2d_history_is_the_same_without_numpy_avx512_loops(tmp_path):
-    # numpy's AVX-512 np.exp gives other bits than its AVX2 one, so the pinned
-    # N-D packets are built without numpy loops, and the solve's einsum
-    # reductions do not move: a CPU without AVX-512 gets the pinned bits.
+def test_fresh_pinned_histories_are_the_same_without_numpy_avx512_loops(tmp_path):
+    # numpy's AVX-512 np.exp gives other bits than its AVX2 one, so packets
+    # are built from libm factors, and the N-D solve's einsum reductions do
+    # not move: a CPU without AVX-512 gets the pinned 1-D and 2-D bits.
     avx512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
     present = [f for f in avx512 if _multiarray_umath.__cpu_features__[f]]
     code = f"""if True:
         import sys
         sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
         from numpy._core._multiarray_umath import __cpu_features__
-        from test_schrodinger import pinned_nd_digest
-        print(pinned_nd_digest("2-D potential"), *(f for f in {avx512!r} if __cpu_features__[f]))"""
+        from test_schrodinger import pinned_1d_digest, pinned_nd_digest
+        print(pinned_1d_digest("potential"), pinned_nd_digest("2-D potential"),
+              *(f for f in {avx512!r} if __cpu_features__[f]))"""
     default = _fresh_python(tmp_path, code).stdout.split()
     off = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *present])
     disabled = _fresh_python(tmp_path, code, NPY_DISABLE_CPU_FEATURES=off).stdout.split()
-    assert default[1:] == present
-    assert disabled == default[:1]
+    assert default[2:] == present
+    assert disabled == default[:2]
 
 
 def test_fresh_1d_history_is_pinned_before_and_after_scipy_linalg(tmp_path):
