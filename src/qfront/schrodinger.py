@@ -9,12 +9,12 @@ A = I + i*dt/(2*hbar) H the right-hand operator is 2I - A, so a step is the
 Cayley form psi_{n+1} = 2 A^-1 psi_n - psi_n: one solve with A and no
 second operator.  In 1-D A is factored once by LAPACK zgttrf and solved
 by zgttrs each step; in 2-D and 3-D each step runs conjugate orthogonal
-CG (COCG) on A's diagonals.  The scheme is unconditionally stable and,
-for real U, preserves the L2 norm to round-off.  The modified evolution
-is obtained from the classical one by evaluating each point at its own
-local time theta = t - t_P, where t_P is the arrival time of the
-perturbation front; points the front has not yet reached hold the
-unperturbed value (zero for states that start as pure perturbations).
+CG (COCG) on A's diagonal and per-axis couplings.  The scheme is
+unconditionally stable and, for real U, preserves the L2 norm to round-off.
+The modified evolution is obtained from the classical one by evaluating
+each point at its own local time theta = t - t_P, where t_P is the arrival
+time of the perturbation front; points the front has not yet reached hold
+the unperturbed value (zero for states that start as pure perturbations).
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ class QuantumProblem:
     values are clamped to zero (hard-wall box), so any state fed to the
     stepper must vanish on the outermost cell layer.  Every axis needs at
     least 3 cells, so that it has an interior cell.  The cell volume and its
-    reciprocal must be finite and nonzero, and every entry of the operator
-    A = I + c*H, c = i*dt/(2*hbar), as _operator_bands builds it, finite.
+    reciprocal must be finite and nonzero, and A = I + c*H, c = i*dt/(2*hbar),
+    finite: the diagonal and the one coupling per axis _operator builds.
     """
 
     grid: Grid
@@ -113,7 +113,7 @@ class QuantumProblem:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         _require_cell_volume(self.grid)
-        if not all(np.isfinite(b).all() for b in _operator_bands(self).values()):
+        if not all(np.isfinite(a).all() for a in _operator(self)):
             raise ValueError(
                 f"c*H = i*dt*H/(2*hbar) overflows at dt={self.dt}, mass={self.mass}, "
                 f"spacing={self.grid.spacing}; lower dt or the potential, or raise "
@@ -205,46 +205,41 @@ def _zgttrf_zgttrs() -> tuple[Callable, Callable]:
     return flapack.zgttrf, flapack.zgttrs
 
 
-def _operator_bands(problem: QuantumProblem) -> dict[int, np.ndarray]:
-    """A = I + cH, c = i dt/2hbar, over the interior cells in C order (axis
-    0 slowest), as its diagonals by offset.
+def _operator(problem: QuantumProblem) -> tuple[np.ndarray, list[complex]]:
+    """A = I + cH, c = i dt/2hbar, over the whole grid in C order, the walls
+    as unit rows: its diagonal, shaped like the grid, and the coupling
+    A[i, j] of two interior neighbours along axis a, one number per axis.
 
-    With hop_a = hbar^2/2m / dx_a^2, the main diagonal is 1 + c (sum_a 2
-    hop_a + U), and each axis a adds two bands at offsets +-stride_a holding
-    -c hop_a, zero where the neighbour would cross that axis's last layer.
-    An axis of one interior layer has an all-zero band at the stride of the
-    axis before it, so bands at one offset add.  The spacings are numpy
-    floats and warnings are off, so a dx^2 or 1/dx^2 that overflows is inf,
-    not an error: QuantumProblem checks the bands for finiteness.
+    With hop_a = hbar^2/2m / dx_a^2, the diagonal is 1 + c (sum_a 2 hop_a +
+    U) on the interior and exactly 1 on the walls, and coupling a is -c
+    hop_a.  The spacings are numpy floats and warnings are off, so a dx^2
+    or 1/dx^2 that overflows is inf, not an error: QuantumProblem checks
+    both for finiteness.
     """
     hbar = problem.constants.hbar
     spacing = np.asarray(problem.grid.spacing)
-    u = problem.potential.values[tuple(slice(1, -1) for _ in spacing)]
+    interior = tuple(slice(1, -1) for _ in spacing)
     kinetic = hbar**2 / (2.0 * problem.mass)
+    c = 1j * problem.dt / (2.0 * hbar)
     with np.errstate(all="ignore"):
-        h_bands = {0: kinetic * sum(2.0 / (dx * dx) for dx in spacing) + u.ravel()}
-        for axis, dx in enumerate(spacing):
-            stride = math.prod(u.shape[axis + 1 :])
-            hop = np.full(u.shape, kinetic * (-1.0 / (dx * dx)))
-            hop[(slice(None),) * axis + (-1,)] = 0.0
-            band = h_bands.get(stride, 0.0) + hop.ravel()[:-stride]
-            h_bands[stride] = h_bands[-stride] = band
-        c = 1j * problem.dt / (2.0 * hbar)
-        return {k: (k == 0) + c * h for k, h in h_bands.items()}
+        h = kinetic * sum(2.0 / (dx * dx) for dx in spacing) + problem.potential.values[interior]
+        diagonal = np.ones(problem.grid.shape, dtype=np.complex128)
+        diagonal[interior] += c * h
+        return diagonal, [c * (kinetic * (-1.0 / (dx * dx))) for dx in spacing]
 
 
 class _Stepper:
     """Crank-Nicolson stepper on a 1-, 2- or 3-D grid.
 
     Since I - cH = 2I - A, the CN update A^-1 (I - cH) x equals 2y - x with
-    A y = x, so each step is one solve with A (_operator_bands).  In 1-D,
-    with the two wall cells added as decoupled unit rows (x and y are 0
-    there), A is factored once here by LAPACK zgttrf and each step is one
-    zgttrs solve of the whole line.  1-D loads only scipy's compiled LAPACK
-    binding (_zgttrf_zgttrs): the scipy.linalg package would add 0.3-0.4 s
-    of CPU time and about 24 MiB of memory to every run.  In 2-D and 3-D a
-    sparse LU fills in (a 40^3 factorisation takes about a minute), so each
-    step runs COCG (_cocg) on the same bands, started from x.  A = A^T, as H
+    A y = x, so each step is one solve with A (_operator) over the whole
+    state, in place, the walls being unit rows (x and y are 0 there).  In
+    1-D A is factored once here by LAPACK zgttrf and each step is one zgttrs
+    solve.  1-D loads only scipy's compiled LAPACK binding (_zgttrf_zgttrs):
+    the scipy.linalg package would add 0.3-0.4 s of CPU time and about 24
+    MiB of memory to every run.  In 2-D and 3-D a sparse LU fills in (a 40^3
+    factorisation takes about a minute), so each step runs COCG (_cocg) on
+    the diagonal and the per-axis couplings, started from x.  A = A^T, as H
     is real symmetric, and A is normal with eigenvalues 1 + i dt lambda/2hbar,
     lambda real, so |A^-1| <= 1: y errs by at most the tracked residual,
     rtol |x|, and x' = 2y - x by 2 rtol |x|.  The solve reduces with
@@ -253,36 +248,39 @@ class _Stepper:
     """
 
     def __init__(self, problem: QuantumProblem) -> None:
-        bands = _operator_bands(problem)
+        diagonal, couplings = _operator(problem)
         self._lu = None
         if problem.grid.dims == 1:
-            self._cells = (slice(None),)
             gttrf, self._gttrs = _zgttrf_zgttrs()
-            *self._lu, info = gttrf(*(
-                np.pad(bands[k], 1, constant_values=float(k == 0)) for k in (-1, 0, 1)
-            ))
+            band = np.pad(np.full(diagonal.size - 3, couplings[0]), 1)
+            *self._lu, info = gttrf(band, diagonal, band)
             _require_lapack_success("zgttrf", info)
         else:
-            self._cells = tuple(slice(1, -1) for _ in problem.grid.shape)
-            self._diagonal = bands.pop(0)
-            # Band k > 0 holds A[i, i+k] and band -k A[i+k, i] (diags order).
-            self._off = [(b, slice(k, None), slice(None, -k)) if k > 0
-                         else (b, slice(None, k), slice(-k, None)) for k, b in bands.items()]
-            self._work = np.empty((5, self._diagonal.size), dtype=np.complex128)
+            shape = diagonal.shape
+            self._diagonal = diagonal.reshape(-1)
+            # Each axis's C-order stride with its coupling, and the wall cells.
+            self._couplings = [(math.prod(shape[a + 1:]), g) for a, g in enumerate(couplings)]
+            interior = np.zeros([n - 2 for n in shape], dtype=bool)
+            self._walls = np.flatnonzero(np.pad(interior, 1, constant_values=True))
+            self._work = np.empty((5, diagonal.size), dtype=np.complex128)
 
     def _matvec(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out = A x; uses the last work vector."""
+        """out = A x, for x zero on the walls; uses the last work vector."""
         tmp = self._work[-1]
         np.multiply(self._diagonal, x, out=out)
-        for band, src, dst in self._off:
-            np.multiply(band, x[src], out=tmp[: band.size])
-            out[dst] += tmp[: band.size]
+        for s, g in self._couplings:
+            np.multiply(x, g, out=tmp)
+            out[:-s] += tmp[s:]
+            out[s:] += tmp[:-s]
+        out[self._walls] = 0.0
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _cocg(self, b: np.ndarray) -> np.ndarray:
         """y with |b - A y| <= _SOLVE_RTOL |b|, into a work vector: conjugate
         orthogonal CG (CG in the bilinear form u^T v, as A^T = A), started
         from y = b, with in-place axpys.  The error's info is the iteration
-        it stopped in, below _SOLVE_MAXITER only on a breakdown."""
+        it stopped in, below _SOLVE_MAXITER only on a breakdown: rho or
+        p^T A p = 0, or p^T A p not finite, as when A p overflows."""
         x, r, p, q, tmp = self._work
         atol = _SOLVE_RTOL * _norm(b)
         x[:] = b
@@ -295,7 +293,7 @@ class _Stepper:
                 return x
             self._matvec(p, q)
             mu = _dot(p, q)
-            if rho == 0.0 or mu == 0.0:
+            if rho == 0.0 or mu == 0.0 or not cmath.isfinite(mu):
                 break
             alpha = rho / mu
             x += np.multiply(p, alpha, out=tmp)
@@ -303,19 +301,20 @@ class _Stepper:
             rho, rho_prev = _dot(r, r), rho
             p *= rho / rho_prev
             p += r
+        advice = ("reduce dt or refine the grid" if cmath.isfinite(mu) else
+                  "p^T A p overflows; lower dt or the potential, or raise mass or spacing")
         raise ConvergenceError(
             f"COCG failed to converge to rtol={_SOLVE_RTOL} within {_SOLVE_MAXITER} "
-            f"iterations (info={k + 1}); reduce dt or refine the grid")
+            f"iterations (info={k + 1}); {advice}")
 
     def step(self, values: np.ndarray, out: np.ndarray) -> None:
-        cells = values[self._cells]
-        x = cells.ravel()
+        x = values.reshape(-1)
         if self._lu is not None:
             y, info = self._gttrs(*self._lu, x)
             _require_lapack_success("zgttrs", info)
         else:
             y = self._cocg(x)
-        out[self._cells] = (2.0 * y - x).reshape(cells.shape)
+        np.subtract(2.0 * y, x, out=out.reshape(-1))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -452,8 +451,8 @@ def propagate_classical(
     initial_norm = _initial_norm(initial, problem.grid)
     rows = n_steps + 1 if history_window is None else min(history_window, n_steps + 1)
     first = n_steps + 1 - rows
-    # Zero-filled, and the stepper and this copy write interiors only, so every
-    # wall is +0.0, even in a reused row of an initial state with -0.0 walls.
+    # Zero-filled, and this copy writes the interior only, so step 0 has +0.0
+    # walls even if the initial state has -0.0 ones; every step keeps them +0.0.
     # Step k goes to row (k - first) % rows, so the kept steps end oldest first.
     history = np.zeros((rows, *problem.grid.shape), dtype=np.complex128)
     interior = tuple(slice(1, -1) for _ in problem.grid.shape)

@@ -731,6 +731,25 @@ def test_stepper_failures_exit_1_and_nothing_wider_is_caught(tmp_path, monkeypat
         assert capsys.readouterr().err == "runtime error: injected\n"
 
 
+@pytest.mark.parametrize("dims", [2, 3])
+def test_propagate_whose_product_overflows_exits_1_naming_the_overflow(tmp_path, capsys, dims):
+    # A is finite at this mass, but A x overflows: COCG stops in its first
+    # iteration, with no RuntimeWarning and not after 500 on inf and NaN.
+    def axes(value):
+        return ",".join([value] * dims)
+
+    argv = ["propagate", "--shape", axes("8"), "--spacing", axes("1e-11"),
+            "--gaussian-center", axes("4e-11"), "--gaussian-width", "2e-11", "--dt", "1e-19",
+            "--mass", "1e-300", "--n-steps", "2", "--out-prefix", str(tmp_path / "f")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "runtime error: COCG failed to converge to rtol=1e-13 within 500 iterations "
+        "(info=1); p^T A p overflows; lower dt or the potential, or raise mass or spacing\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- dispersion --------------------------------------------------------------------
 
 def test_dispersion_table_54v(capsys):

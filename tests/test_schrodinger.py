@@ -372,10 +372,15 @@ def test_constant_potential_shifts_eigenvalue():
     ((3, 7), (0.1, 0.07)),
     ((6, 7, 8), (0.2, 0.15, 0.1)),
     ((5, 3, 4), (0.2, 0.15, 0.1)),
+    ((7, 3), (0.1, 0.07)),
+    ((3, 3), (0.1, 0.07)),
+    ((3, 5, 3), (0.2, 0.15, 0.1)),
+    ((3, 3, 8), (0.2, 0.15, 0.1)),
 ])
 def test_cn_step_matches_dense_solve(shape, spacing):
     # H = -hbar^2/(2m) Laplacian + U on the interior cells, written out
-    # entry by entry, then one CN step as a dense solve.
+    # entry by entry, then one CN step as a dense solve.  On the thin grids
+    # every interior cell touches a wall.
     rng = np.random.default_rng(len(shape))
     g = Grid(shape, spacing)
     mass, dt = 0.7, 2e-3
@@ -406,7 +411,8 @@ def test_cn_step_matches_dense_solve(shape, spacing):
     got = np.array([stepped[cell] for cell in cells])
     assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
     stepped[interior] = 0.0
-    assert not np.any(stepped)  # the boundary layer stays zero
+    # The boundary layer stays +0.0, with no sign bit.
+    assert stepped.tobytes() == np.zeros_like(stepped).tobytes()
 
 
 # sha256 prefixes of propagate_classical(...).history.tobytes() for a 1-D
@@ -793,6 +799,43 @@ def test_retarded_plane_wave_matches_modified_wavenumber():
     mod = evaluate_modified(sol, tt, t_eval)
     analytic = np.exp(2j * np.pi * ((k + nu / v_p) * x - nu * t_eval))
     assert np.max(np.abs(mod.values - analytic)) < 1e-3
+
+
+def free_packet(x, tau, x0=0.2, sigma=0.04, wavenumber=30.0):
+    """The free Gaussian exp(-(x - x0)^2 / 4 sigma^2 + i k x), k = 2 pi
+    wavenumber, evolved exactly for a time tau (hbar = m = 1, so v_g = k)."""
+    k = 2.0 * np.pi * wavenumber
+    s = sigma**2 + 0.5j * tau
+    return np.sqrt(sigma**2 / s) * np.exp(
+        -((x - x0 - k * tau) ** 2) / (4.0 * s) + 1j * k * x - 0.5j * k * k * tau)
+
+
+def test_retarded_packet_matches_the_exact_packet_at_its_local_time():
+    # The whole chain against a closed form: CN, then evaluate_modified with
+    # the front leaving cell 0 at v_P = 2 v_g, against psi_exact(x, t - t_P),
+    # at three joint refinements of dx and dt.  The bounds are the measured
+    # errors to three digits, plus 1% for that rounding; each halving must
+    # cut the error by at least 3.5 (second order gives 4).  The classical
+    # snapshot against psi_exact(x, t) is the control.
+    t, v_p = 0.002, 4.0 * np.pi * 30.0
+    modified, classical = [], []
+    for n, dt in [(2001, 1e-5), (4001, 5e-6), (8001, 2.5e-6)]:
+        prob = free_problem(n, dt)
+        psi0 = gaussian_packet(prob.grid, (0.2,), 0.04, 30.0)
+        sol = propagate_classical(psi0, prob, round(t / dt))
+        x = prob.grid.axis_coordinates(0)
+        theta = t - x / v_p
+        exact = np.where(theta >= 0.0, free_packet(x, np.maximum(theta, 0.0)), 0.0)
+        scale = np.abs(psi0.values).max()
+        got = evaluate_modified(sol, TraveltimeField(prob.grid, x / v_p, v_p), t).values
+        modified.append(np.abs(got / scale - exact).max())
+        classical.append(np.abs(sol.snapshot_at(t).values / scale - free_packet(x, t)).max())
+        assert np.abs(got / scale - free_packet(x, t)).max() > 0.5  # retardation shows
+        del sol  # before the next, finer run allocates its history
+    for errors, bounds in [(modified, (6.33e-2, 1.61e-2, 4.14e-3)),
+                           (classical, (1.23e-1, 3.09e-2, 7.91e-3))]:
+        assert all(e <= 1.01 * b for e, b in zip(errors, bounds)), errors
+        assert all(coarse >= 3.5 * fine for coarse, fine in zip(errors, errors[1:])), errors
 
 
 @given(mult=st.integers(0, 12))
