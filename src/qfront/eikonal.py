@@ -33,13 +33,14 @@ first-order convergence; setting it to 0 recovers the unseeded scheme.
 
 Only the first arrival is computed; later arrivals and reflections are
 outside the model.  ``cone_error`` checks a uniform-speed solve against
-the exact answer, the distance to the nearest source cell over v_P.
+the exact answer, the distance to the nearest source cell over v_P.  The
+seed ball and ``cone_error`` read that distance from one field, so a ball
+that covers the grid has a cone error of exactly 0.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -133,9 +134,9 @@ def _slowness_per_cell(grid: Grid, speed: Speed) -> np.ndarray:
 
 def _require_spacing_in_range(grid: Grid) -> None:
     """Rejects spacings at which the march's weight 1/h**2 or the squared
-    grid extent, which bounds every squared seed distance, leaves the float
-    range.  A finite squared extent also keeps the default ball radius
-    8 * max(spacing) finite."""
+    grid extent leaves the float range.  A finite squared extent bounds
+    every squared distance _source_distance forms, and keeps the default
+    ball radius 8 * max(spacing) finite."""
     for h in grid.spacing:
         if not (h * h > 0.0 and 1.0 / (h * h) < math.inf):
             raise ValueError(f"spacing {h!r} is so small that 1/spacing**2 overflows")
@@ -146,24 +147,15 @@ def _require_spacing_in_range(grid: Grid) -> None:
             f"and spacing {grid.spacing}")
 
 
-def _seed_cells(grid: Grid, source: SourceSpec, radius: float) -> dict:
-    """Map multi-index -> distance to the source set, for cells within radius."""
-    shape, spacing = grid.shape, grid.spacing
-    dims = grid.dims
-    # Clamped to the grid, so that a huge radius or a tiny spacing cannot
-    # overflow the cell count (a reach of shape[a] already spans the axis).
-    reach = [int(math.ceil(min(radius / spacing[a], shape[a]))) for a in range(dims)]
-    seeds: dict = {}
+def _source_distance(grid: Grid, source: SourceSpec, spacing: Sequence[float]) -> np.ndarray:
+    """Each cell's distance to the nearest source cell at the per-axis spacing."""
+    index = np.ogrid[tuple(slice(0, n) for n in grid.shape)]
+    dist = np.full(grid.shape, math.inf)
     for cell in source.cells:
-        ranges = [range(max(0, cell[a] - reach[a]),
-                        min(shape[a], cell[a] + reach[a] + 1))
-                  for a in range(dims)]
-        for idx_nd in itertools.product(*ranges):
-            d = math.sqrt(sum(((idx_nd[a] - cell[a]) * spacing[a]) ** 2
-                              for a in range(dims)))
-            if d <= radius and d < seeds.get(idx_nd, math.inf):
-                seeds[idx_nd] = d
-    return seeds
+        offsets = [i - c for i, c in zip(index, cell)]
+        np.minimum(dist, np.sqrt(sum((o * h) ** 2 for o, h
+                                     in zip(offsets, spacing))), out=dist)
+    return dist
 
 
 def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
@@ -174,7 +166,9 @@ def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
     varying media.  ``source_ball_radius`` is the physical radius of the
     exact-distance ball seeded around the source set; the default is
     8 * max(spacing) for scalar speed and 0 for spatially varying speed,
-    where straight-ray seeding would be inconsistent.  Returns t = 0
+    where straight-ray seeding would be inconsistent.  Seeding takes one
+    pass over the whole grid per source cell, which suits a few source
+    cells (the README and the benchmark use at most 3).  Returns t = 0
     exactly on source cells and finite values everywhere on a connected
     grid; a spacing whose 1/h**2 or squared grid extent overflows, or a
     march whose squared times overflow, raises ValueError.
@@ -210,9 +204,10 @@ def solve_traveltime(grid: Grid, source: SourceSpec, speed: Speed, *,
     far = bytearray(np.pad(np.ones(grid.shape, dtype=np.uint8), 1))
     heap: list = []
 
-    for idx_nd, dist in _seed_cells(grid, source, source_ball_radius).items():
-        flat = sum((i + 1) * s for i, s in zip(idx_nd, strides))
-        t[flat] = known[flat] = dist * slowness[flat]
+    dist = np.pad(_source_distance(grid, source, grid.spacing), 1,
+                  constant_values=math.inf).reshape(-1)
+    for flat in np.flatnonzero(dist <= source_ball_radius).tolist():
+        t[flat] = known[flat] = float(dist[flat]) * slowness[flat]
         far[flat] = 0
         heap.append((t[flat], flat))
     heapq.heapify(heap)
@@ -300,16 +295,8 @@ def cone_error(tt: TraveltimeField, source: SourceSpec,
         raise ValueError(f"exclude_cells must be finite and >= 0, got {exclude_cells}")
     grid = tt.grid
     source.validate_against(grid)
-    index = np.ogrid[tuple(slice(0, n) for n in grid.shape)]
-    dist = np.full(grid.shape, math.inf)
-    cells = np.full(grid.shape, math.inf)
-    for cell in source.cells:
-        offsets = [i - c for i, c in zip(index, cell)]
-        np.minimum(dist, np.sqrt(sum((o * h) ** 2 for o, h
-                                     in zip(offsets, grid.spacing))), out=dist)
-        np.minimum(cells, np.sqrt(sum(o ** 2 for o in offsets)), out=cells)
-    beyond = cells > exclude_cells
+    beyond = _source_distance(grid, source, (1.0,) * grid.dims) > exclude_cells
     if not beyond.any():
         raise ValueError(f"no cell lies beyond {exclude_cells} cells of the source")
-    exact = dist[beyond] / tt.min_speed()
+    exact = _source_distance(grid, source, grid.spacing)[beyond] / tt.min_speed()
     return float(np.max(np.abs(tt.t_P[beyond] - exact) / exact))

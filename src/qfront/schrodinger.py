@@ -24,6 +24,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -33,7 +34,8 @@ import numpy as np
 
 from .constants import CODATA2018, PhysicalConstants
 from .eikonal import TraveltimeField
-from .fields import ComplexField, Grid, ScalarField, _require_grid_shape, l2_norm_squared
+from .fields import (ComplexField, Grid, ScalarField, _integers, _require_grid_shape,
+                     l2_norm_squared)
 
 __all__ = [
     "QuantumProblem",
@@ -425,6 +427,15 @@ class _Snapshots(Sequence):
         return self.solution._snapshot(rows)
 
 
+def _count(value, name: str) -> int:
+    """value as an int; one that is not an integer to operator.index, such
+    as 2.5 or np.float64(3.0), is an error naming name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def propagate_classical(
     initial: ComplexField,
     problem: QuantumProblem,
@@ -441,6 +452,9 @@ def propagate_classical(
     on_step(k, values), if given, is called for step 0 and after each step
     k, with values a read-only view of the new state valid during the call.
     """
+    n_steps = _count(n_steps, "n_steps")
+    if history_window is not None:
+        history_window = _count(history_window, "history_window")
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     if history_window is not None and history_window < 2:
@@ -592,7 +606,7 @@ def box_eigenmode(grid: Grid, mode_numbers: Sequence[int]) -> ComplexField:
     i_a of n_a, so it is exactly zero on the boundary cell layer.  It is an
     eigenvector of the discrete Laplacian the stepper uses, whatever the mass.
     """
-    mode_numbers = tuple(int(n) for n in mode_numbers)
+    mode_numbers = _integers(mode_numbers, "mode numbers")
     if len(mode_numbers) != grid.dims:
         raise ValueError(f"{len(mode_numbers)} mode numbers for a {grid.dims}-d grid")
     if any(n < 1 for n in mode_numbers):

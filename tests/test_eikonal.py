@@ -12,7 +12,6 @@ from qfront.eikonal import (
     TraveltimeField,
     cone_error as eikonal_cone_error,
     front_mask,
-    _seed_cells,
     _slowness_per_cell,
     solve_traveltime,
 )
@@ -113,14 +112,21 @@ def test_an_overflowing_march_is_rejected_not_written_as_inf():
 @pytest.mark.parametrize("shape, spacing, cell, speed", [
     ((16,), (1e-10,), (3,), 1.0),
     ((7, 5), (1e-10, 2e-10), (2, 4), 2.0),
+    # Spacings at which libm pow(x, 2) and x * x round some squared offset
+    # differently: seeds squared by one and the cone by the other disagree.
+    ((5, 7), (1.134, 1.734), (4, 0), 1.0),
+    ((8, 5), (0.571, 2.759), (4, 2), 1.0),
 ])
 def test_huge_ball_radius_seeds_every_cell_at_its_distance(shape, spacing, cell, speed):
-    # radius / spacing overflows to inf; the reach is clamped to the grid.
+    # radius / spacing overflows to inf, and the ball covers the grid: every
+    # cell is seeded with the distance cone_error measures against.
     g = Grid(shape, spacing)
-    tt = solve_traveltime(g, SourceSpec([cell]), speed, source_ball_radius=1e300)
+    source = SourceSpec([cell])
+    tt = solve_traveltime(g, source, speed, source_ball_radius=1e300)
     index = np.indices(shape)
     dist = np.sqrt(sum(((i - c) * h) ** 2 for i, c, h in zip(index, cell, spacing)))
     np.testing.assert_array_equal(tt.t_P, dist * (1.0 / speed))
+    assert eikonal_cone_error(tt, source, 0.0) == 0.0
 
 
 def test_rejects_negative_ball_radius():
@@ -394,9 +400,13 @@ def reference_traveltime(grid, source, speed, ball):
     known = [math.inf] * len(slowness)
     far = bytearray(np.pad(np.ones(grid.shape, dtype=np.uint8), 1))
     heap = []
-    for idx_nd, dist in _seed_cells(grid, source, ball).items():
-        flat = sum((i + 1) * s for i, s in zip(idx_nd, strides))
-        t[flat] = known[flat] = dist * slowness[flat]
+    # Seeds: the distance to the nearest source cell, within the ball.
+    index = np.indices(grid.shape)
+    dist = np.min([np.sqrt(sum(((i - c) * h) ** 2 for i, c, h in zip(index, cell, grid.spacing)))
+                   for cell in source.cells], axis=0)
+    for idx_nd in zip(*np.nonzero(dist <= ball)):
+        flat = sum((int(i) + 1) * s for i, s in zip(idx_nd, strides))
+        t[flat] = known[flat] = float(dist[idx_nd]) * slowness[flat]
         far[flat] = 0
         heap.append((t[flat], flat))
     heapq.heapify(heap)

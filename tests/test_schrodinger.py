@@ -242,18 +242,31 @@ def test_solution_rejects_bad_norm_first_step_or_start_time(changes, match):
 @pytest.mark.parametrize("n_steps, window, match", [
     (-1, None, "n_steps must be non-negative"),
     (3, 1, "history_window must be at least 2"),
+    (2.5, None, "n_steps must be an integer, got 2.5"),
+    (np.float64(3.0), None, "n_steps must be an integer, got np.float64(3.0)"),
+    (3, 2.5, "history_window must be an integer, got 2.5"),
 ])
 def test_propagate_rejects_negative_steps_or_a_window_below_2(n_steps, window, match):
     prob = free_problem(16)
     initial = gaussian_packet(prob.grid, (0.5,), 0.1)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(match)):
         propagate_classical(initial, prob, n_steps, history_window=window)
+
+
+def test_propagate_takes_numpy_integer_step_counts():
+    prob = free_problem(16)
+    initial = gaussian_packet(prob.grid, (0.5,), 0.1)
+    expected = propagate_classical(initial, prob, 3, history_window=2).history
+    got = propagate_classical(initial, prob, np.int64(3), history_window=np.int32(2)).history
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("modes, match", [
     ((1,), "1 mode numbers for a 2-d grid"),
     ((1, 2, 3), "3 mode numbers for a 2-d grid"),
     ((1, 0), "mode numbers must be >= 1"),
+    ((2.7, 1), "mode numbers must hold integers, got (2.7, 1)"),
+    ((2, 1.0), "mode numbers must hold integers, got (2, 1.0)"),
 ])
 def test_box_eigenmode_rejects_wrong_or_non_positive_modes(modes, match):
     with pytest.raises(ValueError, match=re.escape(match)):
