@@ -9,7 +9,8 @@ A = I + i*dt/(2*hbar) H the right-hand operator is 2I - A, so a step is the
 Cayley form psi_{n+1} = 2 A^-1 psi_n - psi_n: one solve with A and no
 second operator.  In 1-D A is factored once by LAPACK zgttrf and solved
 by zgttrs each step; in 2-D and 3-D each step runs conjugate orthogonal
-CG (COCG) on A's diagonal and per-axis couplings.  The scheme is
+CG (COCG) on A's diagonal and per-axis couplings, started from the
+quadratic extrapolation of the last three states.  The scheme is
 unconditionally stable and, for real U, preserves the L2 norm to round-off.
 The modified evolution is obtained from the classical one by evaluating
 each point at its own local time theta = t - t_P, where t_P is the arrival
@@ -231,7 +232,7 @@ def _operator(problem: QuantumProblem) -> tuple[np.ndarray, list[complex]]:
 
 
 class _Stepper:
-    """Crank-Nicolson stepper on a 1-, 2- or 3-D grid.
+    """Crank-Nicolson stepper on a 1-, 2- or 3-D grid, for a run from initial.
 
     Since I - cH = 2I - A, the CN update A^-1 (I - cH) x equals 2y - x with
     A y = x, so each step is one solve with A (_operator) over the whole
@@ -241,15 +242,24 @@ class _Stepper:
     the scipy.linalg package would add 0.3-0.4 s of CPU time and about 24
     MiB of memory to every run.  In 2-D and 3-D a sparse LU fills in (a 40^3
     factorisation takes about a minute), so each step runs COCG (_cocg) on
-    the diagonal and the per-axis couplings, started from x.  A = A^T, as H
-    is real symmetric, and A is normal with eigenvalues 1 + i dt lambda/2hbar,
+    the diagonal and the per-axis couplings, over the span from the first
+    interior cell to the last: every cell outside it is a wall.
+
+    COCG starts from the quadratic extrapolation of the last three states,
+    (4x_n - 3x_{n-1} + x_{n-2})/2, which is 4(x_n - y_{n-1}) + y_{n-2} as
+    each solve returns y_k = (x_k + x_{k+1})/2.  The two last solutions
+    swap roles each step, the older one taking the prediction, and both
+    start as initial, so step 1 starts from y = x.  The prediction takes
+    real scalings and adds of float64 views only.  A = A^T, as H is real
+    symmetric, and A is normal with eigenvalues 1 + i dt lambda/2hbar,
     lambda real, so |A^-1| <= 1: y errs by at most the tracked residual,
-    rtol |x|, and x' = 2y - x by 2 rtol |x|.  The solve reduces with
-    np.einsum and never calls BLAS, whose summation order changes with the
-    CPU kernel and the thread count, so the bits of a run depend on neither.
+    rtol |x|, and x' = 2y - x by 2 rtol |x|, from any start.  The solve
+    reduces with np.einsum and never calls BLAS, whose summation order
+    changes with the CPU kernel and the thread count, so the bits of a run
+    depend on neither.
     """
 
-    def __init__(self, problem: QuantumProblem) -> None:
+    def __init__(self, problem: QuantumProblem, initial: np.ndarray) -> None:
         diagonal, couplings = _operator(problem)
         self._lu = None
         if problem.grid.dims == 1:
@@ -259,15 +269,24 @@ class _Stepper:
             _require_lapack_success("zgttrf", info)
         else:
             shape = diagonal.shape
-            self._diagonal = diagonal.reshape(-1)
-            # Each axis's C-order stride with its coupling, and the wall cells.
-            self._couplings = [(math.prod(shape[a + 1:]), g) for a, g in enumerate(couplings)]
+            # Each axis's C-order stride with its coupling.  The first interior
+            # cell, (1, ..., 1), is at the sum of the strides, and as many
+            # wall cells follow the last one.
+            strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+            self._couplings = list(zip(strides, couplings))
+            self._span = span = slice(sum(strides), diagonal.size - sum(strides))
+            self._diagonal = diagonal.reshape(-1)[span]
             interior = np.zeros([n - 2 for n in shape], dtype=bool)
-            self._walls = np.flatnonzero(np.pad(interior, 1, constant_values=True))
-            self._work = np.empty((5, diagonal.size), dtype=np.complex128)
+            self._walls = np.flatnonzero(np.pad(interior, 1, constant_values=True).flat[span])
+            # The last two solutions, whole states, then r, p, q and tmp.
+            work = np.empty((6, diagonal.size), dtype=np.complex128)
+            work[:2] = initial.reshape(-1)
+            self._solutions = (work[0], work[1])
+            self._work = work[2:, span]
 
     def _matvec(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out = A x, for x zero on the walls; uses the last work vector."""
+        """out = A x over the span, for x zero on the walls; uses the last
+        work vector."""
         tmp = self._work[-1]
         np.multiply(self._diagonal, x, out=out)
         for s, g in self._couplings:
@@ -277,22 +296,21 @@ class _Stepper:
         out[self._walls] = 0.0
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _cocg(self, b: np.ndarray) -> np.ndarray:
-        """y with |b - A y| <= _SOLVE_RTOL |b|, into a work vector: conjugate
-        orthogonal CG (CG in the bilinear form u^T v, as A^T = A), started
-        from y = b, with in-place axpys.  The error's info is the iteration
-        it stopped in, below _SOLVE_MAXITER only on a breakdown: rho or
-        p^T A p = 0, or p^T A p not finite, as when A p overflows."""
-        x, r, p, q, tmp = self._work
+    def _cocg(self, b: np.ndarray, x: np.ndarray) -> None:
+        """x with |b - A x| <= _SOLVE_RTOL |b|, over the span, in place from
+        the start x holds: conjugate orthogonal CG (CG in the bilinear form
+        u^T v, as A^T = A), with in-place axpys.  The error's info is the
+        iteration it stopped in, below _SOLVE_MAXITER only on a breakdown:
+        rho or p^T A p = 0, or p^T A p not finite, as when A p overflows."""
+        r, p, q, tmp = self._work
         atol = _SOLVE_RTOL * _norm(b)
-        x[:] = b
         self._matvec(x, r)
         np.subtract(b, r, out=r)
         p[:] = r
         rho = _dot(r, r)
         for k in range(_SOLVE_MAXITER):
             if _norm(r) <= atol:
-                return x
+                return
             self._matvec(p, q)
             mu = _dot(p, q)
             if rho == 0.0 or mu == 0.0 or not cmath.isfinite(mu):
@@ -315,8 +333,19 @@ class _Stepper:
             y, info = self._gttrs(*self._lu, x)
             _require_lapack_success("zgttrs", info)
         else:
-            y = self._cocg(x)
-        np.subtract(2.0 * y, x, out=out.reshape(-1))
+            # y = 4(x - y_{n-1}) + y_{n-2} in place of y_{n-2}, then solved.
+            last, y = self._solutions
+            s = self._span
+            tmp = self._work[-1].view(np.float64)
+            np.subtract(x[s].view(np.float64), last[s].view(np.float64), out=tmp)
+            tmp *= 4.0
+            start = y[s].view(np.float64)
+            start += tmp
+            self._cocg(x[s], y[s])
+            self._solutions = (y, last)
+        out = out.reshape(-1)
+        np.multiply(y, 2.0, out=out)
+        out -= x
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -471,7 +500,7 @@ def propagate_classical(
     history = np.zeros((rows, *problem.grid.shape), dtype=np.complex128)
     interior = tuple(slice(1, -1) for _ in problem.grid.shape)
     history[-first % rows][interior] = initial.values[interior]
-    stepper = _Stepper(problem)
+    stepper = _Stepper(problem, history[-first % rows])
     for k in range(n_steps + 1):
         row = history[(k - first) % rows]
         if k:

@@ -377,24 +377,11 @@ def test_constant_potential_shifts_eigenvalue():
     assert np.max(np.abs(ratio - lam)) < 1e-12
 
 
-@pytest.mark.parametrize("shape, spacing", [
-    ((3,), (0.5,)),
-    ((4,), (0.3,)),
-    ((40,), (0.03,)),
-    ((9, 12), (0.1, 0.07)),
-    ((3, 7), (0.1, 0.07)),
-    ((6, 7, 8), (0.2, 0.15, 0.1)),
-    ((5, 3, 4), (0.2, 0.15, 0.1)),
-    ((7, 3), (0.1, 0.07)),
-    ((3, 3), (0.1, 0.07)),
-    ((3, 5, 3), (0.2, 0.15, 0.1)),
-    ((3, 3, 8), (0.2, 0.15, 0.1)),
-])
-def test_cn_step_matches_dense_solve(shape, spacing):
-    # H = -hbar^2/(2m) Laplacian + U on the interior cells, written out
-    # entry by entry, then one CN step as a dense solve.  On the thin grids
-    # every interior cell touches a wall.
-    rng = np.random.default_rng(len(shape))
+def dense_operator_case(shape, spacing, seed):
+    """A problem on shape with a potential drawn uniform(-5, 5), a random state
+    that vanishes on the walls, and A = I + cH over the interior cells in C
+    order, with H = -hbar^2/(2m) Laplacian + U written out entry by entry."""
+    rng = np.random.default_rng(seed)
     g = Grid(shape, spacing)
     mass, dt = 0.7, 2e-3
     u = rng.uniform(-5.0, 5.0, shape)
@@ -416,16 +403,50 @@ def test_cn_step_matches_dense_solve(shape, spacing):
     values[interior] = rng.normal(size=values[interior].shape) + 1j * rng.normal(
         size=values[interior].shape)
     c = 1j * dt / (2.0 * NAT.hbar)
-    eye = np.eye(len(cells))
-    x = np.array([values[cell] for cell in cells])
-    expected = np.linalg.solve(eye + c * h, (eye - c * h) @ x)
+    return prob, ComplexField(g, values), np.eye(len(cells)) + c * h
 
-    stepped = propagate_classical(ComplexField(g, values), prob, 1).snapshots[-1].values.copy()
-    got = np.array([stepped[cell] for cell in cells])
+
+@pytest.mark.parametrize("shape, spacing", [
+    ((3,), (0.5,)),
+    ((4,), (0.3,)),
+    ((40,), (0.03,)),
+    ((9, 12), (0.1, 0.07)),
+    ((3, 7), (0.1, 0.07)),
+    ((6, 7, 8), (0.2, 0.15, 0.1)),
+    ((5, 3, 4), (0.2, 0.15, 0.1)),
+    ((7, 3), (0.1, 0.07)),
+    ((3, 3), (0.1, 0.07)),
+    ((3, 5, 3), (0.2, 0.15, 0.1)),
+    ((3, 3, 8), (0.2, 0.15, 0.1)),
+])
+def test_cn_step_matches_dense_solve(shape, spacing):
+    # One CN step as a dense solve.  On the thin grids every interior cell
+    # touches a wall.
+    prob, psi, a = dense_operator_case(shape, spacing, len(shape))
+    interior = tuple(slice(1, -1) for _ in shape)
+    x = psi.values[interior].reshape(-1)
+    expected = np.linalg.solve(a, (2.0 * np.eye(len(x)) - a) @ x)
+
+    stepped = propagate_classical(psi, prob, 1).snapshots[-1].values.copy()
+    got = stepped[interior].reshape(-1)
     assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
     stepped[interior] = 0.0
     # The boundary layer stays +0.0, with no sign bit.
     assert stepped.tobytes() == np.zeros_like(stepped).tobytes()
+
+
+@pytest.mark.parametrize("shape, spacing", [((9, 7), (0.1, 0.07)), ((5, 6, 4), (0.2, 0.15, 0.1))])
+def test_cn_run_matches_dense_solves(shape, spacing):
+    # From step 2 on, COCG starts from a state extrapolated from the earlier
+    # steps; each step of the run must still be the dense solve from the
+    # state before it, to the solve's tolerance.
+    prob, psi, a = dense_operator_case(shape, spacing, len(shape))
+    interior = tuple(slice(1, -1) for _ in shape)
+    history = propagate_classical(psi, prob, 24).history[(slice(None), *interior)]
+    cn = np.linalg.solve(a, 2.0 * np.eye(len(a)) - a)
+    for x, got in zip(history, history[1:]):
+        expected = cn @ x.reshape(-1)
+        assert np.linalg.norm(got.reshape(-1) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 # sha256 prefixes of propagate_classical(...).history.tobytes() for a 1-D
@@ -462,14 +483,15 @@ def test_pinned_1d_histories(name):
 
 # The same for a 2-D and a 3-D packet on grids whose axes differ in cell count
 # and spacing, so that a swapped stride or spacing changes the hash.  Each
-# step is the stepper's own COCG on the bands of A, whose reductions are
-# numpy einsums, so the bits hold under any BLAS kernel and thread count, and
-# with or without numpy's AVX-512 loops.
+# step is the stepper's own COCG on A's diagonal and couplings, started from
+# the state extrapolated from the steps before, whose reductions are numpy
+# einsums, so the bits hold under any BLAS kernel and thread count, and with
+# or without numpy's AVX-512 loops.
 PINNED_HISTORIES_ND = {
-    "2-D free": ((41, 37), None, "7543394d2ffca1f6"),
-    "2-D potential": ((41, 37), 7, "2058170aa69b4c96"),
-    "3-D free": ((17, 19, 15), None, "60828287768f036d"),
-    "3-D potential": ((17, 19, 15), 7, "d9a4df2bfa538b2c"),
+    "2-D free": ((41, 37), None, "767c2f2f2a06728f"),
+    "2-D potential": ((41, 37), 7, "38fbe2e9cf95fea4"),
+    "3-D free": ((17, 19, 15), None, "faee14b24d0d234e"),
+    "3-D potential": ((17, 19, 15), 7, "7d943ab543918110"),
 }
 
 
@@ -513,17 +535,43 @@ def test_cocg_out_of_iterations_raises_convergence_error(monkeypatch):
 
 
 def test_cocg_step_meets_its_tolerance():
-    # A y = x holds to rtol 1e-13 in the residual the loop tracks; the true
-    # residual, with A applied by a 5-point stencil here, measured 9.3e-14
-    # relative, so the bound leaves a margin of about 2.
+    # A y = x holds to rtol 1e-13 in the residual the loop tracks, at step 1,
+    # started from y = x, and at steps 2 and 3, started from states
+    # extrapolated from the earlier ones; the true residual, with A applied
+    # by a 5-point stencil here, measured 9.3e-14 to 9.9e-14 relative over
+    # the three steps, so the bound leaves a margin of about 2.
     prob, psi = electron_packet_48()
-    x = psi.values[1:-1, 1:-1]
-    y = (propagate_classical(psi, prob, 1).history[-1][1:-1, 1:-1] + x) / 2.0  # x' = 2y - x
+    history = propagate_classical(psi, prob, 3).history[:, 1:-1, 1:-1]
     hbar, dx = prob.constants.hbar, prob.grid.spacing[0]
-    pad = np.pad(y, 1)
-    laplacian = (pad[2:, 1:-1] + pad[:-2, 1:-1] + pad[1:-1, 2:] + pad[1:-1, :-2] - 4.0 * y) / dx**2
-    a_y = y + 1j * prob.dt / (2.0 * hbar) * (-hbar**2 / (2.0 * prob.mass) * laplacian)
-    assert np.linalg.norm(x - a_y) < 2e-13 * np.linalg.norm(x)
+    for x, x_next in zip(history, history[1:]):
+        y = (x_next + x) / 2.0  # x' = 2y - x
+        pad = np.pad(y, 1)
+        laplacian = (pad[2:, 1:-1] + pad[:-2, 1:-1] + pad[1:-1, 2:] + pad[1:-1, :-2]
+                     - 4.0 * y) / dx**2
+        a_y = y + 1j * prob.dt / (2.0 * hbar) * (-hbar**2 / (2.0 * prob.mass) * laplacian)
+        assert np.linalg.norm(x - a_y) < 2e-13 * np.linalg.norm(x)
+
+
+def test_predicted_start_saves_a_matvec_per_step(monkeypatch):
+    # A smooth packet at a small phase per step, as in the steps2d benchmark:
+    # COCG from y = x, as a fresh stepper's first step starts, takes 8
+    # matvecs a step here and from the extrapolated state about 6.3.  Both
+    # give the same states to the solve's tolerance.
+    calls = []
+    matvec = schrodinger._Stepper._matvec
+    monkeypatch.setattr(schrodinger._Stepper, "_matvec",
+                        lambda self, x, out: calls.append(1) or matvec(self, x, out))
+    g = Grid((32, 32), (1.0 / 31, 1.0 / 31))
+    prob = QuantumProblem(g, ScalarField(g, np.zeros(g.shape)), 1.0, 1e-4, NAT)
+    n_steps = 30
+    history = propagate_classical(gaussian_packet(g, (0.42, 0.57), 0.1), prob, n_steps).history
+    predicted = len(calls)
+    calls.clear()
+    for x, got in zip(history, history[1:]):
+        plain = np.empty_like(x)
+        schrodinger._Stepper(prob, x).step(x, plain)
+        assert np.linalg.norm(got - plain) <= 1e-12 * np.linalg.norm(plain)
+    assert predicted <= len(calls) - n_steps
 
 
 def test_cocg_breakdown_raises_convergence_error(monkeypatch):
