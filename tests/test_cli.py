@@ -1,11 +1,9 @@
 import contextlib
-import hashlib
 import io
 import json
 import math
 import os
 import re
-import shlex
 import stat
 import subprocess
 import sys
@@ -17,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy._core import _multiarray_umath
 
 import qfront
 import qfront.schrodinger
@@ -36,7 +33,7 @@ from qfront.schrodinger import (
     gaussian_packet,
     propagate_classical,
 )
-from test_schrodinger import PINNED_HISTORIES_1D, PINNED_HISTORIES_ND
+from test_bits import readme_commands
 
 GRID_1D = ["--shape", "64", "--spacing", str(1.0 / 63)]
 
@@ -1267,42 +1264,6 @@ def test_every_finite_flag_value_exits_0_or_2_and_writes_only_finite_numbers(cas
             assert not NON_FINITE_TEXT.search(text), (argv, name)
 
 
-def readme_commands() -> list[list[str]]:
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = text.replace("\\\n", " ").splitlines()
-    return [shlex.split(line, comments=True)[1:] for line in lines
-            if line.startswith("qfront ")]
-
-
-# sha256 prefixes of every file the README commands write, run in order in an
-# empty directory, and of their joined stdout.  The t_P march, the packet's
-# libm factors and the 1-D Crank-Nicolson solve (LAPACK zgttrf/zgttrs) feed
-# these bytes, which do not move with numpy's AVX-512 loops disabled; they
-# were computed with numpy 2.4.6 and scipy 1.17.1, the versions CI pins.
-README_DIGESTS = {
-    "fit.json": "f5397c8fdd454f07",
-    "layers.csv": "a703fef4af6222f5",
-    "lt.csv": "36ac6584ee315658",
-    "records.csv": "a02b223edd383432",
-    "run_manifest.json": "f3a4065073a872a0",
-    "run_state.csv": "367922f64cce9a78",
-    "runmod_manifest.json": "567581180b0b10a5",
-    "runmod_state.csv": "10cd2e4be91519a3",
-    "tt.csv": "e8c55b6f04484b53",
-    "tt1d.csv": "abf8439e36d486f5",
-    "stdout": "e5ad956b7f3dd2ee",
-}
-
-
-def readme_digests(directory: Path, stdout: str) -> dict[str, str]:
-    """A table like README_DIGESTS for the files now in directory and for stdout."""
-    def digest(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()[:16]
-
-    digests = {path.name: digest(path.read_bytes()) for path in directory.iterdir()}
-    return {**digests, "stdout": digest(stdout.encode())}
-
-
 def test_readme_has_commands_of_every_subcommand():
     assert {argv[0] for argv in readme_commands()} == {
         "eikonal", "propagate", "dispersion", "fit", "compare"}
@@ -1316,17 +1277,6 @@ def test_readme_command_parses(argv):
         build_parser().parse_args(argv)
     except SystemExit:
         pytest.fail(f"README command does not parse: qfront {' '.join(argv)}")
-
-
-def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
-    # Each command may read what an earlier one wrote, as a reader would run
-    # them, and every byte they write or print is pinned.
-    monkeypatch.chdir(tmp_path)
-    stdout = []
-    for argv in readme_commands():
-        assert main(argv) == 0, f"README command failed: qfront {' '.join(argv)}"
-        stdout.append(capsys.readouterr().out)
-    assert readme_digests(tmp_path, "".join(stdout)) == README_DIGESTS
 
 
 # --- imports -----------------------------------------------------------------------
@@ -1376,59 +1326,6 @@ def test_fresh_propagate_leaves_scipy_sparse_and_linalg_unloaded(tmp_path, argv)
     assert run.stdout.splitlines()[-1] == "False False"
 
 
-def test_fresh_2d_history_is_the_same_at_1_and_2_blas_threads(tmp_path):
-    # At 128^2 a BLAS level-1 reduction splits its sum between threads, so a
-    # solve that called BLAS would give other bits at 2 threads than at 1.
-    code = f"""if True:
-        import sys
-        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
-        from test_schrodinger import nd_digest
-        print(nd_digest((128, 128), 7, n_steps=10))"""
-    digests = [_fresh_python(tmp_path, code, OPENBLAS_NUM_THREADS=str(n)).stdout.split()[-1]
-               for n in (1, 2)]
-    assert digests[0] == digests[1]
-
-
-def test_fresh_pinned_histories_are_the_same_without_numpy_avx512_loops(tmp_path):
-    # numpy's AVX-512 np.exp gives other bits than its AVX2 one, so packets
-    # are built from libm factors, and the N-D solve's einsum reductions do
-    # not move: a CPU without AVX-512 gets the pinned 1-D and 2-D bits.
-    avx512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-    present = [f for f in avx512 if _multiarray_umath.__cpu_features__[f]]
-    code = f"""if True:
-        import sys
-        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
-        from numpy._core._multiarray_umath import __cpu_features__
-        from test_schrodinger import pinned_1d_digest, pinned_nd_digest
-        print(pinned_1d_digest("potential"), pinned_nd_digest("2-D potential"),
-              *(f for f in {avx512!r} if __cpu_features__[f]))"""
-    default = _fresh_python(tmp_path, code).stdout.split()
-    off = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *present])
-    disabled = _fresh_python(tmp_path, code, NPY_DISABLE_CPU_FEATURES=off).stdout.split()
-    assert default[2:] == present
-    assert disabled == default[:2]
-
-
-def test_fresh_1d_history_is_pinned_before_and_after_scipy_linalg(tmp_path):
-    # The 1-D stepper loads scipy's LAPACK binding from its file while
-    # scipy.linalg is not imported, and takes scipy.linalg's once it is; both
-    # give the pinned bits, and a 2-D run between them is unaffected.
-    run = _fresh_python(tmp_path, f"""if True:
-        import sys, warnings
-        warnings.simplefilter("error")
-        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
-        from test_schrodinger import pinned_1d_digest, pinned_nd_digest
-        print(pinned_1d_digest("potential"), "scipy.linalg" in sys.modules)
-        import scipy.linalg
-        print(pinned_nd_digest("2-D potential"))
-        print(pinned_1d_digest("potential"), scipy.linalg._flapack.__name__)""")
-    assert run.stdout.splitlines() == [
-        f"{PINNED_HISTORIES_1D['potential'][2]} False",
-        PINNED_HISTORIES_ND["2-D potential"][2],
-        f"{PINNED_HISTORIES_1D['potential'][2]} scipy.linalg._flapack",
-    ]
-
-
 def test_fresh_process_resolves_every_public_name(tmp_path):
     # The parameter count covers every exported function, constructor and
     # public method, self and cls excluded, so a new name or option changes it.
@@ -1459,11 +1356,10 @@ def test_fresh_process_resolves_every_public_name(tmp_path):
     assert run.stdout.split() == ["43", "102", "qfront.eikonal"]
 
 
-def _fresh_python(cwd: Path, code: str, **env: str) -> subprocess.CompletedProcess:
-    """code run by a new interpreter in cwd, importing qfront from this tree,
-    with env added to the environment."""
+def _fresh_python(cwd: Path, code: str) -> subprocess.CompletedProcess:
+    """code run by a new interpreter in cwd, importing qfront from this tree."""
     src = str(Path(qfront.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": path, **env},
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)

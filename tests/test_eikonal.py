@@ -1,4 +1,3 @@
-import hashlib
 import heapq
 import math
 
@@ -339,47 +338,6 @@ def test_determinism():
     a = solve_traveltime(g, src, v).t_P
     b = solve_traveltime(g, src, v).t_P
     assert np.array_equal(a, b)
-
-
-# sha256 of t_P.tobytes() per configuration: (shape, spacing, sources,
-# speed, source_ball_radius); speed ("field", seed) is uniform(0.5, 2.0).
-# The seed-38 3-D field moves 32 cells if the update squares the slowness
-# by a product instead of ** 2, which rounds differently on a few cells.
-PINNED_TRAVELTIMES = {
-    "1d": (((101,), (0.5,), [(30,)], 2.0, None),
-           "9d3e913692eb931c60e874ff15c38d694733de9bf6a9b9bd5b15a140f1f640ab"),
-    "1d-field-2src": (((64,), (0.3,), [(5,), (50,)], ("field", 5), None),
-                      "ea7c385a81f69082dbec4ef299565ea957d5e1922b3c2918deb258eb34d08cd1"),
-    "2d": (((41, 41), (1.0, 1.0), [(20, 20)], 1.0, None),
-           "8625a301c438d1a54daf1fa19b148e653d8416c111550c53621526d418482603"),
-    "2d-noball": (((41, 41), (1.0, 1.0), [(7, 30)], 1.0, 0.0),
-                  "c4159002e6857aab6578864654b29388992b0749dba2472bf57ece84f273b684"),
-    "2d-aniso-3src": (((37, 29), (0.7, 1.3), [(3, 4), (30, 20), (18, 27)], 1.5, None),
-                      "1ae3a9af9eadebd6be52037392b1f78fa32dec488f5eba8c5df0d3672203558a"),
-    "2d-aniso-field": (((33, 27), (1.0, 1.3), [(16, 13)], ("field", 5), None),
-                       "b4aaa4ddd7da9f4aa0e58fc1fe8fa0d7dec65a48a487b7e662a9e49fcce60b8d"),
-    "2d-aniso-field-ball": (((33, 27), (1.0, 1.3), [(16, 13), (2, 25)], ("field", 5), 3.0),
-                            "7cf75b0a1abe77be3f2d1d978ad10c7f96c7ab4b8c496b334928c882042650e5"),
-    "3d-aniso-2src": (((15, 12, 10), (1.0, 0.8, 1.3), [(2, 3, 4), (12, 9, 1)], 1.0, None),
-                      "775f021920e661461b43f45e279977993190527f1ec48ce3f9d29df59fabc8a4"),
-    "3d-field": (((14, 14, 14), (1.0, 1.0, 1.0), [(7, 7, 7)], ("field", 5), None),
-                 "3ff094237700813a96476cf3a69e3b590b98b4fedccc2c16d3f6c4d1d0eaa04d"),
-    "3d-field-ball": (((18, 18, 18), (1.0, 1.0, 1.0), [(9, 9, 9)], ("field", 38), 2.0),
-                      "a2eadcc0af02b670ce10f0805f3569d4beacc701e864c184216ad9b143819b53"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_TRAVELTIMES))
-def test_traveltime_bits_are_pinned(name):
-    # Fast marching is deterministic, so any change to the march that is
-    # meant to keep its arithmetic must reproduce these bytes exactly.
-    (shape, spacing, cells, speed, ball), digest = PINNED_TRAVELTIMES[name]
-    g = Grid(shape, spacing)
-    if isinstance(speed, tuple):
-        seed = speed[1]
-        speed = ScalarField(g, np.random.default_rng(seed).uniform(0.5, 2.0, shape))
-    tt = solve_traveltime(g, SourceSpec(cells), speed, source_ball_radius=ball)
-    assert hashlib.sha256(tt.t_P.tobytes()).hexdigest() == digest
 
 
 def reference_traveltime(grid, source, speed, ball):

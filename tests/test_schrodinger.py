@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import importlib.machinery
 import importlib.util
 import itertools
@@ -447,75 +446,6 @@ def test_cn_run_matches_dense_solves(shape, spacing):
     for x, got in zip(history, history[1:]):
         expected = cn @ x.reshape(-1)
         assert np.linalg.norm(got.reshape(-1) - expected) <= 1e-12 * np.linalg.norm(expected)
-
-
-# sha256 prefixes of propagate_classical(...).history.tobytes() for a 1-D
-# packet on n cells (natural units, dt 5e-4, 40 steps) in a zero potential
-# or one drawn uniform(-50, 50) from default_rng(seed).  The 1-D solve is LAPACK
-# zgttrf/zgttrs from scipy 1.17.1; SuperLU gave these histories to 3e-14
-# relative, not bit for bit.  gaussian_packet builds the packet from libm
-# factors (math.exp, cmath.exp), so numpy's SIMD dispatch does not move it.
-PINNED_HISTORIES_1D = {
-    "free": (257, None, "df144184cec877a4"),
-    "potential": (257, 7, "11f46c1dfe71cb61"),
-    "3-cell": (3, 7, "e98644a7d5a60547"),
-    "3-cell free": (3, None, "675c41540df6c7df"),
-    "4-cell": (4, None, "217fc3add9338225"),
-    "4-cell potential": (4, 7, "0709cfa6e1cff1e6"),
-}
-
-
-def pinned_1d_digest(name):
-    """The history digest of the case PINNED_HISTORIES_1D[name], as run now."""
-    n, seed, _ = PINNED_HISTORIES_1D[name]
-    g = Grid((n,), (1.0 / (n - 1),))
-    u = np.zeros(n) if seed is None else np.random.default_rng(seed).uniform(-50.0, 50.0, n)
-    prob = QuantumProblem(g, ScalarField(g, u), 1.0, 5e-4, NAT)
-    psi = gaussian_packet(g, (0.5,), 0.2 if n < 8 else 0.08, 10.0)
-    history = propagate_classical(psi, prob, 40).history
-    return hashlib.sha256(history.tobytes()).hexdigest()[:16]
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES_1D))
-def test_pinned_1d_histories(name):
-    assert pinned_1d_digest(name) == PINNED_HISTORIES_1D[name][2]
-
-
-# The same for a 2-D and a 3-D packet on grids whose axes differ in cell count
-# and spacing, so that a swapped stride or spacing changes the hash.  Each
-# step is the stepper's own COCG on A's diagonal and couplings, started from
-# the state extrapolated from the steps before, whose reductions are numpy
-# einsums, so the bits hold under any BLAS kernel and thread count, and with
-# or without numpy's AVX-512 loops.
-PINNED_HISTORIES_ND = {
-    "2-D free": ((41, 37), None, "767c2f2f2a06728f"),
-    "2-D potential": ((41, 37), 7, "38fbe2e9cf95fea4"),
-    "3-D free": ((17, 19, 15), None, "faee14b24d0d234e"),
-    "3-D potential": ((17, 19, 15), 7, "7d943ab543918110"),
-}
-
-
-def nd_digest(shape, seed, n_steps=40):
-    """The history digest of a packet on shape (natural units, dt 5e-4) in a
-    zero potential or one drawn uniform(-50, 50) from default_rng(seed)."""
-    g = Grid(shape, tuple(1.0 / (n - 1) for n in shape))
-    u = (np.zeros(shape) if seed is None
-         else np.random.default_rng(seed).uniform(-50.0, 50.0, shape))
-    prob = QuantumProblem(g, ScalarField(g, u), 1.0, 5e-4, NAT)
-    psi = gaussian_packet(g, (0.5,) * len(shape), 0.1, 10.0)
-    history = propagate_classical(psi, prob, n_steps).history
-    return hashlib.sha256(history.tobytes()).hexdigest()[:16]
-
-
-def pinned_nd_digest(name):
-    """The history digest of the case PINNED_HISTORIES_ND[name], as run now."""
-    shape, seed, _ = PINNED_HISTORIES_ND[name]
-    return nd_digest(shape, seed)
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES_ND))
-def test_pinned_nd_histories(name):
-    assert pinned_nd_digest(name) == PINNED_HISTORIES_ND[name][2]
 
 
 def electron_packet_48():
