@@ -33,7 +33,7 @@ from qfront.schrodinger import (
     gaussian_packet,
     propagate_classical,
 )
-from test_bits import readme_commands
+from test_bits import PINS, digest, readme, readme_commands
 
 GRID_1D = ["--shape", "64", "--spacing", str(1.0 / 63)]
 
@@ -1277,6 +1277,19 @@ def test_readme_command_parses(argv):
         build_parser().parse_args(argv)
     except SystemExit:
         pytest.fail(f"README command does not parse: qfront {' '.join(argv)}")
+
+
+def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
+    # Each command may read what an earlier one wrote, as a reader would run
+    # them, and every byte they write or print in this interpreter is pinned.
+    monkeypatch.chdir(tmp_path)
+    stdout = []
+    for argv in readme_commands():
+        assert main(argv) == 0, f"README command failed: qfront {' '.join(argv)}"
+        stdout.append(capsys.readouterr().out)
+    got = {f"README {path.name}": digest(path.read_bytes()) for path in tmp_path.iterdir()}
+    got["README stdout"] = digest("".join(stdout).encode())
+    assert got == {pin: row[-1] for pin, row in PINS.items() if row[0] is readme}
 
 
 # --- imports -----------------------------------------------------------------------

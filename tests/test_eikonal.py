@@ -15,6 +15,7 @@ from qfront.eikonal import (
     solve_traveltime,
 )
 from qfront.fields import Grid, ScalarField
+from test_bits import PINS
 
 
 def cone_error(tt, center, exclude_cells=5.0):
@@ -338,6 +339,14 @@ def test_determinism():
     a = solve_traveltime(g, src, v).t_P
     b = solve_traveltime(g, src, v).t_P
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", [pin[4:] for pin in PINS if pin.startswith("t_P ")])
+def test_traveltime_bits_are_pinned(name):
+    # Fast marching is deterministic, so any change to the march that is
+    # meant to keep its arithmetic must reproduce these bytes exactly.
+    solve, *args, digest = PINS[f"t_P {name}"]
+    assert solve(*args) == digest
 
 
 def reference_traveltime(grid, source, speed, ball):

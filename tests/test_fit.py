@@ -177,6 +177,14 @@ def test_fit_agrees_with_the_numpy_formula_over_300_seeds():
         assert got.variance_modified <= got.variance_classical
 
 
+def test_bundled_fit_is_bit_identical_to_the_numpy_formula():
+    got = fit_vp(BUNDLED)
+    v_p, var_mod, var_cl, residuals, _ = _numpy_fit(BUNDLED)
+    assert (got.v_p_fitted, got.variance_modified, got.variance_classical) == (
+        v_p, var_mod, var_cl)
+    assert got.residuals == tuple(residuals.tolist())
+
+
 def test_fit_result_rejects_broken_nesting():
     with pytest.raises(ValueError, match="nests"):
         FitResult(v_p_fitted=1e8, variance_modified=2.0, variance_classical=1.0,

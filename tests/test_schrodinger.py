@@ -28,6 +28,7 @@ from qfront.schrodinger import (
     make_plane_wave,
     propagate_classical,
 )
+from test_bits import PINS
 
 NAT = natural_units()
 
@@ -446,6 +447,19 @@ def test_cn_run_matches_dense_solves(shape, spacing):
     for x, got in zip(history, history[1:]):
         expected = cn @ x.reshape(-1)
         assert np.linalg.norm(got.reshape(-1) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+# The history pins of tests/test_bits.py, each run here after the tests before it.
+@pytest.mark.parametrize("name", [pin[12:] for pin in PINS if pin.startswith("history 1-D ")])
+def test_pinned_1d_histories(name):
+    run, *args, digest = PINS[f"history 1-D {name}"]
+    assert run(*args) == digest
+
+
+@pytest.mark.parametrize("name", ["2-D free", "2-D potential", "3-D free", "3-D potential"])
+def test_pinned_nd_histories(name):
+    run, *args, digest = PINS[f"history {name}"]
+    assert run(*args) == digest
 
 
 def electron_packet_48():
