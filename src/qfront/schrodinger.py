@@ -390,6 +390,7 @@ class ClassicalSolution:
         object.__setattr__(self, "history", history)
         if not (self.initial_norm > 0.0 and math.isfinite(self.initial_norm)):
             raise ValueError("initial_norm must be positive and finite")
+        object.__setattr__(self, "first_step", _count(self.first_step, "first_step"))
         if self.first_step < 0 or not math.isfinite(self.start_time):
             raise ValueError("first_step must be >= 0 and start_time finite")
 

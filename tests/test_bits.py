@@ -234,9 +234,14 @@ def test_readme_numbers_hold(tmp_path_factory, config):
     density = np.abs(read_field_csv(directory / "run_state.csv").values) ** 2
     centroid = np.sum(np.arange(len(density)) * density) / np.sum(density)
     fit = json.loads(got["stdouts"][readme_commands().index(["fit", "--use-bundled"])])
+    argv = next(argv for argv in readme_commands() if argv[0] == "propagate")
     text = " ".join(README.read_text().split())
     # The quote, the number it states, half a unit of its last digit, the run's number.
     for quote, stated, tolerance, value in [
+            ("a 1 nm box", 1e-9, 0.5e-9,
+             (run["grid"]["shape"][0] - 1) * run["grid"]["spacing"][0]),
+            ("from 2 to 5.6 angstrom", 2e-10, 0.5e-10,
+             float(argv[argv.index("--gaussian-center") + 1])),
             ("to 5.6 angstrom", 5.6e-10, 0.05e-10, centroid * run["grid"]["spacing"][0]),
             ("keeps 126 of its 251 states", 126, 0, modified["retained_snapshots"]),
             ("v_P = 1.30e8 m/s", 1.30e8, 0.005e8, fit["v_p_fitted_m_per_s"]),

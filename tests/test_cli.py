@@ -36,11 +36,9 @@ from qfront.schrodinger import (
 from test_bits import PINS, digest, readme, readme_commands
 
 GRID_1D = ["--shape", "64", "--spacing", str(1.0 / 63)]
-
-
-def write_zero_traveltime(path, n=64):
-    g = Grid((n,), (1.0 / (n - 1),))
-    write_field_csv(ScalarField(g, np.zeros(n)), str(path))
+# A packet on GRID_1D for 10 steps of 1e-4 s: the run spans [0, 1e-3] s.
+PROPAGATE_64 = ["propagate", *GRID_1D, "--gaussian-center", "0.5", "--gaussian-width", "0.08",
+                "--mass", "1", "--dt", "1e-4", "--n-steps", "10", "--out-prefix", "run"]
 
 
 def write_constant_traveltime(path, value, n=64):
@@ -104,36 +102,6 @@ def test_eikonal_verify_analytic_with_two_sources(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
-def test_eikonal_verify_analytic_rejects_speed_field(tmp_path, capsys):
-    speed = tmp_path / "v.csv"
-    write_field_csv(ScalarField(Grid((16,), (1.0,)), np.ones(16)), str(speed))
-    code = main(
-        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
-         "--speed-csv", str(speed), "--out", str(tmp_path / "tt.csv"),
-         "--verify-analytic"]
-    )
-    assert code == 2
-    assert "--verify-analytic" in capsys.readouterr().err
-
-
-def test_eikonal_requires_speed(tmp_path, capsys):
-    code = main(
-        ["eikonal", "--shape", "8", "--spacing", "1",
-         "--source", "4", "--out", str(tmp_path / "t.csv")]
-    )
-    assert code == 2
-    assert "--speed" in capsys.readouterr().err
-
-
-def test_eikonal_rejects_out_of_range_source(tmp_path, capsys):
-    code = main(
-        ["eikonal", "--shape", "8", "--spacing", "1", "--source", "9",
-         "--speed", "1", "--out", str(tmp_path / "t.csv")]
-    )
-    assert code == 2
-    assert "--source" in capsys.readouterr().err
-
-
 def test_eikonal_leaves_no_partial_file(tmp_path, capsys):
     missing_dir = tmp_path / "no_such_dir" / "tt.csv"
     code = main(
@@ -163,7 +131,7 @@ def test_propagate_zero_steps_reproduces_initial(tmp_path, capsys):
 
 def test_propagate_zero_traveltime_is_byte_identical(tmp_path):
     tt = tmp_path / "tt.csv"
-    write_zero_traveltime(tt)
+    write_constant_traveltime(tt, 0.0)
     common = ["propagate", *GRID_1D, "--gaussian-center", "0.5",
               "--gaussian-width", "0.08", "--mass", "1",
               "--dt", "1e-4", "--n-steps", "25"]
@@ -374,177 +342,6 @@ def test_propagate_compare_a8_defaults_to_last_step_with_successor(tmp_path):
     assert (tmp_path / "a8_predicted.csv").exists()
 
 
-def test_propagate_localtime_requires_vp(tmp_path, capsys):
-    tt = tmp_path / "tt.csv"
-    write_constant_traveltime(tt, 4e-4)
-    lt = tmp_path / "lt.csv"
-    code = main(
-        ["propagate", *GRID_1D, "--mode", "modified",
-         "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-         "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
-         "--traveltime", str(tt), "--localtime-out", str(lt),
-         "--out-prefix", str(tmp_path / "run")]
-    )
-    assert code == 2
-    assert "--vp" in capsys.readouterr().err
-    assert not lt.exists()
-
-
-@pytest.mark.parametrize("flag", ["--initial", "--potential", "--traveltime"])
-def test_propagate_field_inputs_check_shape_and_path(tmp_path, capsys, flag):
-    wrong = tmp_path / "wrong.csv"
-    write_zero_traveltime(wrong, n=32)
-    base = ["propagate", *GRID_1D, "--mode", "modified",
-            "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
-            "--out-prefix", str(tmp_path / "run")]
-    if flag != "--initial":
-        base += ["--gaussian-center", "0.5", "--gaussian-width", "0.08"]
-    if flag != "--traveltime":
-        zero = tmp_path / "zero.csv"
-        write_zero_traveltime(zero)
-        base += ["--traveltime", str(zero)]
-    assert main(base + [flag, str(wrong)]) == 2
-    assert (f"{flag}: file shape (32,) does not match --shape (64,)"
-            in capsys.readouterr().err)
-    missing = tmp_path / "missing.csv"
-    assert main(base + [flag, str(missing)]) == 2
-    assert f"{flag}: no such file: {missing}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("spacing, file_shape", [
-    ("1", (4, 4)),  # a 2-D file for a 1-D grid
-    ("1e307", (20,)),  # 20 cells at this spacing would overflow the last coordinate
-])
-def test_a_field_input_of_another_shape_reports_the_shape_mismatch(tmp_path, capsys,
-                                                                    spacing, file_shape):
-    potential = tmp_path / "u.csv"
-    write_field_csv(ScalarField(Grid(file_shape, (1.0,) * len(file_shape)),
-                                np.zeros(file_shape)), potential)
-    assert main(["propagate", "--shape", "16", "--spacing", spacing, "--potential",
-                 str(potential), "--gaussian-center", "8", "--gaussian-width", "2",
-                 "--dt", "1e-4", "--n-steps", "2", "--out-prefix", str(tmp_path / "r")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --potential: file shape {file_shape} does not match --shape (16,)\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.csv"]
-
-
-def test_eikonal_speed_csv_checks_shape(tmp_path, capsys):
-    speed = tmp_path / "v.csv"
-    write_field_csv(ScalarField(Grid((8,), (1.0,)), np.ones(8)), str(speed))
-    code = main(
-        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
-         "--speed-csv", str(speed), "--out", str(tmp_path / "tt.csv")]
-    )
-    assert code == 2
-    assert ("--speed-csv: file shape (8,) does not match --shape (16,)"
-            in capsys.readouterr().err)
-
-
-@pytest.mark.parametrize("flag", ["--potential", "--traveltime", "--speed-csv"])
-def test_real_field_inputs_reject_complex_csv(tmp_path, capsys, flag):
-    g = Grid((64,), (1.0 / 63,))
-    complex_csv = tmp_path / "complex.csv"
-    write_field_csv(ComplexField(g, np.full(64, 1.0 + 0.5j)), str(complex_csv))
-    if flag == "--speed-csv":
-        argv = ["eikonal", *GRID_1D, "--source", "3", "--out", str(tmp_path / "tt.csv")]
-    else:
-        zero = tmp_path / "zero.csv"
-        write_zero_traveltime(zero)
-        argv = ["propagate", *GRID_1D, "--mode", "modified",
-                "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-                "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
-                "--out-prefix", str(tmp_path / "run")]
-        if flag == "--potential":
-            argv += ["--traveltime", str(zero)]
-    assert main(argv + [flag, str(complex_csv)]) == 2
-    assert f"{flag}: complex values for a real-valued field" in capsys.readouterr().err
-    assert {p.name for p in tmp_path.iterdir()} <= {"complex.csv", "zero.csv"}
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--origin", "nan"),
-    ("--origin", "inf"),
-    ("--gaussian-width", "nan"),
-    ("--gaussian-width", "inf"),
-    ("--gaussian-center", "nan"),
-    ("--gaussian-carrier", "nan"),
-])
-def test_propagate_rejects_non_finite_geometry_and_packet(tmp_path, capsys, flag, value):
-    args = {"--gaussian-center": "0.5", "--gaussian-width": "0.08", flag: value}
-    argv = ["propagate", *GRID_1D, "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
-            "--out-prefix", str(tmp_path / "run")]
-    for name, text in args.items():
-        argv += [name, text]
-    assert main(argv) == 2  # warnings are errors here, so none may come first
-    assert flag in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("radius", ["inf", "nan"])
-def test_eikonal_rejects_non_finite_ball_radius(tmp_path, capsys, radius):
-    out = tmp_path / "tt.csv"
-    code = main(
-        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
-         "--speed", "1", "--source-ball-radius", radius, "--out", str(out)]
-    )
-    assert code == 2
-    assert "--source-ball-radius: must be finite and >= 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-def test_eikonal_rejects_non_positive_or_non_finite_speed(tmp_path, capsys, value):
-    out = tmp_path / "tt.csv"
-    code = main(
-        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
-         "--speed", value, "--out", str(out)]
-    )
-    assert code == 2
-    assert "--speed: must be positive and finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
-def test_eikonal_rejects_non_positive_or_non_finite_speed_csv(tmp_path, capsys, value):
-    speed = tmp_path / "v.csv"
-    speeds = np.ones(16)
-    speeds[7] = value
-    write_field_csv(ScalarField(Grid((16,), (1.0,)), speeds), str(speed))
-    code = main(
-        ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3",
-         "--speed-csv", str(speed), "--out", str(tmp_path / "tt.csv")]
-    )
-    assert code == 2
-    assert "--speed-csv: speed must be positive and finite" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.csv"]
-
-
-@pytest.mark.parametrize("cell, value, message", [
-    pytest.param(3, math.nan, "state contains non-finite values", id="nan"),
-    pytest.param(3, math.inf, "state contains non-finite values", id="inf"),
-    pytest.param(0, 1.0, "state does not vanish on the boundary cell layer", id="boundary"),
-    pytest.param(None, 0.0, "initial state has zero norm", id="zero"),
-])
-@pytest.mark.parametrize("shape", [(64,), (12, 10)])
-def test_propagate_rejects_non_finite_initial_state(tmp_path, capsys, shape, cell, value,
-                                                    message):
-    # A state propagate_classical would reject is blamed on --initial before any step.
-    g = Grid(shape, tuple(1.0 / (n - 1) for n in shape))
-    values = gaussian_packet(g, tuple(0.5 for _ in shape), 0.2).values.copy()
-    values[... if cell is None else (cell,) * len(shape)] = value
-    initial = tmp_path / "initial.csv"
-    write_field_csv(ComplexField(g, values), str(initial))
-    code = main(
-        ["propagate", "--shape", ",".join(map(str, shape)),
-         "--spacing", ",".join(str(s) for s in g.spacing),
-         "--initial", str(initial), "--mass", "1", "--dt", "1e-4",
-         "--n-steps", "5", "--out-prefix", str(tmp_path / "run")]
-    )
-    assert code == 2
-    assert f"error: --initial: {message}" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["initial.csv"]
-
-
 def test_propagate_localtime_output(tmp_path):
     tt = tmp_path / "tt.csv"
     write_constant_traveltime(tt, 4e-4)
@@ -566,117 +363,18 @@ def test_propagate_localtime_output(tmp_path):
     assert ",F" not in text
 
 
-MODIFIED_WITH_LOCALTIME = [
-    "propagate", *GRID_1D, "--mode", "modified",
-    "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-    "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
-    "--traveltime", "tt.csv", "--localtime-out", "lt.csv", "--out-prefix", "run",
-]
-
-
-@pytest.mark.parametrize("vp", ["0", "-100", "nan"])
-@pytest.mark.parametrize("argv", [
-    MODIFIED_WITH_LOCALTIME,
-    ["dispersion", "--voltage", "54"],
-    ["compare", "--use-bundled", "--out", "layers.csv"],
-], ids=["propagate", "dispersion", "compare"])
-def test_vp_must_be_positive(tmp_path, monkeypatch, capsys, argv, vp):
-    monkeypatch.chdir(tmp_path)
-    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
-    assert main(argv + ["--vp", vp]) == 2
-    assert "--vp" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
+MODIFIED_WITH_LOCALTIME = [*PROPAGATE_64, "--mode", "modified", "--traveltime", "tt64.csv",
+                           "--localtime-out", "lt.csv"]
 
 
 def test_infinite_vp_is_the_classical_limit(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    write_constant_traveltime(tmp_path / "tt.csv", 0.0)
+    write_constant_traveltime(tmp_path / "tt64.csv", 0.0)
     assert main(MODIFIED_WITH_LOCALTIME + ["--vp", "inf"]) == 0
     # front_tol = spacing / (2 v_P) = 0 and theta = t > 0 everywhere.
     rows = (tmp_path / "lt.csv").read_text().splitlines()[1:]
     assert {row.split(",")[-1] for row in rows} == {"P"}
     assert main(["dispersion", "--voltage", "54", "--vp", "inf"]) == 0
-
-
-@pytest.mark.parametrize("mode, flag", [
-    ("classical", "--traveltime"),
-    ("classical", "--localtime-out"),
-    ("compare-a8", "--localtime-out"),
-])
-def test_propagate_rejects_flags_the_mode_ignores(tmp_path, monkeypatch, capsys, mode, flag):
-    monkeypatch.chdir(tmp_path)
-    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
-    argv = ["propagate", *GRID_1D, "--mode", mode,
-            "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-            "--mass", "1", "--dt", "1e-4", "--n-steps", "10", "--vp", "100",
-            "--out-prefix", "run", flag, "tt.csv" if flag == "--traveltime" else "lt.csv"]
-    if mode != "classical":
-        argv += ["--traveltime", "tt.csv"]
-    assert main(argv) == 2
-    assert flag in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
-
-
-def test_propagate_modified_requires_traveltime(tmp_path, capsys):
-    code = main(
-        ["propagate", *GRID_1D, "--mode", "modified",
-         "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-         "--mass", "1", "--dt", "1e-4", "--n-steps", "5",
-         "--out-prefix", str(tmp_path / "run")]
-    )
-    assert code == 2
-    assert "--traveltime" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("mode", ["classical", "modified", "compare-a8"])
-@pytest.mark.parametrize("eval_time", ["nan", "inf", "-0.0001", "1.1e-3"])
-def test_propagate_rejects_eval_time_outside_the_run(tmp_path, monkeypatch, capsys,
-                                                     mode, eval_time):
-    # The run spans [0, 10 * 1e-4] s; the check comes before any step.
-    monkeypatch.chdir(tmp_path)
-    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
-    argv = ["propagate", *GRID_1D, "--mode", mode,
-            "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-            "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
-            "--eval-time", eval_time, "--out-prefix", "run"]
-    if mode != "classical":
-        argv += ["--traveltime", "tt.csv"]
-    assert main(argv) == 2
-    assert "--eval-time" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
-
-
-@pytest.mark.parametrize("mode, flag, value", [
-    # Only mode modified interpolates between steps; compare-a8 also needs a
-    # step on each side of the evaluation step.
-    ("classical", "--eval-time", "1.5e-4"),
-    ("compare-a8", "--eval-time", "1.5e-4"),
-    ("compare-a8", "--eval-time", "0"),
-    ("compare-a8", "--eval-time", "1e-3"),
-    ("compare-a8", "--n-steps", "1"),
-])
-def test_propagate_rejects_what_the_mode_cannot_run_before_any_step(
-        tmp_path, monkeypatch, capsys, mode, flag, value):
-    monkeypatch.chdir(tmp_path)
-    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
-    argv = ["propagate", *GRID_1D, "--mode", mode,
-            "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-            "--mass", "1", "--dt", "1e-4", "--n-steps", "10",
-            "--out-prefix", "run", flag, value]
-    if mode != "classical":
-        argv += ["--traveltime", "tt.csv"]
-    assert main(argv) == 2
-    assert f"error: {flag}: must be " in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["tt.csv"]
-
-
-def test_propagate_history_window_flag_is_gone(tmp_path, capsys):
-    argv = ["propagate", *GRID_1D, "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-            "--dt", "1e-4", "--n-steps", "5", "--history-window", "4",
-            "--out-prefix", str(tmp_path / "run")]
-    assert main(argv) == 2
-    assert "unrecognized arguments: --history-window 4" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_propagate_eval_time_matches_the_last_step_to_round_off(tmp_path):
@@ -688,25 +386,6 @@ def test_propagate_eval_time_matches_the_last_step_to_round_off(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "run_state.csv").exists()
-
-
-@pytest.mark.parametrize("shape, spacing, centre", [
-    ("2", "1", "0.5"),
-    ("2,5", "1,1", "0.5,2"),
-    ("5,2", "1,1", "2,0.5"),
-])
-def test_propagate_needs_an_interior_cell_on_every_axis(tmp_path, capsys, shape, spacing,
-                                                        centre):
-    code = main(
-        ["propagate", "--shape", shape, "--spacing", spacing,
-         "--gaussian-center", centre, "--gaussian-width", "0.5",
-         "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
-         "--out-prefix", str(tmp_path / "run")]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--shape" in err and "fewer than 3 cells" in err
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("error, code", [(ConvergenceError, 1), (HistoryWindowError, 1),
@@ -790,32 +469,6 @@ def test_dispersion_classical_limit(capsys):
     assert row["v_gr_l_m_per_s"] == row["v_gr_m_per_s"]
 
 
-def test_dispersion_requires_speed_choice(capsys):
-    assert main(["dispersion", "--voltage", "54"]) == 2
-    assert "--vp" in capsys.readouterr().err
-
-
-def test_dispersion_rejects_vp_with_classical(capsys):
-    assert main(["dispersion", "--vp", "1e8", "--classical", "--voltage", "54"]) == 2
-    captured = capsys.readouterr()
-    assert "--classical" in captured.err and "--vp" in captured.err
-    assert captured.out == ""
-
-
-def test_dispersion_requires_particles(capsys):
-    assert main(["dispersion", "--vp", "1.3e8"]) == 2
-    assert "--voltage" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", ["--voltage", "--speed"])
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-def test_dispersion_rejects_non_positive_or_non_finite_particles(capsys, flag, value):
-    assert main(["dispersion", "--vp", "1.3e8", flag, value]) == 2
-    captured = capsys.readouterr()
-    assert f"{flag}" in captured.err and "positive and finite" in captured.err
-    assert captured.out == ""
-
-
 # --- fit ---------------------------------------------------------------------------
 
 def test_fit_generate_noiseless_recovers_speed(tmp_path, capsys):
@@ -845,74 +498,27 @@ def test_fit_data_roundtrip(tmp_path, capsys):
     assert doc["v_p_fitted_m_per_s"] == pytest.approx(1.1e8, rel=1e-6)
 
 
-def test_fit_data_out_needs_generate(tmp_path, capsys):
-    out = tmp_path / "rec.csv"
-    assert main(["fit", "--use-bundled", "--data-out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "--data-out" in captured.err and captured.out == ""
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_fit_prints_the_bytes_it_writes(tmp_path, capsys):
     out = tmp_path / "fit.json"
     assert main(["fit", "--use-bundled", "--out", str(out)]) == 0
     assert capsys.readouterr().out == out.read_text()
 
 
-def test_fit_malformed_csv_names_line(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text(f"{RECORDS_CSV_HEADER}\n54.0,1.67e-10\nbogus\n")
-    assert main(["fit", "--data", str(bad)]) == 2
-    assert "bad.csv:3" in capsys.readouterr().err
+def write_clamped_records(path) -> None:
+    """Ten records 0.1% longer than the classical wavelengths, so the fit
+    clamps to the classical limit."""
+    with open(path, "w") as fh:
+        fh.write(RECORDS_CSV_HEADER + "\n")
+        for rec in synthesize_records(10, math.inf, seed=4):
+            fh.write(f"{rec.voltage:.17g},{rec.wavelength_exp * 1.001:.17g}\n")
 
 
 def test_fit_clamped_reports_null(tmp_path, capsys):
-    data = tmp_path / "classical.csv"
-    records = synthesize_records(10, math.inf, seed=4)
-    with open(data, "w") as fh:
-        fh.write(RECORDS_CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(f"{rec.voltage:.17g},{rec.wavelength_exp * 1.001:.17g}\n")
-    assert main(["fit", "--data", str(data)]) == 0
+    write_clamped_records(tmp_path / "classical.csv")
+    assert main(["fit", "--data", str(tmp_path / "classical.csv")]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["v_p_fitted_m_per_s"] is None
     assert doc["clamped_to_classical"] is True
-    capsys.readouterr()
-    assert main(
-        ["fit", "--data", str(data), "--curves", str(tmp_path / "c.csv")]
-    ) == 2
-
-
-def test_fit_clamped_with_curves_writes_nothing(tmp_path, capsys):
-    data = tmp_path / "classical.csv"
-    records = synthesize_records(10, math.inf, seed=4)
-    with open(data, "w") as fh:
-        fh.write(RECORDS_CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(f"{rec.voltage:.17g},{rec.wavelength_exp * 1.001:.17g}\n")
-    out = tmp_path / "f.json"
-    assert main(["fit", "--data", str(data), "--out", str(out),
-                 "--curves", str(tmp_path / "c.csv")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--curves: fit clamped" in captured.err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["classical.csv"]
-
-
-@pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
-def test_fit_generate_rejects_bad_noise(capsys, noise):
-    assert main(["fit", "--generate", "n=5", f"noise={noise}"]) == 2
-    captured = capsys.readouterr()
-    assert "--generate: noise_relative must be non-negative" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("pair", ["vP", "foo=1"])
-def test_fit_generate_rejects_a_pair_that_is_not_a_key_value(capsys, pair):
-    assert main(["fit", "--generate", "n=5", pair]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == ("error: --generate: expected key=value with key in "
-                            f"vP/n/seed/noise/vmin/vmax, got '{pair}'\n")
-    assert captured.out == ""
 
 
 def test_fit_curves_writes_the_layers_compare_writes(tmp_path, capsys):
@@ -921,24 +527,6 @@ def test_fit_curves_writes_the_layers_compare_writes(tmp_path, capsys):
     assert capsys.readouterr().err == f"wrote {tmp_path / 'curves.csv'}\n"
     assert main(["compare", *generate, "--out", str(tmp_path / "layers.csv")]) == 0
     assert (tmp_path / "curves.csv").read_bytes() == (tmp_path / "layers.csv").read_bytes()
-
-
-@pytest.mark.parametrize("subcommand", ["fit", "compare"])
-@pytest.mark.parametrize("points", ["0", "1", "-3", "2.5"])
-def test_curve_points_must_be_a_positive_integer(tmp_path, capsys, subcommand, points):
-    # A curve needs two ends: one point would draw curveA,0,0 and curveB,0,0.
-    out = tmp_path / "layers.csv"
-    flag = "--curves" if subcommand == "fit" else "--out"
-    assert main([subcommand, "--use-bundled", "--curve-points", points, flag, str(out)]) == 2
-    assert "--curve-points: must be an integer >= 2" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_fit_requires_exactly_one_source(tmp_path, capsys):
-    assert main(["fit"]) == 2
-    assert main(
-        ["fit", "--data", str(tmp_path / "x.csv"), "--generate", "n=5"]
-    ) == 2
 
 
 def test_fit_bundled_dataset(capsys):
@@ -1029,19 +617,11 @@ def test_compare_ratio_too_wide_for_three_decimals_is_exponential(tmp_path, caps
 
 
 def test_compare_clamped_needs_explicit_vp(tmp_path, capsys):
+    # Without --vp, a clamped fit is a usage error (USAGE_ERRORS).
     data = tmp_path / "classical.csv"
-    records = synthesize_records(10, math.inf, seed=4)
-    with open(data, "w") as fh:
-        fh.write(RECORDS_CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(f"{rec.voltage:.17g},{rec.wavelength_exp * 1.001:.17g}\n")
+    write_clamped_records(data)
     out = tmp_path / "layers.csv"
-    assert main(["compare", "--data", str(data), "--out", str(out)]) == 2
-    assert "clamped" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(
-        ["compare", "--data", str(data), "--vp", "1.3e8", "--out", str(out)]
-    ) == 0
+    assert main(["compare", "--data", str(data), "--vp", "1.3e8", "--out", str(out)]) == 0
     assert out.exists()
     # The modified model at --vp, not the clamped fit's classical variance.
     summary = capsys.readouterr().out.splitlines()[-1]
@@ -1061,16 +641,10 @@ def test_subcommand_help_mentions_units(subcommand, capsys):
     assert "m/s" in text or "meters" in text
 
 
-def test_no_subcommand_is_usage_error(capsys):
-    assert main([]) == 2
-
-
-def test_unknown_flag_is_usage_error(capsys):
-    assert main(["dispersion", "--nope"]) == 2
-
-
 EIKONAL = ["eikonal", "--shape", "16", "--spacing", "1", "--source", "3", "--speed", "1",
            "--out", "tt.csv"]
+# EIKONAL without a speed, for rows that give --speed-csv or none.
+EIKONAL_CSV = ["eikonal", "--shape", "16", "--spacing", "1", "--out", "tt.csv", "--source", "3"]
 PROPAGATE = ["propagate", "--shape", "16", "--spacing", "1", "--gaussian-center", "8",
              "--gaussian-width", "2", "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
              "--out-prefix", "run"]
@@ -1083,132 +657,316 @@ ELECTRON_1D = ["propagate", "--shape", "64", "--spacing", "1e-11", "--gaussian-c
 ELECTRON_2D = ["propagate", "--shape", "64,64", "--spacing", "1e-11,1e-11",
                "--gaussian-center", "3e-10,3e-10", "--gaussian-width", "4e-11",
                "--n-steps", "3", "--out-prefix", "big"]
+TRAVELTIME_64 = [*PROPAGATE_64, "--traveltime", "tt64.csv"]
+# Each --initial base reads a file of its shape, e.g. nan_init12x10.csv.
+INITIAL_BASES = {
+    "64": ["propagate", *GRID_1D, "--mass", "1", "--dt", "1e-4", "--n-steps", "5",
+           "--out-prefix", "run"],
+    "12x10": ["propagate", "--shape", "12,10", "--spacing", f"{1 / 11},{1 / 9}", "--mass", "1",
+              "--dt", "1e-4", "--n-steps", "5", "--out-prefix", "run"],
+}
+# name -> (cell, value, message): a packet with cell (on every axis; None: all)
+# set to value, which propagate_classical would reject, as --initial rejects it.
+BAD_INITIAL = {
+    "nan": (3, math.nan, "state contains non-finite values"),
+    "inf": (3, math.inf, "state contains non-finite values"),
+    "edge": (0, 1.0, "state does not vanish on the boundary cell layer"),
+    "zero": (None, 0.0, "initial state has zero norm"),
+}
+# flag -> a run on GRID_1D that reads that field input once the flag is added.
+FIELD_INPUT_BASES = {
+    "--initial": [*INITIAL_BASES["64"], "--mode", "modified", "--traveltime", "tt64.csv"],
+    "--potential": [*TRAVELTIME_64, "--mode", "modified"],
+    "--traveltime": [*PROPAGATE_64, "--mode", "modified"],
+}
+# mode -> (the window its --eval-time error states, times outside it).  The
+# run of PROPAGATE_64 spans [0, 1e-3] s; only mode modified interpolates
+# between steps, and compare-a8 needs a step on each side of the evaluation.
+EVAL_WINDOWS = {
+    "classical": ("a step time in [0.0, 0.001] s", ["-0.0001", "1.1e-3", "1.5e-4"]),
+    "modified": ("a time in [0.0, 0.001] s", ["-0.0001", "1.1e-3"]),
+    "compare-a8": ("a step time in [0.0001, 0.0009000000000000001] s",
+                   ["-0.0001", "1.1e-3", "1.5e-4", "0", "1e-3"]),
+}
 
 GRID = "--shape/--spacing/--origin"
 PACKET = "--gaussian-center/--gaussian-width/--gaussian-carrier"
+STEP = "--shape/--spacing/--potential/--mass/--dt"
 
-# Usage errors: argv, and the flags the last line of stderr must name (the
-# usage text argparse prints above it names every flag).  A repeated flag
-# takes its last value; --source appends a cell.  Rows read the files that
-# write_usage_error_inputs writes.
+# Usage errors: argv, and the flag and message that the last line of stderr
+# must contain (the usage text argparse prints above it names every flag).  A
+# repeated flag takes its last value; --source appends a cell.  A row that
+# varies two flags gives them as --flag=value, so its id names both.  Rows
+# read the files that write_usage_error_inputs writes.
 USAGE_ERRORS = [
-    (EIKONAL + ["--shape", "10.5"], "--shape"),
-    (EIKONAL + ["--spacing", "1,a"], "--spacing"),
-    (PROPAGATE + ["--origin", "x"], "--origin"),
-    (EIKONAL + ["--source", "1.5"], "--source"),
-    (PROPAGATE + ["--gaussian-center", "a"], "--gaussian-center"),
-    (EIKONAL + ["--speed", "0"], "--speed"),
-    (EIKONAL + ["--speed-csv", "v.csv"], "--speed-csv"),  # as well as --speed
-    (EIKONAL + ["--speed", "1e-320"], "--speed"),  # 1/speed overflows
-    (EIKONAL + ["--speed", "1e-300"], "--speed"),  # (1/speed)**2 overflows
-    (EIKONAL + ["--source-ball-radius", "nan"], "--source-ball-radius"),
-    (EIKONAL + ["--spacing", "5e-324"], GRID),  # 1/spacing**2 overflows
-    (EIKONAL + ["--spacing", "1e-320"], GRID),
-    (EIKONAL + ["--spacing", "1e-300"], GRID),  # spacing**2 underflows to 0
-    (EIKONAL + ["--spacing", "1e300"], GRID),  # the squared extent overflows
+    ([], "the following arguments are required: subcommand"),
+    (["dispersion", "--voltage", "54", "--vp", "1.3e8", "--nope"],
+     "unrecognized arguments: --nope"),
+    (EIKONAL + ["--shape", "10.5"], "--shape: invalid comma-separated int value: '10.5'"),
+    (EIKONAL + ["--spacing", "1,a"], "--spacing: invalid comma-separated float value: '1,a'"),
+    (PROPAGATE + ["--origin", "x"], "--origin: invalid comma-separated float value: 'x'"),
+    (EIKONAL + ["--source", "1.5"], "--source: invalid comma-separated int value: '1.5'"),
+    (EIKONAL + ["--source", "16"], "--source: source cell (16,) outside grid (16,)"),
+    (PROPAGATE + ["--gaussian-center", "a"],
+     "--gaussian-center: invalid comma-separated float value: 'a'"),
+    *[(EIKONAL + ["--speed", speed], "--speed: must be positive and finite")
+      for speed in ["0", "inf", "nan", "-1"]],
+    (EIKONAL_CSV, "one of the arguments --speed --speed-csv is required"),
+    (EIKONAL + ["--speed-csv", "v.csv"], "--speed-csv: not allowed with argument --speed"),
+    (EIKONAL + ["--speed", "1e-320"], "--speed: speed 1e-320 is so small that 1/speed overflows"),
+    (EIKONAL + ["--speed", "1e-300"],
+     "--speed: speed 1e-300 is so small that (1/speed)**2 overflows"),
+    *[(EIKONAL_CSV + ["--speed-csv", f"{name}_speed.csv"],
+       "--speed-csv: speed must be positive and finite") for name in ["nan", "inf", "zero"]],
+    (EIKONAL_CSV + ["--speed-csv", "cells32.csv"],
+     "--speed-csv: file shape (32,) does not match --shape (16,)"),
+    (["eikonal", *GRID_1D, "--source", "3", "--out", "tt.csv", "--speed-csv", "complex.csv"],
+     "--speed-csv: complex values for a real-valued field"),
+    *[(EIKONAL + ["--source-ball-radius", radius], "--source-ball-radius: must be finite and >= 0")
+      for radius in ["nan", "inf"]],
+    # 1/spacing**2 overflows, or spacing**2 underflows to 0.
+    *[(EIKONAL + ["--spacing", spacing],
+       f"{GRID}: spacing {spacing} is so small that 1/spacing**2 overflows")
+      for spacing in ["5e-324", "1e-320", "1e-300"]],
+    (EIKONAL + ["--spacing", "1e300"], f"{GRID}: the squared grid extent overflows"),
     (["eikonal", "--shape", "16,16", "--spacing", "1e300,1e300", "--source", "3,3",
-      "--speed", "1", "--out", "tt.csv"], GRID),
-    (EIKONAL + ["--spacing", "1.7e308"], GRID),  # the extent overflows
+      "--speed", "1", "--out", "tt.csv"], f"{GRID}: the squared grid extent overflows"),
+    (EIKONAL + ["--spacing", "1.7e308"],
+     f"{GRID}: the last cell's coordinate 0.0 + 1.7e+308 * 15 overflows on axis 0"),
     # t_P squared overflows in the march beyond the seed ball, leaving t_P inf.
-    (EIKONAL + ["--spacing", "1e150", "--speed", "1e-100"], "--speed"),
-    (EIKONAL + ["--shape", "4", "--verify-analytic"], "--verify-analytic"),  # no cell 5 away
-    (["eikonal", "--shape", "16", "--spacing", "1", "--source", "3", "--out", "tt.csv",
-      "--speed-csv", "ones.csv", "--verify-analytic"], "--verify-analytic"),
-    (PROPAGATE + ["--potential", "nan_potential.csv"], "--potential"),
+    (EIKONAL + ["--spacing", "1e150", "--speed", "1e-100"],
+     "--speed: the squared traveltimes overflow in the upwind update"),
+    (EIKONAL + ["--shape", "4", "--verify-analytic"],
+     "--verify-analytic: no cell lies beyond 5.0 cells of the source"),
+    (EIKONAL_CSV + ["--speed-csv", "ones.csv", "--verify-analytic"],
+     "--verify-analytic: the analytic cone needs a uniform speed"),
+    (PROPAGATE + ["--potential", "nan_potential.csv"],
+     "--potential: potential contains non-finite values"),
+    (PROPAGATE + ["--potential", "cells4x4.csv"],  # a 2-D file for a 1-D grid
+     "--potential: file shape (4, 4) does not match --shape (16,)"),
+    # 32 cells at this spacing would overflow the last coordinate.
+    (PROPAGATE + ["--potential", "cells32.csv", "--spacing", "1e307"],
+     "--potential: file shape (32,) does not match --shape (16,)"),
+    *[(FIELD_INPUT_BASES[flag] + [flag, name], f"{flag}: {message}")
+      for flag in FIELD_INPUT_BASES
+      for name, message in [("cells32.csv", "file shape (32,) does not match --shape (64,)"),
+                            ("missing.csv", "no such file: missing.csv")]],
+    *[(FIELD_INPUT_BASES[flag] + [flag, "complex.csv"],
+       f"{flag}: complex values for a real-valued field")
+      for flag in ["--potential", "--traveltime"]],
+    *[(INITIAL_BASES[shape] + ["--initial", f"{name}_init{shape}.csv"], f"--initial: {message}")
+      for shape in INITIAL_BASES for name, (_, _, message) in BAD_INITIAL.items()],
     # Each number flag is typed, so argparse names it alone.
-    (PROPAGATE + ["--dt", "-1"], "--dt"),
-    (PROPAGATE + ["--mass", "0"], "--mass"),
-    (PROPAGATE + ["--gaussian-width", "0"], "--gaussian-width"),
-    (PROPAGATE + ["--gaussian-carrier", "inf"], "--gaussian-carrier"),
-    # The carrier phase 2*pi*wavenumber*x overflows.
-    (["propagate", "--shape", "64", "--gaussian-center", "3e301", "--gaussian-width", "1e150",
-      "--gaussian-carrier", "1e10", "--dt", "1e-5", "--n-steps", "2", "--out-prefix", "r",
-      "--spacing", "1e300"], PACKET),
-    (PROPAGATE + ["--gaussian-center", "1e300", "--gaussian-carrier", "1e10",
-                  "--origin", "1e300"], PACKET),
-    (PROPAGATE + ["--gaussian-center", "1.7e308", "--gaussian-carrier", "1",
-                  "--origin", "1.7e308"], PACKET),
-    (PROPAGATE + ["--gaussian-carrier", "1.7e308"], PACKET),
-    (PROPAGATE + ["--spacing", "1.7e308"], GRID),  # the cell coordinates overflow
-    (PROPAGATE + ["--n-steps", "-3"], "--n-steps"),
-    (PROPAGATE + ["--save-every", "-2"], "--save-every"),
-    (PROPAGATE + ["--eval-time", "inf"], "--eval-time"),
-    (ELECTRON_1D + ["--dt", "2e-19", "--eval-time", "1e300"], "--eval-time"),  # its step overflows
-    (PROPAGATE + ["--mode", "compare-a8", "--traveltime", "inf_tt.csv"], "--traveltime"),
+    (PROPAGATE + ["--dt", "-1"], "--dt: must be positive and finite"),
+    (PROPAGATE + ["--mass", "0"], "--mass: must be positive and finite"),
+    *[(PROPAGATE + ["--gaussian-width", width], "--gaussian-width: must be positive and finite")
+      for width in ["0", "nan", "inf"]],
+    *[(PROPAGATE + ["--gaussian-carrier", carrier], "--gaussian-carrier: must be finite")
+      for carrier in ["inf", "nan"]],
+    *[(PROPAGATE + ["--origin", origin], f"{GRID}: origin must be finite")
+      for origin in ["nan", "inf"]],
+    (PROPAGATE + ["--gaussian-center", "nan"], f"{PACKET}: center must be finite"),
+    *[(argv, f"{PACKET}: the carrier phase 2*pi*wavenumber*x overflows") for argv in [
+        ["propagate", "--shape", "64", "--gaussian-center", "3e301", "--gaussian-width", "1e150",
+         "--gaussian-carrier", "1e10", "--dt", "1e-5", "--n-steps", "2", "--out-prefix", "r",
+         "--spacing", "1e300"],
+        PROPAGATE + ["--gaussian-center", "1e300", "--gaussian-carrier", "1e10",
+                     "--origin", "1e300"],
+        PROPAGATE + ["--gaussian-center", "1.7e308", "--gaussian-carrier", "1",
+                     "--origin", "1.7e308"],
+        PROPAGATE + ["--gaussian-carrier", "1.7e308"]]],
+    (PROPAGATE + ["--spacing", "1.7e308"],  # the cell coordinates overflow
+     f"{GRID}: the last cell's coordinate 0.0 + 1.7e+308 * 15 overflows on axis 0"),
+    (PROPAGATE + ["--n-steps", "-3"], "--n-steps: must be an integer >= 0"),
+    (PROPAGATE + ["--save-every", "-2"], "--save-every: must be an integer >= 0"),
+    (PROPAGATE + ["--eval-time", "inf"], "--eval-time: must be finite"),
+    (ELECTRON_1D + ["--dt", "2e-19", "--eval-time", "1e300"],  # its step overflows
+     "--eval-time: must be a step time in [0.0, 6e-19] s in mode classical"),
+    # The checks against the run come before any step.
+    *[((PROPAGATE_64 if mode == "classical" else TRAVELTIME_64)
+       + [f"--mode={mode}", f"--eval-time={time}"],
+       f"--eval-time: must be {'finite' if time in ('nan', 'inf') else window}")
+      for mode, (window, outside) in EVAL_WINDOWS.items() for time in ["nan", "inf", *outside]],
+    (TRAVELTIME_64 + ["--mode=compare-a8", "--n-steps=1"],
+     "--n-steps: must be >= 2 in mode compare-a8, got 1"),
+    (PROPAGATE_64 + ["--mode", "modified"], "--traveltime is required for mode modified"),
+    (PROPAGATE + ["--mode", "compare-a8", "--traveltime", "inf_tt.csv"],
+     "--traveltime: t_P must be non-negative and finite"),
+    (MODIFIED_WITH_LOCALTIME, "--localtime-out needs the front speed --vp"),
+    *[(argv + ["--vp", vp], f"--vp: must be {rule}")
+      for argv, rule in [(MODIFIED_WITH_LOCALTIME, "a number > 0"),
+                         (["dispersion", "--voltage", "54"], "a number > 0"),
+                         (["compare", "--use-bundled", "--out", "layers.csv"],
+                          "positive and finite")]
+      for vp in ["0", "-100", "nan"]],
     # Flags the run would ignore.
-    (PROPAGATE + ["--initial", "init.csv"], "--initial"),  # with --gaussian-center
-    (PROPAGATE_INITIAL + ["--gaussian-width", "2"], "--gaussian-width"),
-    (PROPAGATE_INITIAL + ["--gaussian-carrier", "0.1"], "--gaussian-carrier"),
-    (PROPAGATE + ["--vp", "5"], "--vp"),  # without --traveltime
+    (TRAVELTIME_64 + ["--vp", "100", "--mode", "classical"],
+     "--traveltime is not used in mode classical"),
+    (PROPAGATE_64 + ["--localtime-out", "lt.csv", "--vp", "100"],
+     "--localtime-out needs mode modified, not classical"),
+    (MODIFIED_WITH_LOCALTIME + ["--vp", "100", "--mode", "compare-a8"],
+     "--localtime-out needs mode modified, not compare-a8"),
+    (PROPAGATE + ["--initial", "init.csv"],  # with --gaussian-center
+     "--initial: not allowed with argument --gaussian-center"),
+    (PROPAGATE_INITIAL + ["--gaussian-width", "2"], "--gaussian-width: not allowed with --initial"),
+    (PROPAGATE_INITIAL + ["--gaussian-carrier", "0.1"],
+     "--gaussian-carrier: not allowed with --initial"),
+    (PROPAGATE + ["--vp", "5"], "--vp: not allowed without --traveltime"),
     (["propagate", "--shape", "16", "--spacing", "1", "--gaussian-center", "8", "--mass", "1",
-      "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"], "--gaussian-center"),
-    (ELECTRON_1D + ["--dt", "1e300"], "--shape/--spacing/--potential/--mass/--dt"),
-    (ELECTRON_2D + ["--dt", "1e300"], "--shape/--spacing/--potential/--mass/--dt"),
+      "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"],
+     "--gaussian-center: needs --gaussian-width"),
+    (PROPAGATE_64 + ["--history-window", "4"], "unrecognized arguments: --history-window 4"),
+    *[(["propagate", "--gaussian-width", "0.5", "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
+        "--out-prefix", "run", "--spacing", spacing, "--gaussian-center", centre,
+        "--shape", ",".join(map(str, shape))],
+       f"{STEP}: grid shape {shape} has an axis of fewer than 3 cells")
+      for shape, spacing, centre in [((2,), "1", "0.5"), ((2, 5), "1,1", "0.5,2"),
+                                     ((5, 2), "1,1", "2,0.5")]],
+    (ELECTRON_1D + ["--dt", "1e300"], f"{STEP}: c*H = i*dt*H/(2*hbar) overflows at dt=1e+300"),
+    (ELECTRON_2D + ["--dt", "1e300"], f"{STEP}: c*H = i*dt*H/(2*hbar) overflows at dt=1e+300"),
     (ELECTRON_1D + ["--dt", "2e-19", "--spacing", "1e-200"],  # 1/spacing^2 overflows
-     "--shape/--spacing/--potential/--mass/--dt"),
-    (["dispersion", "--vp", "1.3e8", "--voltage", "nan"], "--voltage"),
-    # The wavenumber underflows to 0, so the table would divide by it.
-    (["dispersion", "--vp", "1.3e8", "--voltage", "1e-320"], "--voltage"),
-    (["dispersion", "--vp", "1.3e8", "--speed", "1e-320"], "--speed"),
-    (["fit", "--data", "missing.csv"], "--data"),
-    (["fit", "--data", "one_record.csv"], "--data"),
-    (["compare", "--out", "layers.csv", "--data", "one_record.csv"], "--data"),
-    (["fit", "--generate", "n=x"], "--generate"),
-    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e300"], "--generate"),  # speed overflows
-    # nu = eV/h overflows from about 7.4e293 V, before the speed does.
-    (["dispersion", "--vp", "1.3e8", "--voltage", "1e295"], "--voltage"),
-    (["dispersion", "--vp", "1.3e8", "--speed", "1e295"], "--speed"),
-    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e295"], "--generate"),
-    # np.linspace overflows in (n - 1) * step before it sets the last point.
-    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1.7976931348623157e+308"], "--generate"),
-    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e295", "--curves", "c.csv"], "--generate"),
-    (["fit", "--data", "big_voltage.csv"], "--data"),
-    (["fit", "--generate", "vP=1e-150", "n=8"], "--generate"),  # the squared residuals overflow
-    # The sum of nu**2 underflows to 0, or the sums overflow.
-    (["fit", "--generate", "vP=1.3e8", "n=8", "vmin=1e-200", "vmax=1e-199"], "--generate"),
-    (["fit", "--generate", "vP=1.3e8", "n=8", "vmin=1e139", "vmax=1e140"], "--generate"),
-    (["dispersion", "--vp", "1e-300", "--voltage", "54"], "--vp"),  # k_l overflows
-    (["compare", "--use-bundled", "--out", "layers.csv", "--vp", "1e-300"], "--vp"),
-    (["compare", "--use-bundled", "--out", "layers.csv", "--vp", "inf"], "--vp"),
+     f"{STEP}: c*H = i*dt*H/(2*hbar) overflows at dt=2e-19"),
     # The cell volume overflows, or underflows to 0.
     (["propagate", "--shape", "16,16", "--gaussian-center", "7e160,7e160", "--gaussian-width",
       "1e150", "--dt", "1e-19", "--n-steps", "2", "--out-prefix", "r",
-      "--spacing", "1e160,1e160"], "--shape/--spacing/--potential/--mass/--dt"),
+      "--spacing", "1e160,1e160"], f"{STEP}: the cell volume inf of spacing (1e+160, 1e+160)"),
     (["propagate", "--shape", "16,16,16", "--gaussian-center", "8e-110,8e-110,8e-110",
       "--gaussian-width", "2e-110", "--dt", "1e-300", "--n-steps", "2", "--out-prefix", "r",
-      "--spacing", "1e-110,1e-110,1e-110"], "--shape/--spacing/--potential/--mass/--dt"),
+      "--spacing", "1e-110,1e-110,1e-110"], f"{STEP}: the cell volume 0.0 of spacing"),
     # 2/spacing**2 overflows in the stepper, though hbar**2/(2m)/spacing**2 does not.
-    (PROPAGATE + ["--spacing", "1e-155"], "--shape/--spacing/--potential/--mass/--dt"),
-    (["compare", "--use-bundled", "--out", "layers.csv", "--curve-points", "1"],
-     "--curve-points"),
+    (PROPAGATE + ["--spacing", "1e-155"], f"{STEP}: c*H = i*dt*H/(2*hbar) overflows at dt=0.0001"),
+    (["dispersion", "--voltage=54"], "one of the arguments --vp --classical is required"),
+    (["dispersion", "--classical", "--voltage", "54", "--vp", "1e8"],
+     "--vp: not allowed with argument --classical"),
+    (["dispersion", "--vp", "1.3e8"], "provide at least one --voltage or --speed"),
+    *[(["dispersion", "--vp", "1.3e8", flag, value], f"{flag}: must be positive and finite")
+      for flag in ["--voltage", "--speed"] for value in ["nan", "inf", "0", "-1"]],
+    # The wavenumber underflows to 0, so the table would divide by it.
+    (["dispersion", "--vp", "1.3e8", "--voltage", "1e-320"],
+     "--voltage: the wavenumber underflows to 0"),
+    (["dispersion", "--vp", "1.3e8", "--speed", "1e-320"],
+     "--speed: the wavenumber underflows to 0"),
+    (["fit"], "one of the arguments --data --use-bundled --generate is required"),
+    (["fit", "--data", "x.csv", "--generate", "n=5"],
+     "--generate: not allowed with argument --data"),
+    (["fit", "--use-bundled", "--data-out", "rec.csv"], "--data-out needs --generate"),
+    (["fit", "--data", "missing.csv"], "--data: no such file: missing.csv"),
+    (["fit", "--data", "bad.csv"], "--data: bad.csv:3"),
+    (["fit", "--data", "one_record.csv"], "--data: need at least 2 records to fit, got 1"),
+    (["compare", "--out", "layers.csv", "--data", "one_record.csv"],
+     "--data: need at least 2 records to fit, got 1"),
+    (["fit", "--data", "classical.csv", "--curves", "c.csv", "--out", "f.json"],
+     "--curves: fit clamped to the classical limit"),
+    (["compare", "--data", "classical.csv", "--out", "layers.csv"],
+     "fit clamped to the classical limit; pass a finite --vp"),
+    (["fit", "--generate", "n=x"], "--generate: invalid literal for int() with base 10: 'x'"),
+    *[(["fit", "--generate", "n=5", f"noise={noise}"],
+       "--generate: noise_relative must be non-negative") for noise in ["nan", "inf", "-0.1"]],
+    *[(["fit", "--generate", "n=5", pair], "--generate: expected key=value with key in "
+       f"vP/n/seed/noise/vmin/vmax, got '{pair}'") for pair in ["vP", "foo=1"]],
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e300"],  # speed overflows
+     "--generate: the electron's speed, nu or k overflows"),
+    # nu = eV/h overflows from about 7.4e293 V, before the speed does.
+    (["dispersion", "--vp", "1.3e8", "--voltage", "1e295"],
+     "--voltage: the electron's speed, nu or k overflows at voltage 1e+295 V"),
+    (["dispersion", "--vp", "1.3e8", "--speed", "1e295"], "--speed: nu = inf Hz"),
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e295"],
+     "--generate: the electron's speed, nu or k overflows"),
+    # np.linspace overflows in (n - 1) * step before it sets the last point.
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1.7976931348623157e+308"],
+     "--generate: the electron's speed, nu or k overflows"),
+    (["fit", "--generate", "vP=1.3e8", "n=8", "vmax=1e295", "--curves", "c.csv"],
+     "--generate: the electron's speed, nu or k overflows"),
+    (["fit", "--data", "big_voltage.csv"],
+     "--data: the electron's speed, nu or k overflows at voltage 1e+295 V"),
+    (["fit", "--generate", "vP=1e-150", "n=8"],  # the squared residuals overflow
+     "--generate: the mean squared wavenumber residual overflows"),
+    # The sum of nu**2 underflows to 0, or the sums overflow.
+    *[(["fit", "--generate", "vP=1.3e8", "n=8", f"vmin={vmin}", f"vmax={vmax}"],
+       "--generate: the least-squares sums over the records overflow or underflow")
+      for vmin, vmax in [("1e-200", "1e-199"), ("1e139", "1e140")]],
+    (["dispersion", "--vp", "1e-300", "--voltage", "54"], "--vp: k_l overflows"),
+    (["compare", "--use-bundled", "--out", "layers.csv", "--vp", "1e-300"],
+     "--vp: the mean squared wavenumber residual overflows"),
+    (["compare", "--use-bundled", "--out", "layers.csv", "--vp", "inf"],
+     "--vp: must be positive and finite"),
+    # A curve needs two ends: one point would draw curveA,0,0 and curveB,0,0.
+    *[([subcommand, "--use-bundled", flag, "layers.csv", "--curve-points", points],
+       "--curve-points: must be an integer >= 2")
+      for subcommand, flag in [("fit", "--curves"), ("compare", "--out")]
+      for points in ["0", "1", "-3", "2.5"]],
 ]
 
 
 def write_usage_error_inputs(directory: Path) -> None:
     """The input files the USAGE_ERRORS rows read, written into directory."""
+    def scalar(name, spacing, values):
+        grid = Grid(values.shape, (spacing,) * values.ndim)
+        write_field_csv(ScalarField(grid, values), directory / name)
+
     potential = np.zeros(16)
     potential[5] = math.nan
-    write_field_csv(ScalarField(Grid((16,), (1.0,)), potential),
-                    directory / "nan_potential.csv")
-    write_field_csv(ScalarField(Grid((16,), (1.0,)), np.ones(16)), directory / "ones.csv")
+    scalar("nan_potential.csv", 1.0, potential)
+    scalar("ones.csv", 1.0, np.ones(16))
+    scalar("inf_tt.csv", 1.0, np.where(np.arange(16) < 10, 0.0, math.inf))  # cells 10-15 unreached
+    for name, value in [("nan", math.nan), ("inf", math.inf), ("zero", 0.0)]:
+        scalar(f"{name}_speed.csv", 1.0, np.where(np.arange(16) == 7, value, 1.0))
+    scalar("cells32.csv", 1.0 / 31, np.zeros(32))
+    scalar("cells4x4.csv", 1.0, np.zeros((4, 4)))
+    write_constant_traveltime(directory / "tt64.csv", 4e-4)
     write_field_csv(gaussian_packet(Grid((16,), (1.0,)), (8.0,), 2.0), directory / "init.csv")
-    unreached = np.where(np.arange(16) < 10, 0.0, math.inf)  # t_P inf on cells 10-15
-    write_field_csv(ScalarField(Grid((16,), (1.0,)), unreached), directory / "inf_tt.csv")
+    line64 = Grid((64,), (1.0 / 63,))
+    write_field_csv(ComplexField(line64, np.full(64, 1.0 + 0.5j)), directory / "complex.csv")
+    for shape, grid in [("64", line64), ("12x10", Grid((12, 10), (1 / 11, 1 / 9)))]:
+        packet = gaussian_packet(grid, (0.5,) * len(grid.shape), 0.2).values
+        for name, (cell, value, _) in BAD_INITIAL.items():
+            values = packet.copy()
+            values[... if cell is None else (cell,) * len(grid.shape)] = value
+            write_field_csv(ComplexField(grid, values), directory / f"{name}_init{shape}.csv")
     (directory / "one_record.csv").write_text(f"{RECORDS_CSV_HEADER}\n54,1.66e-10\n")
     (directory / "big_voltage.csv").write_text(
         f"{RECORDS_CSV_HEADER}\n54,1.66e-10\n1e295,1e-300\n")
+    (directory / "bad.csv").write_text(f"{RECORDS_CSV_HEADER}\n54.0,1.67e-10\nbogus\n")
+    write_clamped_records(directory / "classical.csv")
 
 
-@pytest.mark.parametrize("argv, flag", USAGE_ERRORS,
-                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in USAGE_ERRORS])
-def test_usage_error_names_its_flag_and_writes_nothing(tmp_path, monkeypatch, capsys,
-                                                       argv, flag):
-    monkeypatch.chdir(tmp_path)
-    write_usage_error_inputs(tmp_path)
-    inputs = sorted(os.listdir(tmp_path))
-    assert main(argv) == 2
-    assert f" {flag}: " in capsys.readouterr().err.splitlines()[-1]
-    assert sorted(os.listdir(tmp_path)) == inputs
+def check_usage_error(code: int, stdout: str, stderr: str, fragment: str,
+                      inputs: list[str]) -> None:
+    """A usage error exits 2 with fragment in the last line of stderr, prints
+    nothing else but argparse's usage, and leaves the working directory
+    holding just inputs."""
+    lines = stderr.splitlines()
+    assert code == 2, (code, stderr)
+    assert lines and fragment in lines[-1], stderr
+    assert stdout == "" and "Traceback" not in stderr, (stdout, stderr)
+    if lines[-1].startswith("error: "):  # raised after argparse, printed by main
+        assert len(lines) == 1, stderr
+    else:
+        assert re.match(r"qfront( [a-z]+)?: error: ", lines[-1]), stderr
+    assert sorted(os.listdir()) == inputs, os.listdir()
+
+
+def usage_error_id(argv: list[str]) -> str:
+    """The subcommand and the last flag with its value."""
+    return " ".join(argv[:1] + argv[max(len(argv) - 2, 1):]) or "no subcommand"
+
+
+@pytest.fixture(scope="module")
+def usage_error_inputs(tmp_path_factory) -> Path:
+    """One directory of the inputs that every row runs in, as in CI."""
+    directory = tmp_path_factory.mktemp("usage_error_inputs")
+    write_usage_error_inputs(directory)
+    return directory
+
+
+@pytest.mark.parametrize("argv, fragment", USAGE_ERRORS,
+                         ids=[usage_error_id(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_names_its_flag_and_writes_nothing(usage_error_inputs, monkeypatch, capsys,
+                                                       argv, fragment):
+    monkeypatch.chdir(usage_error_inputs)
+    inputs = sorted(os.listdir())
+    code = main(argv)
+    check_usage_error(code, *capsys.readouterr(), fragment, inputs)
 
 
 # Each numeric flag, or --generate key, on a base command of 16 cells and 2
@@ -1332,7 +1090,7 @@ def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, st
 def test_fresh_propagate_leaves_scipy_sparse_and_linalg_unloaded(tmp_path, argv):
     # The 1-D stepper loads scipy's LAPACK binding alone, not the scipy.linalg
     # package, and the 2-D and 3-D one runs its COCG in numpy.
-    write_constant_traveltime(tmp_path / "tt.csv", 4e-4)
+    write_constant_traveltime(tmp_path / "tt64.csv", 4e-4)
     run = _fresh_python(tmp_path, "import sys; from qfront.cli import main; "
                         f"assert main({argv!r}) == 0; "
                         "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)")

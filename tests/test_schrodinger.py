@@ -231,6 +231,8 @@ def test_solution_rejects_history_off_the_grid():
     ({"initial_norm": math.inf}, "initial_norm must be positive and finite"),
     ({"first_step": -1}, "first_step must be >= 0"),
     ({"start_time": math.nan}, "start_time finite"),
+    ({"first_step": 1.5}, "first_step must be an integer, got 1.5"),
+    ({"first_step": np.float64(2.0)}, "first_step must be an integer, got np.float64"),
 ])
 def test_solution_rejects_bad_norm_first_step_or_start_time(changes, match):
     prob = free_problem(16)
