@@ -170,8 +170,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     from .eikonal import TraveltimeField
     from .fields import ComplexField, ScalarField, l2_norm_squared, write_field_csv
     from .localtime import local_time, write_localtime_csv
-    from .schrodinger import (QuantumProblem, _require_finite, _step_weights,
-                              difference_estimate, evaluate_modified, propagate_classical)
+    from .schrodinger import (QuantumProblem, _difference, _require_finite, _retarded,
+                              _step_weights, propagate_classical)
 
     a8 = args.mode == "compare-a8"
     if args.n_steps < 2 * a8:
@@ -218,18 +218,40 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     # at a step with a predecessor and, by default, at the last with a successor.
     last_step = args.n_steps - a8
     eval_time = last_step * args.dt if args.eval_time is None else args.eval_time
-    first, weight = _step_weights(eval_time, 0.0, args.dt)
+    step, weight = _step_weights(eval_time, 0.0, args.dt)
     exact = args.mode != "modified"
-    if not (a8 <= first and first + (weight > 0) <= last_step and not (exact and weight)):
+    if not (a8 <= step and step + (weight > 0) <= last_step and not (exact and weight)):
+        # %.15g, so that a bound passed back as --eval-time snaps to its step.
         raise ValueError(
-            f"--eval-time: must be a {'step ' * exact}time in [{a8 * args.dt}, "
-            f"{last_step * args.dt}] s in mode {args.mode}, got {eval_time}"
+            f"--eval-time: must be a {'step ' * exact}time in [{a8 * args.dt:.15g}, "
+            f"{last_step * args.dt:.15g}] s in mode {args.mode}, got {eval_time}"
         )
+    step = int(step)
 
-    # Keep the run from the first step an output reads: that of eval_time, or
-    # of eval_time - max t_P (one less in compare-a8).
+    # The outputs read whole states around the evaluation step (states) and,
+    # per cell, the two states around its local time (reads), blended by
+    # _retarded.  The step hook copies them as the run makes them, so the run
+    # keeps the minimal window of two states.  The manifest describes the
+    # states from the first one an output reads, that of eval_time or of
+    # eval_time - max t_P (one less in compare-a8), through the last step,
+    # and at least the two the run keeps.
+    states = dict.fromkeys(range(step - a8, step + a8 + 1) if exact else ())
+    first, reads = step, []
     if tt is not None:
-        first = _step_weights(max(eval_time - tt.max_traveltime(), 0.0), 0.0, args.dt)[0] - a8
+        first = int(_step_weights(max(eval_time - tt.max_traveltime(), 0.0), 0.0, args.dt)[0]) - a8
+        # compare-a8 evaluates at its step's own time, as difference_estimate
+        # does.  Unreached cells read step 0, and _retarded zeroes them.
+        theta = ((step * args.dt if a8 else eval_time) - tt.t_P).reshape(-1)
+        reached = theta >= 0.0
+        lower, w = _step_weights(np.where(reached, theta, 0.0), 0.0, args.dt)
+        # Each read's cells sorted by step: those of step k are
+        # cells[bounds[k]:bounds[k + 1]].
+        for steps in (lower, lower + (w > 0.0)):
+            cells = np.argsort(steps)
+            reads.append((np.zeros(grid.n_cells, dtype=np.complex128), cells,
+                          np.searchsorted(steps[cells], np.arange(args.n_steps + 2))))
+    first = max(min(first, args.n_steps - 1), 0)
+    norms: list[float] = []
     outputs: list[str] = []
 
     def emit(field, suffix: str) -> None:
@@ -237,24 +259,33 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         write_field_csv(field, path)
         outputs.append(path)
 
-    def save(k: int, values) -> None:
-        if k % args.save_every == 0:
-            emit(ComplexField(grid, values), f"step{k:06d}")
+    def on_step(k: int, values) -> None:
+        state = ComplexField(grid, values)
+        if args.save_every and k % args.save_every == 0:
+            emit(state, f"step{k:06d}")
+        if k in states:
+            states[k] = state.values
+        for read, cells, bounds in reads:
+            at_k = cells[bounds[k]:bounds[k + 1]]
+            read[at_k] = state.values.reshape(-1)[at_k]
+        if k >= first:
+            norms.append(l2_norm_squared(state))
 
-    solution = propagate_classical(initial, problem, args.n_steps,
-                                   history_window=max(args.n_steps + 1 - int(first), 2),
-                                   on_step=save if args.save_every else None)
+    initial_norm = propagate_classical(initial, problem, args.n_steps, history_window=2,
+                                       on_step=on_step).initial_norm
     if args.mode == "classical":
-        emit(solution.snapshot_at(eval_time), "state")
-    elif args.mode == "modified":
-        emit(evaluate_modified(solution, tt, eval_time), "state")
-        if args.localtime_out is not None:
-            write_localtime_csv(local_time(tt, eval_time), args.localtime_out)
-            outputs.append(args.localtime_out)
+        emit(ComplexField(grid, states[step]), "state")
     else:
-        actual, predicted = difference_estimate(solution, tt, eval_time)
-        emit(actual, "actual")
-        emit(predicted, "predicted")
+        modified = _retarded(*(read for read, *_ in reads), w, reached).reshape(grid.shape)
+        if args.mode == "modified":
+            emit(ComplexField(grid, modified), "state")
+            if args.localtime_out is not None:
+                write_localtime_csv(local_time(tt, eval_time), args.localtime_out)
+                outputs.append(args.localtime_out)
+        else:
+            actual, predicted = _difference(*states.values(), modified, tt.t_P, args.dt)
+            emit(ScalarField(grid, actual), "actual")
+            emit(ScalarField(grid, predicted), "predicted")
 
     manifest_path = f"{args.out_prefix}_manifest.json"
     manifest = {
@@ -268,11 +299,11 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         },
         "mass": args.mass,
         "eval_time": eval_time,
-        "initial_norm": solution.initial_norm,
-        "final_norm": l2_norm_squared(solution.snapshots[-1]),
-        "max_norm_drift": solution.norm_drift(),
-        "retained_snapshots": len(solution.snapshots),
-        "retained_time_range": solution.times[[0, -1]].tolist(),
+        "initial_norm": initial_norm,
+        "final_norm": norms[-1],
+        "max_norm_drift": max(abs(n - initial_norm) for n in norms) / initial_norm,
+        "retained_snapshots": args.n_steps + 1 - first,
+        "retained_time_range": [k * args.dt for k in (first, args.n_steps)],
         "outputs": outputs,
     }
     _write_json(manifest, manifest_path)
@@ -318,7 +349,7 @@ def _fixed(value: float, decimals: int) -> str:
 def cmd_dispersion(args: argparse.Namespace) -> int:
     v_p = math.inf if args.classical else args.vp
     if not args.voltage and not args.speed:
-        raise ValueError("provide at least one --voltage or --speed")
+        raise ValueError("--voltage/--speed: provide at least one --voltage or --speed")
 
     with _flag("--voltage"):
         particles = [(f"{v:g}", _has_wavelength(FreeParticle.electron_from_voltage(v)))
@@ -437,7 +468,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     records, result = _fit_records(args)
     if args.vp is None and result.clamped_to_classical:
         raise ValueError(
-            "fit clamped to the classical limit; pass a finite --vp to "
+            "--vp: fit clamped to the classical limit; pass a finite --vp to "
             "draw curve B anyway"
         )
     # The curves cannot overflow where the fit's variances and this one are finite.
@@ -599,10 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _stepper_errors() -> tuple:
-    """HistoryWindowError and ConvergenceError once a command has imported the
-    stepper; before that nothing can have raised them."""
+    """ConvergenceError once a command has imported the stepper; before that
+    nothing can have raised it."""
     stepper = sys.modules.get(f"{__package__}.schrodinger")
-    return (stepper.HistoryWindowError, stepper.ConvergenceError) if stepper else ()
+    return (stepper.ConvergenceError,) if stepper else ()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

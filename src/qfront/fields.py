@@ -8,8 +8,11 @@ in 3-D, with the trailing factors dropped in lower dimensions.  The cell
 centre coordinate along axis ``a`` is ``origin[a] + i_a * spacing[a]`` and
 each cell carries the volume ``prod(spacing)``.
 
-Fields are immutable snapshots: the value arrays are copied on construction
-and marked read-only, so instances can be shared freely between threads.
+Fields are immutable snapshots, so instances can be shared freely between
+threads.  A field keeps a frozen array as it is: read-only, C-ordered, of
+the field's dtype and grid shape, and every array it views read-only, the
+last one owning its data, as a row of a finished run's history is.  Any
+other array is copied C-ordered and the copy marked read-only.
 
 The CSV reader and writers open their files through
 :func:`qfront.textfile._text_file`: a path or an open text handle.
@@ -108,10 +111,24 @@ class Grid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether arr is read-only and C-ordered, and every array it views is
+    read-only, the last one owning its data: no writable array reaches its
+    memory."""
+    if not arr.flags.c_contiguous:
+        return False
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        if arr.base is None:
+            return arr.flags.owndata
+        arr = arr.base
+    return False
+
+
 def _as_grid_array(grid: Grid, values, dtype) -> np.ndarray:
-    """Read-only C-ordered copy of values as dtype, shaped like grid; every
-    grid-valued type builds its arrays here.  Complex values for a real
-    dtype are rejected, since a cast would drop their imaginary parts."""
+    """values as a read-only C-ordered array of dtype, shaped like grid: as
+    it is if _frozen, else a copy; every grid-valued type builds its arrays
+    here.  Complex values for a real dtype are rejected, since a cast would
+    drop their imaginary parts."""
     arr = np.asarray(values)
     if np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating):
         raise ValueError("complex values for a real-valued field")
@@ -119,6 +136,8 @@ def _as_grid_array(grid: Grid, values, dtype) -> np.ndarray:
         raise ValueError(
             f"values size {arr.size} does not match grid cells {grid.n_cells}"
         )
+    if arr.dtype == dtype and arr.shape == grid.shape and _frozen(arr):
+        return arr
     arr = np.array(arr.reshape(grid.shape), dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr

@@ -35,8 +35,8 @@ import numpy as np
 
 from .constants import CODATA2018, PhysicalConstants
 from .eikonal import TraveltimeField
-from .fields import (ComplexField, Grid, ScalarField, _integers, _require_grid_shape,
-                     l2_norm_squared)
+from .fields import (ComplexField, Grid, ScalarField, _frozen, _integers,
+                     _require_grid_shape, l2_norm_squared)
 
 __all__ = [
     "QuantumProblem",
@@ -365,9 +365,9 @@ class ClassicalSolution:
 
     history has shape (rows, *grid.shape) and holds the retained tail of
     the run: row i is the state at global step first_step + i, at time
-    _time(i).  A read-only C-ordered complex128 array that owns its data is
-    kept as it is; any other array, a read-only view of a writable one
-    included, is copied and frozen.  initial_norm is the squared L2 norm at
+    _time(i).  A complex128 array that fields._frozen accepts is kept as it
+    is; any other array, a read-only view of a writable one included, is
+    copied and frozen.  initial_norm is the squared L2 norm at
     step 0, kept so norm drift stays checkable after early steps have
     left the window.
     """
@@ -383,8 +383,7 @@ class ClassicalSolution:
         shape = self.problem.grid.shape
         if history.ndim != len(shape) + 1 or history.shape[1:] != shape or not len(history):
             raise ValueError(f"history shape {history.shape} is not (rows >= 1, *{shape})")
-        flags = history.flags
-        if flags.writeable or not (flags.owndata and flags.c_contiguous):
+        if not _frozen(history):
             history = np.array(history, order="C")
             history.flags.writeable = False
         object.__setattr__(self, "history", history)
@@ -404,7 +403,7 @@ class ClassicalSolution:
 
     @property
     def snapshots(self) -> "_Snapshots":
-        """The retained states oldest first; each read copies one row."""
+        """The retained states oldest first, read in place (_Snapshots)."""
         return _Snapshots(self)
 
     def _snapshot(self, row: int) -> ComplexField:
@@ -443,7 +442,10 @@ class ClassicalSolution:
 
 @dataclass(frozen=True)
 class _Snapshots(Sequence):
-    """Read-only view of a solution's retained states, oldest first."""
+    """Read-only view of a solution's retained states, oldest first.  Each
+    state's values are its history row itself, not a copy: a row of the
+    frozen history is frozen too, and a field keeps a frozen array as it is
+    (fields._frozen)."""
 
     solution: ClassicalSolution
 
@@ -519,6 +521,16 @@ def propagate_classical(
     )
 
 
+def _retarded(lower: np.ndarray, upper: np.ndarray, weight: np.ndarray,
+              reached: np.ndarray) -> np.ndarray:
+    """Per cell, the state at its local time: (1 - weight) lower + weight
+    upper, lower and upper being the states at the steps around it, and
+    exactly zero where the front has not arrived (reached False).  Exact
+    hits (weight 0) bypass the blend, so snapshot hits are bit-identical."""
+    mixed = np.where(weight == 0.0, lower, (1.0 - weight) * lower + weight * upper)
+    return np.where(reached, mixed, 0.0 + 0.0j)
+
+
 def evaluate_modified(
     solution: ClassicalSolution,
     traveltime: TraveltimeField,
@@ -537,18 +549,22 @@ def evaluate_modified(
     _require_grid_shape("traveltime", traveltime.grid.shape, grid.shape)
     theta = (t - traveltime.t_P).reshape(-1)
     reached = theta >= 0.0
-    # Unreached points look up the oldest retained time; their values are
-    # overwritten with zero below.
+    # Unreached points look up the oldest retained time; _retarded zeroes them.
     row, w = solution._locate(t, np.where(reached, theta, solution._time(0)))
 
     flat = solution.history.reshape(len(solution.history), -1)
     cols = np.arange(grid.n_cells)
-    lower = flat[row, cols]
-    upper = flat[row + (w > 0.0), cols]  # the last row has no successor
-    # Exact hits bypass the blend so snapshot hits are bit-identical.
-    mixed = np.where(w == 0.0, lower, (1.0 - w) * lower + w * upper)
-    out = np.where(reached, mixed, 0.0 + 0.0j).reshape(grid.shape)
-    return ComplexField(grid, out, t)
+    # The last row has no successor, and a cell there has weight 0.
+    out = _retarded(flat[row, cols], flat[row + (w > 0.0), cols], w, reached)
+    out.flags.writeable = False  # so that ComplexField keeps it
+    return ComplexField(grid, out.reshape(grid.shape), t)
+
+
+def _difference(before: np.ndarray, now: np.ndarray, after: np.ndarray,
+                modified: np.ndarray, t_P: np.ndarray, dt: float):
+    """|now - modified| and |dPsi/dt| * t_P, dPsi/dt being the centred
+    difference of the states before and after now, dt away on each side."""
+    return np.abs(now - modified), np.abs((after - before) / (2.0 * dt)) * t_P
 
 
 def difference_estimate(
@@ -565,11 +581,9 @@ def difference_estimate(
     t - max(t_P).  Both fields vanish together as t_P goes to zero.
     """
     i = int(solution._locate(t, exact=True, margin=1)[0])
-    before, now, after = solution.history[i - 1 : i + 2]
-    dpsi_dt = (after - before) / (2.0 * solution.problem.dt)
-    predicted = np.abs(dpsi_dt) * traveltime.t_P
     modified = evaluate_modified(solution, traveltime, solution._time(i))
-    actual = np.abs(now - modified.values)
+    actual, predicted = _difference(*solution.history[i - 1 : i + 2], modified.values,
+                                    traveltime.t_P, solution.problem.dt)
     grid = solution.problem.grid
     return ScalarField(grid, actual), ScalarField(grid, predicted)
 

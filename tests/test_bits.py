@@ -243,7 +243,7 @@ def test_readme_numbers_hold(tmp_path_factory, config):
             ("from 2 to 5.6 angstrom", 2e-10, 0.5e-10,
              float(argv[argv.index("--gaussian-center") + 1])),
             ("to 5.6 angstrom", 5.6e-10, 0.05e-10, centroid * run["grid"]["spacing"][0]),
-            ("keeps 126 of its 251 states", 126, 0, modified["retained_snapshots"]),
+            ("reads 126 of its 251 states", 126, 0, modified["retained_snapshots"]),
             ("v_P = 1.30e8 m/s", 1.30e8, 0.005e8, fit["v_p_fitted_m_per_s"]),
             ("variance ratio of 2.27", 2.27, 0.005,
              fit["variance_classical_inv_m2"] / fit["variance_modified_inv_m2"])]:

@@ -22,9 +22,11 @@ from qfront.cli import build_parser, main
 from qfront.constants import CODATA2018
 from qfront.dispersion import FreeParticle
 from qfront.eikonal import TraveltimeField
-from qfront.fields import ComplexField, Grid, ScalarField, read_field_csv, write_field_csv
+from qfront.fields import (ComplexField, Grid, ScalarField, l2_norm_squared, read_field_csv,
+                           write_field_csv)
 from qfront.fit import RECORDS_CSV_HEADER, read_records_csv, synthesize_records
 from qfront.schrodinger import (
+    ClassicalSolution,
     ConvergenceError,
     HistoryWindowError,
     QuantumProblem,
@@ -169,17 +171,21 @@ def csv_bytes(field, path) -> bytes:
     return Path(path).read_bytes()
 
 
-def electron_run(n_cells, dt, n_steps, center=5e-11, carrier=2e10):
-    """An electron packet on a 1e-10 m box, as CLI flags and as the API's
-    full-history run of the same bits; at these scales every CN step moves it."""
-    spacing = 1e-10 / (n_cells - 1)
-    argv = ["propagate", "--shape", str(n_cells), "--spacing", repr(spacing),
-            "--gaussian-center", repr(center), "--gaussian-width", "1e-11",
+def electron_run(shape, dt, n_steps, center=5e-11, carrier=2e10):
+    """An electron packet on a 1e-10 m box of shape (cells, or cells per
+    axis), as CLI flags and as the API's full-history run of the same bits;
+    at these scales every CN step moves it."""
+    shape = tuple(np.atleast_1d(shape).tolist())
+    spacing = tuple(1e-10 / (n - 1) for n in shape)
+    centers = (center,) * len(shape)
+    argv = ["propagate", "--shape", ",".join(map(str, shape)),
+            "--spacing", ",".join(map(repr, spacing)),
+            "--gaussian-center", ",".join(map(repr, centers)), "--gaussian-width", "1e-11",
             "--gaussian-carrier", repr(carrier), "--dt", repr(dt),
             "--n-steps", str(n_steps)]
-    grid = Grid((n_cells,), (spacing,))
-    problem = QuantumProblem(grid, ScalarField(grid, np.zeros(n_cells)), CODATA2018.m_e, dt)
-    initial = gaussian_packet(grid, (center,), 1e-11, carrier)
+    grid = Grid(shape, spacing)
+    problem = QuantumProblem(grid, ScalarField(grid, np.zeros(shape)), CODATA2018.m_e, dt)
+    initial = gaussian_packet(grid, centers, 1e-11, carrier)
     return argv, initial, propagate_classical(initial, problem, n_steps, history_window=None)
 
 
@@ -214,8 +220,8 @@ def snapped_step(t, dt):
 def test_propagate_derived_window_matches_full_history(
         n_cells, dt, n_steps, mode, save_every, step_fraction, between, tp_fraction, seed):
     # Every output equals, byte for byte, the same evaluation on the full
-    # history, and the run keeps the states from the first one an output
-    # reads: the step of eval_time (classical), of eval_time - max t_P
+    # history, and the manifest describes the states from the first one an
+    # output reads: the step of eval_time (classical), of eval_time - max t_P
     # (modified) or one before that (compare-a8), with --save-every as without.
     a8 = mode == "compare-a8"
     k = a8 + round(step_fraction * (n_steps - 2 * a8))
@@ -250,6 +256,52 @@ def test_propagate_derived_window_matches_full_history(
     assert sorted(Path(p).name for p in manifest["outputs"]) == sorted(
         f"run_{suffix}.csv" for suffix in expected)
     assert manifest["retained_snapshots"] == min(max(n_steps + 1 - first, 2), n_steps + 1)
+    # The norms are those of the same states of the full history.
+    first = n_steps + 1 - manifest["retained_snapshots"]
+    tail = ClassicalSolution(full.problem, full.history[first:], full.initial_norm, first)
+    assert manifest["max_norm_drift"] == tail.norm_drift()
+    assert manifest["retained_time_range"] == tail.times[[0, -1]].tolist()
+    assert manifest["final_norm"] == l2_norm_squared(full.snapshots[-1])
+
+
+# (mode, --eval-time in steps of 1e-19 s; None: the default).
+STREAMED_CASES = [("classical", None), ("classical", 5), ("modified", None), ("modified", 5),
+                  ("modified", 6.25), ("compare-a8", None), ("compare-a8", 5)]
+
+
+@pytest.mark.parametrize("shape", [64, (24, 20)], ids=["64", "24x20"])
+@pytest.mark.parametrize("mode, steps", STREAMED_CASES,
+                         ids=[f"{mode}-{steps}" for mode, steps in STREAMED_CASES])
+def test_streamed_propagate_writes_the_full_history_evaluations(tmp_path, shape, mode, steps):
+    # The CLI copies what its outputs read from the step loop; the API reads a
+    # full history.  t_P has whole steps, times between them and cells the
+    # front reaches after the evaluation time.
+    dt, n_steps = 1e-19, 12
+    argv, _, full = electron_run(shape, dt, n_steps)
+    grid = full.problem.grid
+    rng = np.random.default_rng(5)
+    delays = rng.uniform(0.0, 1.5 * n_steps, grid.shape)
+    tt = TraveltimeField(grid, np.where(rng.random(grid.shape) < 0.5, np.round(delays), delays)
+                         * dt)
+    write_field_csv(ScalarField(grid, tt.t_P), tmp_path / "tt.csv")
+    argv += ["--mode", mode, "--out-prefix", str(tmp_path / "run")]
+    if mode != "classical":
+        argv += ["--traveltime", str(tmp_path / "tt.csv")]
+    eval_time = (n_steps - (mode == "compare-a8")) * dt
+    if steps is not None:
+        eval_time = steps * dt
+        argv += ["--eval-time", repr(eval_time)]
+    assert mode == "classical" or np.any(tt.t_P > eval_time)
+    assert main(argv) == 0
+    if mode == "classical":
+        expected = {"state": full.snapshot_at(eval_time)}
+    elif mode == "modified":
+        expected = {"state": evaluate_modified(full, tt, eval_time)}
+    else:
+        expected = dict(zip(["actual", "predicted"], difference_estimate(full, tt, eval_time)))
+    for suffix, field in expected.items():
+        got = (tmp_path / f"run_{suffix}.csv").read_bytes()
+        assert got == csv_bytes(field, tmp_path / "expected.csv"), suffix
 
 
 def test_propagate_save_every_dumps_snapshots(tmp_path):
@@ -388,7 +440,9 @@ def test_propagate_eval_time_matches_the_last_step_to_round_off(tmp_path):
     assert (tmp_path / "run_state.csv").exists()
 
 
-@pytest.mark.parametrize("error, code", [(ConvergenceError, 1), (HistoryWindowError, 1),
+# propagate reads no history window, so it cannot raise HistoryWindowError: the
+# CLI no longer catches it.
+@pytest.mark.parametrize("error, code", [(ConvergenceError, 1), (HistoryWindowError, None),
                                          (RuntimeError, None)],
                          ids=["ConvergenceError", "HistoryWindowError", "RuntimeError"])
 def test_stepper_failures_exit_1_and_nothing_wider_is_caught(tmp_path, monkeypatch, capsys,
@@ -683,9 +737,9 @@ FIELD_INPUT_BASES = {
 # run of PROPAGATE_64 spans [0, 1e-3] s; only mode modified interpolates
 # between steps, and compare-a8 needs a step on each side of the evaluation.
 EVAL_WINDOWS = {
-    "classical": ("a step time in [0.0, 0.001] s", ["-0.0001", "1.1e-3", "1.5e-4"]),
-    "modified": ("a time in [0.0, 0.001] s", ["-0.0001", "1.1e-3"]),
-    "compare-a8": ("a step time in [0.0001, 0.0009000000000000001] s",
+    "classical": ("a step time in [0, 0.001] s", ["-0.0001", "1.1e-3", "1.5e-4"]),
+    "modified": ("a time in [0, 0.001] s", ["-0.0001", "1.1e-3"]),
+    "compare-a8": ("a step time in [0.0001, 0.0009] s",
                    ["-0.0001", "1.1e-3", "1.5e-4", "0", "1e-3"]),
 }
 
@@ -781,7 +835,7 @@ USAGE_ERRORS = [
     (PROPAGATE + ["--save-every", "-2"], "--save-every: must be an integer >= 0"),
     (PROPAGATE + ["--eval-time", "inf"], "--eval-time: must be finite"),
     (ELECTRON_1D + ["--dt", "2e-19", "--eval-time", "1e300"],  # its step overflows
-     "--eval-time: must be a step time in [0.0, 6e-19] s in mode classical"),
+     "--eval-time: must be a step time in [0, 6e-19] s in mode classical"),
     # The checks against the run come before any step.
     *[((PROPAGATE_64 if mode == "classical" else TRAVELTIME_64)
        + [f"--mode={mode}", f"--eval-time={time}"],
@@ -838,7 +892,8 @@ USAGE_ERRORS = [
     (["dispersion", "--voltage=54"], "one of the arguments --vp --classical is required"),
     (["dispersion", "--classical", "--voltage", "54", "--vp", "1e8"],
      "--vp: not allowed with argument --classical"),
-    (["dispersion", "--vp", "1.3e8"], "provide at least one --voltage or --speed"),
+    (["dispersion", "--vp", "1.3e8"],
+     "--voltage/--speed: provide at least one --voltage or --speed"),
     *[(["dispersion", "--vp", "1.3e8", flag, value], f"{flag}: must be positive and finite")
       for flag in ["--voltage", "--speed"] for value in ["nan", "inf", "0", "-1"]],
     # The wavenumber underflows to 0, so the table would divide by it.
@@ -858,7 +913,7 @@ USAGE_ERRORS = [
     (["fit", "--data", "classical.csv", "--curves", "c.csv", "--out", "f.json"],
      "--curves: fit clamped to the classical limit"),
     (["compare", "--data", "classical.csv", "--out", "layers.csv"],
-     "fit clamped to the classical limit; pass a finite --vp"),
+     "--vp: fit clamped to the classical limit; pass a finite --vp"),
     (["fit", "--generate", "n=x"], "--generate: invalid literal for int() with base 10: 'x'"),
     *[(["fit", "--generate", "n=5", f"noise={noise}"],
        "--generate: noise_relative must be non-negative") for noise in ["nan", "inf", "-0.1"]],
@@ -967,6 +1022,18 @@ def test_usage_error_names_its_flag_and_writes_nothing(usage_error_inputs, monke
     inputs = sorted(os.listdir())
     code = main(argv)
     check_usage_error(code, *capsys.readouterr(), fragment, inputs)
+
+
+@pytest.mark.parametrize("mode", EVAL_WINDOWS)
+def test_eval_time_bounds_as_printed_run(tmp_path, monkeypatch, capsys, mode):
+    # Each bound the --eval-time error prints, passed back, is a time the mode reads.
+    monkeypatch.chdir(tmp_path)
+    write_constant_traveltime(tmp_path / "tt64.csv", 4e-4)
+    argv = (PROPAGATE_64 if mode == "classical" else TRAVELTIME_64) + ["--mode", mode]
+    assert main(argv + ["--eval-time", "1"]) == 2
+    bounds = re.search(r"in \[(.*), (.*)\] s", capsys.readouterr().err).groups()
+    for bound in bounds:
+        assert main(argv + ["--eval-time", bound]) == 0
 
 
 # Each numeric flag, or --generate key, on a base command of 16 cells and 2

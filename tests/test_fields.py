@@ -15,6 +15,8 @@ from qfront.fields import (
     read_field_csv,
     write_field_csv,
 )
+from qfront.constants import natural_units
+from qfront.schrodinger import QuantumProblem, gaussian_packet, propagate_classical
 
 
 # --- Grid -------------------------------------------------------------------
@@ -93,6 +95,46 @@ def test_fields_copy_and_freeze():
     assert f.values[0] == 1.0
     with pytest.raises(ValueError):
         f.values[0] = 7.0  # read-only array
+
+
+def frozen(values):
+    values = np.array(values)
+    values.flags.writeable = False
+    return values
+
+
+def test_a_snapshot_reads_its_history_row_in_place():
+    g = Grid((16,), (1.0 / 15,))
+    problem = QuantumProblem(g, ScalarField(g, np.zeros(16)), 1.0, 1e-3, natural_units())
+    solution = propagate_classical(gaussian_packet(g, (0.5,), 0.1), problem, 3)
+    for snapshot in [*solution.snapshots, solution.snapshot_at(2e-3)]:
+        assert np.shares_memory(snapshot.values, solution.history)
+        assert not snapshot.values.flags.writeable
+    # A field of a frozen array, or of a read-only view of one, keeps it.
+    rows = frozen(np.ones((2, 3)))
+    for values in [frozen(np.ones(3)), rows[1], rows.reshape(-1)[3:]]:
+        assert ScalarField(Grid((3,), (1.0,)), values).values is values
+
+
+def read_only_view(values):
+    view = values.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("values", [
+    np.ones(6),  # writable
+    read_only_view(np.ones(6)),  # a view of a writable array
+    frozen(np.ones(12))[::2],  # not C-ordered
+    frozen(np.ones(6, dtype=np.float32)),  # another dtype
+    frozen(np.ones((2, 3))),  # another shape
+    np.frombuffer(np.ones(6).tobytes()),  # read-only, but the memory is a bytes object's
+], ids=["writable", "view-of-writable", "strided", "float32", "2x3", "frombuffer"])
+def test_any_array_not_frozen_is_copied(values):
+    f = ScalarField(Grid((6,), (1.0,)), values)
+    assert not np.shares_memory(f.values, values)
+    assert f.values.flags.c_contiguous and not f.values.flags.writeable
+    np.testing.assert_array_equal(f.values, np.ones(6))
 
 
 def test_field_shape_mismatch():
