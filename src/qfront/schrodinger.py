@@ -239,11 +239,12 @@ class _Stepper:
     state, in place, the walls being unit rows (x and y are 0 there).  In
     1-D A is factored once here by LAPACK zgttrf and each step is one zgttrs
     solve.  1-D loads only scipy's compiled LAPACK binding (_zgttrf_zgttrs):
-    the scipy.linalg package would add 0.3-0.4 s of CPU time and about 24
-    MiB of memory to every run.  In 2-D and 3-D a sparse LU fills in (a 40^3
-    factorisation takes about a minute), so each step runs COCG (_cocg) on
-    the diagonal and the per-axis couplings, over the span from the first
-    interior cell to the last: every cell outside it is a wall.
+    the scipy.linalg package would add about 0.3 s of CPU time (a 2-core
+    Xeon, 2026-10-20) and 25 MiB of peak memory to every run.  In 2-D and
+    3-D a sparse LU fills in (a 40^3 factorisation takes about a minute), so
+    each step runs COCG (_cocg) on the diagonal and the per-axis couplings,
+    over the span from the first interior cell to the last: every cell
+    outside it is a wall.
 
     COCG starts from the quadratic extrapolation of the last three states,
     (4x_n - 3x_{n-1} + x_{n-2})/2, which is 4(x_n - y_{n-1}) + y_{n-2} as

@@ -9,14 +9,17 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("qfront")
 
 
+# Their fresh interpreters start with the session and run alongside the
+# other tests, which go first; each parametrized test names one by its parameter.
+BACKGROUND = {"test_bits.py", "test_resources.py"}
+
+
 def pytest_collection_modifyitems(items):
-    # tests/test_bits.py goes last: its interpreters start with the session
-    # and run alongside the other tests.
-    items.sort(key=lambda item: item.path.name == "test_bits.py")
+    items.sort(key=lambda item: item.path.name in BACKGROUND)
 
 
 @pytest.fixture(scope="session", autouse=True)
-def bit_contract(request, tmp_path_factory):
+def background_interpreters(request, tmp_path_factory):
     for item in request.session.items:
-        if item.path.name == "test_bits.py" and hasattr(item, "callspec"):
-            item.module.start(item.callspec.params["config"], tmp_path_factory)
+        if item.path.name in BACKGROUND and hasattr(item, "callspec"):
+            item.module.start(*item.callspec.params.values(), tmp_path_factory)

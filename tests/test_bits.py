@@ -23,6 +23,7 @@ from qfront.eikonal import SourceSpec, solve_traveltime
 from qfront.fields import Grid, ScalarField, read_field_csv
 from qfront.fit import fit_vp, read_records_csv
 from qfront.schrodinger import QuantumProblem, gaussian_packet, propagate_classical
+from measured import environ
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -197,9 +198,7 @@ def start(config, tmp_path_factory):
     """(directory, future) of config's interpreter, started once if numpy here
     has its features; conftest.py starts the selected ones with the session."""
     if config not in STARTED and not MISSING[config]:
-        env = {k: v for k, v in os.environ.items() if k not in {s[0] for s in SETTINGS.values()}}
-        src = str(Path(qfront.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env = {k: v for k, v in environ().items() if k not in {s[0] for s in SETTINGS.values()}}
         for var, value, _ in (SETTINGS[name] for name in config.split("+")):
             if var == "NPY_DISABLE_CPU_FEATURES":  # only the groups this CPU has
                 value = " ".join(f for f in value.split() if __cpu_features__[f])

@@ -35,6 +35,7 @@ from qfront.schrodinger import (
     gaussian_packet,
     propagate_classical,
 )
+from measured import environ
 from test_bits import PINS, digest, readme, readme_commands
 
 GRID_1D = ["--shape", "64", "--spacing", str(1.0 / 63)]
@@ -1119,55 +1120,10 @@ def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
 
 # --- imports -----------------------------------------------------------------------
 
-@pytest.mark.parametrize("statement", [
-    "import qfront",
-    "from qfront.cli import main; assert main(['fit', '--use-bundled']) == 0",
-    "from qfront.cli import main; assert main(['fit', '--data', 'records.csv']) == 0",
-    "from qfront.cli import main; assert main(['dispersion', '--vp', '1.3e8', "
-    "'--voltage', '54']) == 0",
-    "from qfront.cli import main; assert main(['compare', '--use-bundled', "
-    "'--out', 'layers.csv']) == 0",
-    "from qfront.cli import main; assert main(['dispersion', '--vp', '1.3e8', "
-    "'--voltage', 'nan']) == 2",
-    "from qfront.cli import main; assert main(['fit', '--data', 'missing.csv']) == 2",
-])
-def test_fresh_process_without_stepper_leaves_scipy_sparse_unloaded(tmp_path, statement):
-    # Only the grid commands need numpy, and only the 1-D Crank-Nicolson
-    # stepper scipy; importing qfront, tabulating dispersion or fitting
-    # records pays for neither, which pytest, having numpy loaded, would not
-    # show.
-    bundled = Path(qfront.__file__).parent / "data" / "davisson_germer.csv"
-    (tmp_path / "records.csv").write_bytes(bundled.read_bytes())
-    run = _fresh_python(tmp_path, f"import sys; {statement}; "
-                        "print('scipy.sparse' in sys.modules, 'numpy' in sys.modules)")
-    assert run.stdout.splitlines()[-1] == "False False"
-
-
-@pytest.mark.parametrize("argv", [
-    ["propagate", *GRID_1D, "--gaussian-center", "0.5", "--gaussian-width", "0.08",
-     "--mass", "1", "--dt", "1e-4", "--n-steps", "10", "--out-prefix", "run"],
-    [*MODIFIED_WITH_LOCALTIME, "--vp", "5"],
-    ["propagate", "--shape", "16,12", "--spacing", f"{1 / 15},{1 / 11}",
-     "--gaussian-center", "0.5,0.5", "--gaussian-width", "0.15", "--mass", "1",
-     "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"],
-    ["propagate", "--shape", "9,8,7", "--spacing", f"{1 / 8},{1 / 7},{1 / 6}",
-     "--gaussian-center", "0.5,0.5,0.5", "--gaussian-width", "0.15", "--mass", "1",
-     "--dt", "1e-4", "--n-steps", "2", "--out-prefix", "run"],
-], ids=["1-D", "1-D modified", "2-D", "3-D"])
-def test_fresh_propagate_leaves_scipy_sparse_and_linalg_unloaded(tmp_path, argv):
-    # The 1-D stepper loads scipy's LAPACK binding alone, not the scipy.linalg
-    # package, and the 2-D and 3-D one runs its COCG in numpy.
-    write_constant_traveltime(tmp_path / "tt64.csv", 4e-4)
-    run = _fresh_python(tmp_path, "import sys; from qfront.cli import main; "
-                        f"assert main({argv!r}) == 0; "
-                        "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)")
-    assert run.stdout.splitlines()[-1] == "False False"
-
-
 def test_fresh_process_resolves_every_public_name(tmp_path):
     # The parameter count covers every exported function, constructor and
     # public method, self and cls excluded, so a new name or option changes it.
-    run = _fresh_python(tmp_path, """if True:
+    run = subprocess.run([sys.executable, "-c", """if True:
         import enum, inspect
         import qfront
         names = {}
@@ -1190,14 +1146,7 @@ def test_fresh_process_resolves_every_public_name(tmp_path):
                 if not attr.startswith("_") and inspect.isfunction(member):
                     params += count(member)
         assert not hasattr(qfront, "no_such_name")
-        print(len(qfront.__all__), params, qfront.solve_traveltime.__module__)""")
+        print(len(qfront.__all__), params, qfront.solve_traveltime.__module__)"""],
+                         cwd=tmp_path, env=environ(), capture_output=True, text=True, check=True)
     assert run.stdout.split() == ["43", "102", "qfront.eikonal"]
 
-
-def _fresh_python(cwd: Path, code: str) -> subprocess.CompletedProcess:
-    """code run by a new interpreter in cwd, importing qfront from this tree."""
-    src = str(Path(qfront.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
