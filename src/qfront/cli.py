@@ -170,8 +170,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     from .eikonal import TraveltimeField
     from .fields import ComplexField, ScalarField, l2_norm_squared, write_field_csv
     from .localtime import local_time, write_localtime_csv
-    from .schrodinger import (QuantumProblem, _difference, _require_finite, _retarded,
-                              _step_weights, propagate_classical)
+    from .schrodinger import (QuantumProblem, _difference, _propagate_retarded, _require_finite,
+                              _step_weights)
 
     a8 = args.mode == "compare-a8"
     if args.n_steps < 2 * a8:
@@ -228,29 +228,14 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         )
     step = int(step)
 
-    # The outputs read whole states around the evaluation step (states) and,
-    # per cell, the two states around its local time (reads), blended by
-    # _retarded.  The step hook copies them as the run makes them, so the run
-    # keeps the minimal window of two states.  The manifest describes the
-    # states from the first one an output reads, that of eval_time or of
-    # eval_time - max t_P (one less in compare-a8), through the last step,
-    # and at least the two the run keeps.
-    states = dict.fromkeys(range(step - a8, step + a8 + 1) if exact else ())
-    first, reads = step, []
+    # The outputs are retarded reads of the run: the whole states at the
+    # evaluation step and, in mode compare-a8, on either side of it, read at
+    # t_P = 0, then the modified state, which compare-a8 reads at its step's
+    # own time, as difference_estimate does.
+    zero = np.zeros(grid.shape)
+    reads = [(zero, (step + j) * args.dt) for j in range(-a8, a8 + 1)] if exact else []
     if tt is not None:
-        first = int(_step_weights(max(eval_time - tt.max_traveltime(), 0.0), 0.0, args.dt)[0]) - a8
-        # compare-a8 evaluates at its step's own time, as difference_estimate
-        # does.  Unreached cells read step 0, and _retarded zeroes them.
-        theta = ((step * args.dt if a8 else eval_time) - tt.t_P).reshape(-1)
-        reached = theta >= 0.0
-        lower, w = _step_weights(np.where(reached, theta, 0.0), 0.0, args.dt)
-        # Each read's cells sorted by step: those of step k are
-        # cells[bounds[k]:bounds[k + 1]].
-        for steps in (lower, lower + (w > 0.0)):
-            cells = np.argsort(steps)
-            reads.append((np.zeros(grid.n_cells, dtype=np.complex128), cells,
-                          np.searchsorted(steps[cells], np.arange(args.n_steps + 2))))
-    first = max(min(first, args.n_steps - 1), 0)
+        reads.append((tt.t_P, step * args.dt if a8 else eval_time))
     norms: list[float] = []
     outputs: list[str] = []
 
@@ -263,29 +248,18 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         state = ComplexField(grid, values)
         if args.save_every and k % args.save_every == 0:
             emit(state, f"step{k:06d}")
-        if k in states:
-            states[k] = state.values
-        for read, cells, bounds in reads:
-            at_k = cells[bounds[k]:bounds[k + 1]]
-            read[at_k] = state.values.reshape(-1)[at_k]
-        if k >= first:
-            norms.append(l2_norm_squared(state))
+        norms.append(l2_norm_squared(state))
 
-    initial_norm = propagate_classical(initial, problem, args.n_steps, history_window=2,
-                                       on_step=on_step).initial_norm
-    if args.mode == "classical":
-        emit(ComplexField(grid, states[step]), "state")
+    fields = _propagate_retarded(initial, problem, args.n_steps, reads, on_step)
+    if a8:
+        actual, predicted = _difference(*(f.values for f in fields), tt.t_P, args.dt)
+        emit(ScalarField(grid, actual), "actual")
+        emit(ScalarField(grid, predicted), "predicted")
     else:
-        modified = _retarded(*(read for read, *_ in reads), w, reached).reshape(grid.shape)
-        if args.mode == "modified":
-            emit(ComplexField(grid, modified), "state")
-            if args.localtime_out is not None:
-                write_localtime_csv(local_time(tt, eval_time), args.localtime_out)
-                outputs.append(args.localtime_out)
-        else:
-            actual, predicted = _difference(*states.values(), modified, tt.t_P, args.dt)
-            emit(ScalarField(grid, actual), "actual")
-            emit(ScalarField(grid, predicted), "predicted")
+        emit(fields[0], "state")
+        if args.localtime_out is not None:
+            write_localtime_csv(local_time(tt, eval_time), args.localtime_out)
+            outputs.append(args.localtime_out)
 
     manifest_path = f"{args.out_prefix}_manifest.json"
     manifest = {
@@ -299,18 +273,16 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         },
         "mass": args.mass,
         "eval_time": eval_time,
-        "initial_norm": initial_norm,
+        "initial_norm": norms[0],
         "final_norm": norms[-1],
-        "max_norm_drift": max(abs(n - initial_norm) for n in norms) / initial_norm,
-        "retained_snapshots": args.n_steps + 1 - first,
-        "retained_time_range": [k * args.dt for k in (first, args.n_steps)],
+        "max_norm_drift": max(abs(n - norms[0]) for n in norms) / norms[0],
         "outputs": outputs,
     }
     _write_json(manifest, manifest_path)
     print(f"wrote {manifest_path}")
     for path in outputs:
         print(f"wrote {path}")
-    print(f"norm drift over retained states: {manifest['max_norm_drift']:.3e}")
+    print(f"norm drift over the run: {manifest['max_norm_drift']:.3e}")
     return 0
 
 

@@ -77,6 +77,33 @@ def _step_weights(times, start_time: float, dt: float) -> tuple[np.ndarray, np.n
         return step, np.where(hit, 0.0, pos - step)
 
 
+def _window_steps(t: float, times, start_time: float, dt: float, first: int, last: int,
+                  margin=0) -> tuple[np.ndarray, np.ndarray]:
+    """_step_weights of times (t, or times at t) in a run from start_time,
+    each of which must lie in steps first..last less margin at each end."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    times = np.asarray(times, dtype=np.float64)
+    step, weight = _step_weights(times, start_time, dt)
+    first, last = first + margin, last - margin
+    if np.any(step < first) or np.any(step + (weight > 0.0) > last):
+        raise HistoryWindowError(
+            f"times span [{times.min()}, {times.max()}] but steps {first}..{last} "
+            f"of the retained window{' (less its endpoints)' if margin else ''} "
+            "are usable; enlarge history_window, extend the run, or reduce t"
+        )
+    return step, weight
+
+
+def _local_times(t_P: np.ndarray, t: float, oldest: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's local time theta = t - t_P, flat, where the front has
+    reached it (the second array: theta >= 0), else oldest, the first time
+    a lookup may read; _retarded zeroes those cells."""
+    theta = (t - t_P).reshape(-1)
+    reached = theta >= 0.0
+    return np.where(reached, theta, oldest), reached
+
+
 class ConvergenceError(RuntimeError):
     """Iterative linear solve failed to reach the requested tolerance."""
 
@@ -411,22 +438,11 @@ class ClassicalSolution:
         return ComplexField(self.problem.grid, self.history[row], self._time(row))
 
     def _locate(self, t: float, local: np.ndarray | None = None, exact=False, margin=0):
-        """_step_weights of each time (t, or local if given), as history rows.
-        Every time must lie in the retained window less margin rows at each
-        end; exact also requires snapshot times.
-        """
-        if not math.isfinite(t):
-            raise ValueError(f"time must be finite, got {t}")
-        times = np.asarray(t if local is None else local, dtype=np.float64)
-        step, weight = _step_weights(times, self.start_time, self.problem.dt)
-        first = self.first_step + margin
-        last = self.first_step + len(self.history) - 1 - margin
-        if np.any(step < first) or np.any(step + (weight > 0.0) > last):
-            raise HistoryWindowError(
-                f"times span [{times.min()}, {times.max()}] but steps {first}..{last} "
-                f"of the retained window{' (less its endpoints)' if margin else ''} "
-                "are usable; enlarge history_window, extend the run, or reduce t"
-            )
+        """_window_steps of each time (t, or local if given), as history rows,
+        in the retained window; exact also requires snapshot times."""
+        step, weight = _window_steps(t, t if local is None else local, self.start_time,
+                                     self.problem.dt, self.first_step,
+                                     self.first_step + len(self.history) - 1, margin)
         if exact and np.any(weight != 0.0):
             raise HistoryWindowError(f"t={t} is not a retained snapshot time")
         return (step - self.first_step).astype(np.int64), weight
@@ -522,14 +538,16 @@ def propagate_classical(
     )
 
 
-def _retarded(lower: np.ndarray, upper: np.ndarray, weight: np.ndarray,
-              reached: np.ndarray) -> np.ndarray:
-    """Per cell, the state at its local time: (1 - weight) lower + weight
-    upper, lower and upper being the states at the steps around it, and
-    exactly zero where the front has not arrived (reached False).  Exact
-    hits (weight 0) bypass the blend, so snapshot hits are bit-identical."""
+def _retarded(grid: Grid, t: float, lower: np.ndarray, upper: np.ndarray,
+              weight: np.ndarray, reached: np.ndarray) -> ComplexField:
+    """The state at time t, each cell at its local time: (1 - weight) lower +
+    weight upper, lower and upper being the flat states at the steps around
+    it, and exactly zero where the front has not arrived (reached False).
+    Exact hits (weight 0) bypass the blend, so snapshot hits are bit-identical."""
     mixed = np.where(weight == 0.0, lower, (1.0 - weight) * lower + weight * upper)
-    return np.where(reached, mixed, 0.0 + 0.0j)
+    out = np.where(reached, mixed, 0.0 + 0.0j)
+    out.flags.writeable = False  # so that ComplexField keeps it
+    return ComplexField(grid, out.reshape(grid.shape), t)
 
 
 def evaluate_modified(
@@ -548,17 +566,45 @@ def evaluate_modified(
     """
     grid = solution.problem.grid
     _require_grid_shape("traveltime", traveltime.grid.shape, grid.shape)
-    theta = (t - traveltime.t_P).reshape(-1)
-    reached = theta >= 0.0
-    # Unreached points look up the oldest retained time; _retarded zeroes them.
-    row, w = solution._locate(t, np.where(reached, theta, solution._time(0)))
-
+    local, reached = _local_times(traveltime.t_P, t, solution._time(0))
+    row, w = solution._locate(t, local)
     flat = solution.history.reshape(len(solution.history), -1)
     cols = np.arange(grid.n_cells)
     # The last row has no successor, and a cell there has weight 0.
-    out = _retarded(flat[row, cols], flat[row + (w > 0.0), cols], w, reached)
-    out.flags.writeable = False  # so that ComplexField keeps it
-    return ComplexField(grid, out.reshape(grid.shape), t)
+    return _retarded(grid, t, flat[row, cols], flat[row + (w > 0.0), cols], w, reached)
+
+
+def _propagate_retarded(initial: ComplexField, problem: QuantumProblem, n_steps: int,
+                        reads, on_step=None) -> list[ComplexField]:
+    """For each (t_P, t) of reads, evaluate_modified's state at t on the
+    history of a run of n_steps steps from initial, bit for bit, while the
+    run keeps two states; t_P = 0 reads a whole state.  A read off steps
+    0..n_steps raises HistoryWindowError before the first step.  on_step(k,
+    values) is called after the hook copies step k's reads."""
+    start, cells = initial.time_stamp, problem.grid.n_cells
+    looked_up, steps = [], []
+    for t_P, t in reads:
+        local, reached = _local_times(t_P, t, start)
+        step, w = _window_steps(t, local, start, problem.dt, 0, n_steps)
+        looked_up.append((t, w, reached))
+        steps += [step, step + (w > 0.0)]
+    # buffer[i] is cell i % cells at step steps[i]: each read's lower states,
+    # then its upper ones.  order sorts i by step, so step k's share of the
+    # buffer is order[bounds[k]:bounds[k + 1]].
+    steps = np.concatenate(steps)
+    order = np.argsort(steps)
+    bounds = np.searchsorted(steps[order], np.arange(n_steps + 2))
+    buffer = np.zeros(steps.size, dtype=np.complex128)
+
+    def copy(k, values):
+        share = order[bounds[k]:bounds[k + 1]]
+        buffer[share] = values.reshape(-1)[share % cells]
+        if on_step is not None:
+            on_step(k, values)
+
+    propagate_classical(initial, problem, n_steps, history_window=2, on_step=copy)
+    return [_retarded(problem.grid, t, *rows, w, reached)
+            for rows, (t, w, reached) in zip(buffer.reshape(-1, 2, cells), looked_up)]
 
 
 def _difference(before: np.ndarray, now: np.ndarray, after: np.ndarray,

@@ -26,7 +26,6 @@ from qfront.fields import (ComplexField, Grid, ScalarField, l2_norm_squared, rea
                            write_field_csv)
 from qfront.fit import RECORDS_CSV_HEADER, read_records_csv, synthesize_records
 from qfront.schrodinger import (
-    ClassicalSolution,
     ConvergenceError,
     HistoryWindowError,
     QuantumProblem,
@@ -159,12 +158,8 @@ def test_propagate_manifest_contents(tmp_path):
     assert manifest["mode"] == "classical"
     assert manifest["n_steps"] == 10
     assert manifest["grid"]["shape"] == [64]
-    # Mode classical reads only the final state; the window keeps two.
-    assert manifest["retained_snapshots"] == 2
     assert manifest["max_norm_drift"] < 1e-10
     assert manifest["outputs"] == [str(tmp_path / "run_state.csv")]
-    assert manifest["retained_time_range"][0] == pytest.approx(9e-4)
-    assert manifest["retained_time_range"][1] == pytest.approx(1e-3)
 
 
 def csv_bytes(field, path) -> bytes:
@@ -200,12 +195,6 @@ def test_propagate_electron_state_moves_and_matches_the_api(tmp_path):
     assert moved > 0.1 * np.abs(initial.values).max()
 
 
-def snapped_step(t, dt):
-    """The step of time t, snapping to a whole step within 1e-9 * dt."""
-    pos = t / dt
-    return round(pos) if abs(pos - round(pos)) <= 1e-9 else math.floor(pos)
-
-
 @settings(max_examples=25)
 @given(
     n_cells=st.integers(64, 97),
@@ -221,9 +210,8 @@ def snapped_step(t, dt):
 def test_propagate_derived_window_matches_full_history(
         n_cells, dt, n_steps, mode, save_every, step_fraction, between, tp_fraction, seed):
     # Every output equals, byte for byte, the same evaluation on the full
-    # history, and the manifest describes the states from the first one an
-    # output reads: the step of eval_time (classical), of eval_time - max t_P
-    # (modified) or one before that (compare-a8), with --save-every as without.
+    # history, and the manifest's norms are those of the whole run, with
+    # --save-every as without.
     a8 = mode == "compare-a8"
     k = a8 + round(step_fraction * (n_steps - 2 * a8))
     eval_time = (k + between * (mode == "modified" and k < n_steps)) * dt
@@ -231,9 +219,6 @@ def test_propagate_derived_window_matches_full_history(
     grid = full.problem.grid
     tt = TraveltimeField(grid, np.random.default_rng(seed).uniform(
         0.0, tp_fraction * n_steps * dt, n_cells))  # max t_P may exceed eval_time
-    first = snapped_step(eval_time, dt)
-    if mode != "classical":
-        first = max(snapped_step(max(eval_time - tt.max_traveltime(), 0.0), dt) - a8, 0)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_field_csv(ScalarField(grid, tt.t_P), str(out / "tt.csv"))
@@ -256,12 +241,8 @@ def test_propagate_derived_window_matches_full_history(
         manifest = json.loads((out / "run_manifest.json").read_text())
     assert sorted(Path(p).name for p in manifest["outputs"]) == sorted(
         f"run_{suffix}.csv" for suffix in expected)
-    assert manifest["retained_snapshots"] == min(max(n_steps + 1 - first, 2), n_steps + 1)
-    # The norms are those of the same states of the full history.
-    first = n_steps + 1 - manifest["retained_snapshots"]
-    tail = ClassicalSolution(full.problem, full.history[first:], full.initial_norm, first)
-    assert manifest["max_norm_drift"] == tail.norm_drift()
-    assert manifest["retained_time_range"] == tail.times[[0, -1]].tolist()
+    assert manifest["initial_norm"] == full.initial_norm
+    assert manifest["max_norm_drift"] == full.norm_drift()
     assert manifest["final_norm"] == l2_norm_squared(full.snapshots[-1])
 
 
@@ -335,8 +316,6 @@ def test_propagate_save_every_keeps_only_the_derived_window(tmp_path, capsys):
     assert peak < 2 * 2**20
     for step in (0, 500, 1000):
         assert (tmp_path / f"run_step{step:06d}.csv").exists()
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["retained_snapshots"] == 2
 
 
 def test_propagate_failure_keeps_the_step_files_already_written(tmp_path, monkeypatch,
