@@ -168,7 +168,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .eikonal import TraveltimeField
-    from .fields import ComplexField, ScalarField, l2_norm_squared, write_field_csv
+    from .fields import ComplexField, ScalarField, _norm_drift, _norm_squared, write_field_csv
     from .localtime import local_time, write_localtime_csv
     from .schrodinger import (QuantumProblem, _difference, _propagate_retarded, _require_finite,
                               _step_weights)
@@ -245,10 +245,9 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         outputs.append(path)
 
     def on_step(k: int, values) -> None:
-        state = ComplexField(grid, values)
         if args.save_every and k % args.save_every == 0:
-            emit(state, f"step{k:06d}")
-        norms.append(l2_norm_squared(state))
+            emit(ComplexField(grid, values), f"step{k:06d}")
+        norms.append(_norm_squared(values, grid.cell_volume))
 
     fields = _propagate_retarded(initial, problem, args.n_steps, reads, on_step)
     if a8:
@@ -275,7 +274,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         "eval_time": eval_time,
         "initial_norm": norms[0],
         "final_norm": norms[-1],
-        "max_norm_drift": max(abs(n - norms[0]) for n in norms) / norms[0],
+        "max_norm_drift": _norm_drift(norms[0], norms),
         "outputs": outputs,
     }
     _write_json(manifest, manifest_path)

@@ -163,7 +163,7 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class ComplexField:
-    """Complex-valued field on a grid with a time stamp in seconds."""
+    """Complex-valued field on a grid with a finite time stamp in seconds."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -173,12 +173,24 @@ class ComplexField:
         object.__setattr__(self, "values",
                            _as_grid_array(self.grid, self.values, np.complex128))
         object.__setattr__(self, "time_stamp", float(self.time_stamp))
+        if not math.isfinite(self.time_stamp):
+            raise ValueError(f"time_stamp must be finite, got {self.time_stamp}")
+
+
+def _norm_squared(values: np.ndarray, cell_volume: float) -> float:
+    """sum |v|^2 * cell_volume over values: l2_norm_squared of an array, such
+    as a read-only view of a run's state, without building a field of it."""
+    return float(np.sum(np.abs(values) ** 2)) * cell_volume
+
+
+def _norm_drift(initial: float, norms: Iterable[float]) -> float:
+    """Largest relative deviation of any of norms from initial."""
+    return max(abs(n - initial) for n in norms) / initial
 
 
 def l2_norm_squared(f: ComplexField | ScalarField) -> float:
     """Discrete squared L2 norm: sum |f_i|^2 * cell volume over every cell."""
-    total = float(np.sum(np.abs(f.values) ** 2))
-    return total * f.grid.cell_volume
+    return _norm_squared(f.values, f.grid.cell_volume)
 
 
 # --- CSV serialization ------------------------------------------------------

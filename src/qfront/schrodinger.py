@@ -35,7 +35,7 @@ import numpy as np
 
 from .constants import CODATA2018, PhysicalConstants
 from .eikonal import TraveltimeField
-from .fields import (ComplexField, Grid, ScalarField, _frozen, _integers,
+from .fields import (ComplexField, Grid, ScalarField, _frozen, _integers, _norm_drift,
                      _require_grid_shape, l2_norm_squared)
 
 __all__ = [
@@ -449,8 +449,7 @@ class ClassicalSolution:
 
     def norm_drift(self) -> float:
         """Largest relative deviation of any retained norm from step 0."""
-        norms = [l2_norm_squared(s) for s in self.snapshots]
-        return max(abs(n - self.initial_norm) for n in norms) / self.initial_norm
+        return _norm_drift(self.initial_norm, map(l2_norm_squared, self.snapshots))
 
     def snapshot_at(self, t: float) -> ComplexField:
         """The retained snapshot whose time matches t to round-off."""
@@ -645,11 +644,19 @@ def make_plane_wave(
 
     Useful as an analytic snapshot source: the values of these at uniform
     times, stacked with np.stack, form a ClassicalSolution history without
-    running the stepper.
+    running the stepper.  A non-finite nu, wavenumber or t, or a phase that
+    overflows on the grid, raises ValueError.
     """
+    for name, value in (("nu", nu), ("wavenumber", wavenumber), ("t", t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     x = grid.coordinate_arrays()[0]
-    values = np.exp(2.0j * np.pi * (wavenumber * x - nu * t))
-    return ComplexField(grid, values, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 2.0j * np.pi * (wavenumber * x - nu * t)
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"the phase 2*pi*(wavenumber*x - nu*t) overflows at wavenumber "
+                         f"{wavenumber!r}, nu {nu!r} and t {t!r}")
+    return ComplexField(grid, np.exp(phase), t)
 
 
 def gaussian_packet(

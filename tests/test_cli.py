@@ -207,7 +207,7 @@ def test_propagate_electron_state_moves_and_matches_the_api(tmp_path):
     tp_fraction=st.floats(0.0, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_propagate_derived_window_matches_full_history(
+def test_propagate_outputs_and_norms_match_the_whole_run(
         n_cells, dt, n_steps, mode, save_every, step_fraction, between, tp_fraction, seed):
     # Every output equals, byte for byte, the same evaluation on the full
     # history, and the manifest's norms are those of the whole run, with
@@ -299,7 +299,7 @@ def test_propagate_save_every_dumps_snapshots(tmp_path):
     assert not (tmp_path / "run_step000001.csv").exists()
 
 
-def test_propagate_save_every_keeps_only_the_derived_window(tmp_path, capsys):
+def test_propagate_save_every_keeps_two_states(tmp_path, capsys):
     # The whole run is 1001 states of 16 KiB (15.6 MiB); the classical
     # evaluation at the last step keeps two of them.
     electron_run(64, 1e-19, 2)  # builds a stepper first, so scipy's import is not traced

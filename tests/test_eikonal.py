@@ -35,78 +35,10 @@ def cone_error(tt, center, exclude_cells=5.0):
 
 # --- validation -------------------------------------------------------------
 
-def test_source_spec_rejects_empty():
-    with pytest.raises(ValueError):
-        SourceSpec([])
-
-
-def test_source_spec_out_of_bounds():
-    g = Grid((4, 4), (1.0, 1.0))
-    with pytest.raises(ValueError, match="outside"):
-        SourceSpec([(4, 0)]).validate_against(g)
-    with pytest.raises(ValueError, match="dimensionality"):
-        SourceSpec([(1,)]).validate_against(g)
-
-
-@pytest.mark.parametrize("speed", [0.0, -1.0, math.nan, math.inf])
-def test_rejects_bad_uniform_speed(speed):
-    g = Grid((8,), (1.0,))
-    with pytest.raises(ValueError):
-        solve_traveltime(g, SourceSpec([(0,)]), speed)
-
-
-def test_rejects_speed_field_with_zero():
-    g = Grid((8,), (1.0,))
-    v = np.ones(8)
-    v[3] = 0.0
-    with pytest.raises(ValueError):
-        solve_traveltime(g, SourceSpec([(0,)]), ScalarField(g, v))
-
-
-@pytest.mark.parametrize("field", [False, True])
-def test_rejects_speed_whose_reciprocal_overflows(field):
-    # Finite and positive, but 1/v is inf, or finite with a square that the
-    # march's float ** 2 cannot form; warnings are errors under pytest, so
-    # an overflow warning would fail this too.
-    g = Grid((8,), (1.0,))
-    for v_min, overflows in ((1e-320, "1/speed"), (1e-300, r"\(1/speed\)\*\*2")):
-        speed = v_min
-        if field:
-            v = np.ones(8)
-            v[3] = v_min
-            speed = ScalarField(g, v)
-        message = rf"speed {v_min!r} is so small that {overflows} overflows"
-        with pytest.raises(ValueError, match=message):
-            solve_traveltime(g, SourceSpec([(0,)]), speed)
-
-
-@pytest.mark.parametrize("shape, spacing, message", [
-    ((16,), (5e-324,), "1/spacing\\*\\*2 overflows"),
-    ((16,), (1e-160,), "1/spacing\\*\\*2 overflows"),  # spacing**2 is subnormal
-    ((4, 4), (1.0, 1e-300), "1/spacing\\*\\*2 overflows"),  # spacing**2 underflows to 0
-    ((16,), (1e300,), "squared grid extent overflows"),
-    ((1000,), (1e153,), "squared grid extent overflows"),  # beyond the seed ball
-    ((2, 2), (1e154, 1e154), "squared grid extent overflows"),  # the sum over the axes
-])
-def test_rejects_spacing_out_of_the_float_range(shape, spacing, message):
-    g = Grid(shape, spacing)
-    with pytest.raises(ValueError, match=message):
-        solve_traveltime(g, SourceSpec([(0,) * len(shape)]), 1.0)
-
-
 def test_largest_spacing_in_range_solves():
     # The squared extent 1e308 is finite, and so is every t_P.
     tt = solve_traveltime(Grid((2,), (1e154,)), SourceSpec([(0,)]), 1.0)
     assert tt.t_P.tolist() == [0.0, 1e154]
-
-
-def test_an_overflowing_march_is_rejected_not_written_as_inf():
-    # Beyond the seed ball the march squares t_P ~ 1e251, which overflows
-    # and leaves those cells at inf.
-    g = Grid((16,), (1e150,))
-    with pytest.raises(ValueError, match=r"squared traveltimes overflow in the upwind "
-                       r"update at spacing \(1e\+150,\) and slowest speed 1e-100 m/s"):
-        solve_traveltime(g, SourceSpec([(3,)]), 1e-100)
 
 
 @pytest.mark.parametrize("shape, spacing, cell, speed", [
@@ -129,59 +61,6 @@ def test_huge_ball_radius_seeds_every_cell_at_its_distance(shape, spacing, cell,
     assert eikonal_cone_error(tt, source, 0.0) == 0.0
 
 
-def test_rejects_negative_ball_radius():
-    g = Grid((8,), (1.0,))
-    with pytest.raises(ValueError):
-        solve_traveltime(g, SourceSpec([(0,)]), 1.0, source_ball_radius=-1.0)
-
-
-@pytest.mark.parametrize("radius", [math.inf, math.nan])
-def test_rejects_non_finite_ball_radius(radius):
-    g = Grid((8,), (1.0,))
-    with pytest.raises(ValueError, match="source_ball_radius must be finite"):
-        solve_traveltime(g, SourceSpec([(0,)]), 1.0, source_ball_radius=radius)
-
-
-def test_traveltime_field_rejects_negative():
-    g = Grid((4,), (1.0,))
-    with pytest.raises(ValueError):
-        TraveltimeField(g, np.array([0.0, 1.0, -0.5, 2.0]), 1.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_traveltime_field_rejects_non_finite(bad):
-    g = Grid((4,), (1.0,))
-    with pytest.raises(ValueError, match="t_P must be non-negative and finite"):
-        TraveltimeField(g, np.array([0.0, 1.0, bad, 2.0]), 1.0)
-
-
-def test_traveltime_field_rejects_complex():
-    g = Grid((4,), (1.0,))
-    with pytest.raises(ValueError, match="complex values for a real-valued field"):
-        TraveltimeField(g, np.array([0.0, 1.0 + 1.0j, 0.5, 2.0]), 1.0)
-
-
-@pytest.mark.parametrize("v_p", [0.0, -1.0, math.nan, -math.inf])
-def test_traveltime_field_rejects_a_speed_not_above_zero(v_p):
-    g = Grid((4,), (1.0,))
-    with pytest.raises(ValueError, match=r"v_P must be > 0 \(inf allowed\), got"):
-        TraveltimeField(g, np.zeros(4), v_p)
-
-
-@pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
-def test_traveltime_field_rejects_a_speed_field_with_a_value_not_above_zero(bad):
-    g = Grid((4,), (1.0,))
-    with pytest.raises(ValueError, match="v_P must be > 0"):
-        TraveltimeField(g, np.zeros(4), ScalarField(g, [1.0, bad, 2.0, math.inf]))
-
-
-def test_traveltime_field_rejects_a_speed_field_off_the_grid():
-    g = Grid((4,), (1.0,))
-    speed = ScalarField(Grid((5,), (1.0,)), np.ones(5))
-    with pytest.raises(ValueError, match=r"^v_P shape \(5,\) does not match grid shape \(4,\)$"):
-        TraveltimeField(g, np.zeros(4), speed)
-
-
 def test_traveltime_field_speed_may_be_infinite_or_unknown():
     g = Grid((4,), (1.0,))
     assert TraveltimeField(g, np.zeros(4), math.inf).min_speed() == math.inf
@@ -193,38 +72,14 @@ def test_traveltime_field_speed_may_be_infinite_or_unknown():
                            SourceSpec([(0,)]))
 
 
-@pytest.mark.parametrize("cell", [(1.7, 2.2), (1, 2.0), ("1", 2)])
-def test_source_spec_rejects_non_integer_indices(cell):
-    # int() used to truncate (1.7, 2.2) to the cell (1, 2).
-    with pytest.raises(ValueError, match="source cell must hold integers"):
-        SourceSpec([cell])
-
-
 def test_source_spec_takes_numpy_integers():
     assert SourceSpec([np.array([3, 4])]).cells == ((3, 4),)
-
-
-@pytest.mark.parametrize("exclude", [-1.0, -0.5, math.nan, math.inf])
-def test_cone_error_rejects_exclude_cells_below_zero_or_not_finite(exclude):
-    # A negative radius took the sources in, where the relative error is 0/0.
-    g = Grid((9,), (1.0,))
-    tt = solve_traveltime(g, SourceSpec([(4,)]), 1.0)
-    with pytest.raises(ValueError, match="exclude_cells must be finite and >= 0"):
-        eikonal_cone_error(tt, SourceSpec([(4,)]), exclude_cells=exclude)
 
 
 def test_cone_error_excluding_no_cell_skips_only_the_sources():
     g = Grid((9,), (1.0,))
     tt = solve_traveltime(g, SourceSpec([(4,)]), 1.0)
     assert eikonal_cone_error(tt, SourceSpec([(4,)]), exclude_cells=0.0) == 0.0
-
-
-def test_speed_field_shape_mismatch_names_both_shapes():
-    g = Grid((4, 4), (1.0, 1.0))
-    speed = ScalarField(Grid((4, 5), (1.0, 1.0)), np.ones((4, 5)))
-    with pytest.raises(ValueError,
-                       match=r"speed field shape \(4, 5\) does not match grid shape \(4, 4\)"):
-        solve_traveltime(g, SourceSpec([(0, 0)]), speed)
 
 
 # --- exactness oracles ------------------------------------------------------
@@ -490,14 +345,6 @@ def test_cone_error_matches_distance_transform(shape, spacing, cells):
     assert eikonal_cone_error(tt, source) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def test_cone_error_rejects_speed_field():
-    g = Grid((12, 12), (1.0, 1.0))
-    source = SourceSpec([(6, 6)])
-    tt = solve_traveltime(g, source, ScalarField(g, np.ones((12, 12))))
-    with pytest.raises(ValueError, match="uniform speed"):
-        eikonal_cone_error(tt, source)
-
-
 # --- causality and mask properties ------------------------------------------
 
 @given(
@@ -535,13 +382,6 @@ def test_front_mask_monotone(t1, t2):
     tt = solve_traveltime(g, SourceSpec([(10, 10)]), 1.0)
     lo, hi = min(t1, t2), max(t1, t2)
     assert not np.any(front_mask(tt, lo) & ~front_mask(tt, hi))
-
-
-def test_front_mask_rejects_nan():
-    g = Grid((4,), (1.0,))
-    tt = solve_traveltime(g, SourceSpec([(0,)]), 1.0)
-    with pytest.raises(ValueError):
-        front_mask(tt, math.nan)
 
 
 def test_front_mask_boundary_inclusive():

@@ -1,6 +1,5 @@
 import io
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -42,47 +41,8 @@ def test_grid_coordinate_arrays_shape():
     assert xs[2, 0] == 2.0 and ys[0, 2] == 2.0
 
 
-@pytest.mark.parametrize(
-    "shape,spacing",
-    [
-        ((2, 2, 2, 2), (1, 1, 1, 1)),  # 4-D
-        ((1,), (1.0,)),                # too few cells
-        ((4,), (0.0,)),                # zero spacing
-        ((4,), (-1.0,)),               # negative spacing
-        ((4, 4), (1.0,)),              # length mismatch
-    ],
-)
-def test_grid_rejects_bad_geometry(shape, spacing):
-    with pytest.raises(ValueError):
-        Grid(shape, spacing)
-
-
-@pytest.mark.parametrize("shape", [(10.7,), (10.0,), (4, 4.5), ("10",)])
-def test_grid_rejects_non_integer_shape(shape):
-    # int() used to truncate (10.7,) to 10 cells.
-    with pytest.raises(ValueError, match="shape must hold integers"):
-        Grid(shape, (1.0,) * len(shape))
-
-
 def test_grid_takes_numpy_integer_shape():
     assert Grid(np.array([4, 3]), (1.0, 1.0)).shape == (4, 3)
-
-
-@pytest.mark.parametrize("origin", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
-def test_grid_rejects_non_finite_origin(origin):
-    with pytest.raises(ValueError, match="origin must be finite"):
-        Grid((4, 4), (1.0, 1.0), origin)
-
-
-@pytest.mark.parametrize("shape, spacing, origin", [
-    ((64,), (1.7e308,), (0.0,)),
-    ((4, 3), (1.0, 1e308), (0.0, 0.0)),
-    ((2,), (1e308,), (1e308,)),
-])
-def test_grid_rejects_a_last_coordinate_that_overflows(shape, spacing, origin):
-    # coordinate_arrays would overflow to inf; warnings are errors under pytest.
-    with pytest.raises(ValueError, match="last cell's coordinate .* overflows"):
-        Grid(shape, spacing, origin)
 
 
 # --- fields -----------------------------------------------------------------
@@ -135,22 +95,6 @@ def test_any_array_not_frozen_is_copied(values):
     assert not np.shares_memory(f.values, values)
     assert f.values.flags.c_contiguous and not f.values.flags.writeable
     np.testing.assert_array_equal(f.values, np.ones(6))
-
-
-def test_field_shape_mismatch():
-    g = Grid((3,), (1.0,))
-    with pytest.raises(ValueError):
-        ScalarField(g, np.zeros(4))
-
-
-@pytest.mark.parametrize("values", [
-    np.array([1.0 + 2.0j, 0.0, 3.0]),
-    np.zeros(3, dtype=np.complex128),  # a complex dtype, even with zero imaginary parts
-    [1.0, 2.0j, 3.0],
-])
-def test_scalar_field_rejects_complex_values(values):
-    with pytest.raises(ValueError, match="complex values for a real-valued field"):
-        ScalarField(Grid((3,), (1.0,)), values)
 
 
 def test_fields_are_c_ordered_copies_of_any_layout():
@@ -213,57 +157,9 @@ def test_csv_roundtrip_real():
     assert np.array_equal(back.values, f.values)
 
 
-def test_csv_rejects_bad_header():
-    with pytest.raises(ValueError, match="header"):
-        read_field_csv(io.StringIO("idx,val\n0,1\n"))
-
-
-def test_csv_rejects_wrong_column_count():
-    bad = "index_axis0,value_re\n0,1.0,9.0\n"
-    with pytest.raises(ValueError, match="line 2"):
-        read_field_csv(io.StringIO(bad))
-
-
-ONE_AXIS = "index_axis0,value_re\n"
-TWO_AXES = "index_axis0,index_axis1,value_re\n"
-
-
-@pytest.mark.parametrize("text, line, what", [
-    (ONE_AXIS + "0,1.0\n0,2.0\n2,3.0\n", 3, "duplicate"),  # cell 1 never written
-    (ONE_AXIS + "1,1.0\n0,2.0\n-1,3.0\n", 4, "outside"),   # -1 would wrap to cell 2
-    (ONE_AXIS + "0,1.0\n1,2.0\n7,3.0\n", 4, "outside"),    # 3 rows hold at most 3 cells
-    (TWO_AXES + "0,0,1.0\n1,0,2.0\n0,0,3.0\n1,1,4.0\n", 4, "duplicate"),
-])
-def test_csv_rejects_bad_indices(text, line, what):
-    with pytest.raises(ValueError, match=f"line {line}: .*{what}"):
-        read_field_csv(io.StringIO(text))
-
-
-@pytest.mark.parametrize("text, match", [
-    ("", "empty field CSV"),
-    (ONE_AXIS, "field CSV holds no cells"),
-    (ONE_AXIS + "\n\n", "field CSV holds no cells"),
-    (TWO_AXES + "0,0,1.0\n1,1,2.0\n",
-     re.escape("field CSV holds 2 cells, expected 4 for shape (2, 2)")),
-])
-def test_csv_rejects_empty_or_incomplete_files(text, match):
-    with pytest.raises(ValueError, match=match):
-        read_field_csv(io.StringIO(text))
-
-
 def test_csv_skips_blank_lines():
-    back = read_field_csv(io.StringIO(ONE_AXIS + "0,1.5\n\n1,-2\n\n"))
+    back = read_field_csv(io.StringIO("index_axis0,value_re\n0,1.5\n\n1,-2\n\n"))
     assert back.values.tolist() == [1.5, -2.0]
-
-
-@pytest.mark.parametrize("text, line, token", [
-    (ONE_AXIS + "0,1.0\n1.0,2.0\n", 3, "'1.0'"),
-    (ONE_AXIS + "0,abc\n1,2.0\n", 2, "'abc'"),
-    ("index_axis0,value_re,value_im\n0,1.0,2.0\n1,3.0,4.0j\n", 3, "'4.0j'"),
-])
-def test_csv_parse_errors_name_the_line(text, line, token):
-    with pytest.raises(ValueError, match=f"^line {line}: .*{token}"):
-        read_field_csv(io.StringIO(text))
 
 
 def test_csv_file_roundtrip(tmp_path):
