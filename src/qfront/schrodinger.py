@@ -36,7 +36,7 @@ import numpy as np
 from .constants import CODATA2018, PhysicalConstants
 from .eikonal import TraveltimeField
 from .fields import (ComplexField, Grid, ScalarField, _frozen, _integers, _norm_drift,
-                     _require_grid_shape, l2_norm_squared)
+                     _norm_squared, _require_grid_shape)
 
 __all__ = [
     "QuantumProblem",
@@ -165,8 +165,8 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 
 
 def _initial_norm(state: ComplexField, grid: Grid) -> float:
-    """Squared L2 norm of state, checked as an initial state on grid: finite,
-    zero on the boundary cell layer and of nonzero norm."""
+    """Squared L2 norm of state's values on grid, checked as an initial state:
+    finite, zero on the boundary cell layer and of positive, finite norm."""
     _require_grid_shape("state", state.grid.shape, grid.shape)
     _require_finite("state", state.values)
     walls = np.ones(grid.shape, dtype=bool)
@@ -176,9 +176,12 @@ def _initial_norm(state: ComplexField, grid: Grid) -> float:
             "state does not vanish on the boundary cell layer; the stepper "
             "assumes hard-wall (fixed zero) boundaries"
         )
-    norm = l2_norm_squared(state)
+    norm = _norm_squared(state.values, grid.cell_volume)
+    if not math.isfinite(norm):
+        raise ValueError("the initial state's squared norm overflows")
     if norm == 0.0:
-        raise ValueError("initial state has zero norm")
+        raise ValueError("the initial state's squared norm underflows to 0"
+                         if np.any(state.values != 0.0) else "initial state has zero norm")
     return norm
 
 
@@ -331,13 +334,13 @@ class _Stepper:
         iteration it stopped in, below _SOLVE_MAXITER only on a breakdown:
         rho or p^T A p = 0, or p^T A p not finite, as when A p overflows."""
         r, p, q, tmp = self._work
-        atol = _SOLVE_RTOL * _norm(b)
+        atol = _SOLVE_RTOL * math.sqrt(_norm_squared(b, 1.0))
         self._matvec(x, r)
         np.subtract(b, r, out=r)
         p[:] = r
         rho = _dot(r, r)
         for k in range(_SOLVE_MAXITER):
-            if _norm(r) <= atol:
+            if math.sqrt(_norm_squared(r, 1.0)) <= atol:
                 return
             self._matvec(p, q)
             mu = _dot(p, q)
@@ -379,12 +382,6 @@ class _Stepper:
 def _dot(a: np.ndarray, b: np.ndarray) -> complex:
     """sum_i a_i b_i by numpy's own loop, not BLAS."""
     return np.einsum("i,i->", a, b)
-
-
-def _norm(a: np.ndarray) -> float:
-    """The 2-norm of a complex vector by numpy's own loop, not BLAS."""
-    f = a.view(np.float64)
-    return math.sqrt(np.einsum("i,i->", f, f))
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,7 +446,8 @@ class ClassicalSolution:
 
     def norm_drift(self) -> float:
         """Largest relative deviation of any retained norm from step 0."""
-        return _norm_drift(self.initial_norm, map(l2_norm_squared, self.snapshots))
+        volume = self.problem.grid.cell_volume
+        return _norm_drift(self.initial_norm, (_norm_squared(v, volume) for v in self.history))
 
     def snapshot_at(self, t: float) -> ComplexField:
         """The retained snapshot whose time matches t to round-off."""

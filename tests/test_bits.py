@@ -141,13 +141,13 @@ PINS = {
     "README layers.csv": (readme, "layers.csv", "a703fef4af6222f5"),
     "README lt.csv": (readme, "lt.csv", "36ac6584ee315658"),
     "README records.csv": (readme, "records.csv", "a02b223edd383432"),
-    "README run_manifest.json": (readme, "run_manifest.json", "513fb7455a7f32ec"),
+    "README run_manifest.json": (readme, "run_manifest.json", "849fe896b11c8231"),
     "README run_state.csv": (readme, "run_state.csv", "367922f64cce9a78"),
-    "README runmod_manifest.json": (readme, "runmod_manifest.json", "4599235f1b0dfca6"),
+    "README runmod_manifest.json": (readme, "runmod_manifest.json", "2b941935df457b9d"),
     "README runmod_state.csv": (readme, "runmod_state.csv", "10cd2e4be91519a3"),
     "README tt.csv": (readme, "tt.csv", "e8c55b6f04484b53"),
     "README tt1d.csv": (readme, "tt1d.csv", "abf8439e36d486f5"),
-    "README stdout": (readme, "stdout", "d72dad304f9cccf4"),
+    "README stdout": (readme, "stdout", "a01edd0dc7b016d4"),
 }
 # (configuration, pin) -> the other digest it gives, checked as strictly: numpy's
 # AVX2 and AVX-512 complex multiply fuses multiply-adds, its baseline loop not.

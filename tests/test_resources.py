@@ -1,6 +1,8 @@
 """Fresh-interpreter runs, one row of RESOURCES each: its command lines run in
 order in a new directory through run_measured, as pytest, with numpy loaded
 and its own resident set, cannot.  conftest.py starts them with the session."""
+import statistics
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,7 +25,7 @@ class Row(NamedTuple):
     written: tuple[str, ...] = ()   # exactly the files left behind
     unloaded: tuple[str, ...] = ()  # modules no command may load
     code: int = 0                   # every command's exit code
-    imports: tuple[str, ...] = ()   # imported before each command
+    imports: tuple[tuple[str, ...], ...] = ()  # imported before each command, in turn
 
 
 SPACING_128 = repr(1e-9 / 127)
@@ -34,6 +36,7 @@ PACKET_128 = ["propagate", *GRID_128, "--gaussian-center", "3e-10,5e-10",
               "--n-steps", "400"]
 README_1D = next(argv for argv in readme_commands() if argv[0] == "propagate")
 RUN = ("run_state.csv", "run_manifest.json")
+LINALG_PAIRS = 5
 SMALL_ND = ["--gaussian-width", "0.15", "--mass", "1", "--dt", "1e-4", "--n-steps", "2",
             "--out-prefix", "run"]
 
@@ -52,8 +55,11 @@ RESOURCES = {
           "--out-prefix", "run"]], 45, ("tt.csv", *RUN), SCIPY),
     # 1-D loads scipy's LAPACK binding, not the scipy.linalg package: about 34 MiB.
     "README 1-D propagate": Row([README_1D], 48, RUN, SCIPY),
-    "README 1-D propagate, scipy.linalg first": Row([README_1D], written=RUN,
-                                                     imports=("scipy.linalg",)),
+    # Interleaved pairs of that command, without and with scipy.linalg imported
+    # first, for test_scipy_linalg_costs_what_the_readme_states.
+    "README 1-D propagate, scipy.linalg first": Row(
+        [README_1D] * (2 * LINALG_PAIRS), written=RUN,
+        imports=((), ("scipy.linalg",)) * LINALG_PAIRS),
     # Only the grid commands need numpy, and only the 1-D stepper scipy.
     "qfront --help": Row([["--help"]], unloaded=NUMPY),
     "fit --use-bundled": Row([["fit", "--use-bundled"]], unloaded=NUMPY),
@@ -90,7 +96,8 @@ def start(name, tmp_path_factory):
         directory = tmp_path_factory.mktemp("resources")
         row = RESOURCES[name]
         STARTED[name] = directory, POOL.submit(
-            lambda: [run_measured(argv, directory, row.imports) for argv in row.commands])
+            lambda: [run_measured(argv, directory, imports) for argv, imports in
+                     zip_longest(row.commands, row.imports, fillvalue=())])
     return STARTED[name]
 
 
@@ -107,10 +114,12 @@ def test_row_holds(tmp_path_factory, name):
 
 def test_scipy_linalg_costs_what_the_readme_states(tmp_path_factory):
     # Measured 24.7 to 25.1 MiB in 12 runs on a 2-core Xeon (2026-10-20): the
-    # figure must hold to half a unit of its last digit.  The README's CPU
-    # figure (0.25 to 0.39 s in the same runs) is not checked, as a host's CPU
-    # time changes about 2x between sessions.
-    plain, first = (start(name, tmp_path_factory)[1].result()[0].peak_mib for name in
-                    ("README 1-D propagate", "README 1-D propagate, scipy.linalg first"))
+    # figure must hold to half a unit of its last digit.  The median of
+    # interleaved pairs, as the figure was measured: under the suite's load
+    # one pair alone read 25.55 MiB.  The README's CPU figure (0.25 to 0.39 s
+    # in the same runs) is not checked, as a host's CPU time changes about 2x
+    # between sessions.
+    runs = start("README 1-D propagate, scipy.linalg first", tmp_path_factory)[1].result()
+    deltas = [first.peak_mib - plain.peak_mib for plain, first in zip(runs[::2], runs[1::2])]
     assert "and 25 MiB of peak memory" in " ".join(README.read_text().split())
-    assert abs(first - plain - 25) <= 0.5, (plain, first)
+    assert abs(statistics.median(deltas) - 25) <= 0.5, deltas

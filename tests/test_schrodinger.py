@@ -129,6 +129,15 @@ def test_unitarity_drifting_gaussian():
     assert sol.norm_drift() < 1e-11
 
 
+def test_norms_take_the_problem_grid_of_a_state_on_another_spacing():
+    # The run reads only the state's values, so its initial norm is theirs on
+    # the problem's grid, as every later norm is.
+    prob = free_problem(16)
+    psi0 = gaussian_packet(Grid((16,), (2.0 / 15,)), (1.0,), 0.2)
+    sol = propagate_classical(psi0, prob, 3)
+    assert sol.initial_norm == pytest.approx(0.5) and sol.norm_drift() < 1e-12
+
+
 def test_eigenmode_amplification_matches_discrete_eigenvalue():
     # CN maps an eigenvector of the discrete H with eigenvalue E to
     # itself times (1 - i E dt / 2 hbar) / (1 + i E dt / 2 hbar); for the
